@@ -25,11 +25,11 @@ import numpy as np
 
 from . import __version__
 from .constants import (
-    beta_table,
     compute_constants,
     gamma,
     product_exponent,
     table_csv,
+    table_pairs,
 )
 from .correction import correction_profiles, verify_L0_identities
 from .energy import (
@@ -202,14 +202,8 @@ def cmd_beta_table(args) -> int:
     if max_N < 6:
         raise ValueError("--max-N must be at least 6")
     cache = _cache_dir(args)
-    pairs = [
-        (n, m)
-        for n in range(3, max_N - 2)
-        for m in range(3, max_N - 2)
-        if n + m <= max_N
-    ]
     rows = []
-    for n, m in pairs:
+    for n, m in table_pairs(max_N):
         gs = cached_ground_state(n, product_exponent(n, m), cache)
         rows.append(compute_constants(gs, correction_profiles(gs), m))
     _emit(table_csv(rows, provenance=_flat_provenance(args, max_N=max_N)), args.out)

@@ -243,19 +243,23 @@ def _pair_constants(n: int, m: int) -> DimensionalConstants:
     return compute_constants(gs, cp, m)
 
 
-def beta_table(pairs=None, max_N: int = 9):
-    """DimensionalConstants rows for each (n, m) pair.
+def table_pairs(max_N: int = 9) -> list:
+    """Every (n, m) with n, m >= 3 and n + m <= max_N, ordered by (n, m)."""
+    return [
+        (n, m)
+        for n in range(3, max_N - 2)
+        for m in range(3, max_N - 2)
+        if n + m <= max_N
+    ]
 
-    Default pairs: every n, m >= 3 with n + m <= max_N, ordered by (n, m).
-    Rows are memoized, so repeated tables are cheap and bit-identical.
+
+def beta_table(pairs=None, max_N: int = 9):
+    """DimensionalConstants rows for each (n, m) pair, table_pairs(max_N) by
+    default.  Rows are memoized, so repeated tables are cheap and
+    bit-identical.
     """
     if pairs is None:
-        pairs = [
-            (n, m)
-            for n in range(3, max_N - 2)
-            for m in range(3, max_N - 2)
-            if n + m <= max_N
-        ]
+        pairs = table_pairs(max_N)
     rows = []
     for (n, m) in pairs:
         if n < 3 or m < 3 or int(n) != n or int(m) != m:

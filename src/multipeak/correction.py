@@ -176,18 +176,15 @@ def _solve_radial(gs: GroundState, ell: int, source, tail_power: float):
     )
     # cell-split refinement quarters the h^2 error pointwise
     vals = (4.0 * vals_f[::2] - vals_c) / 3.0
-    if ell == 0:
-        # the r = 0 row's h^2 truncation is not the r -> 0 limit of the
-        # interior rows', which leaves an O(h^4) kink at the origin node
-        # that Richardson does not cancel.  For ell >= 1 the field f r^ell
-        # vanishes at the centre and the kink never reaches it; for ell = 0
-        # it is the field, so re-derive f(0) from the next three nodes as a
-        # quadratic in r^2.
-        x = r[1:4] ** 2
-        vals[0] = sum(
-            vals[1 + i] * np.prod([x[j] / (x[j] - x[i]) for j in range(3) if j != i])
-            for i in range(3)
-        )
+    # the r = 0 row's h^2 truncation is not the r -> 0 limit of the interior
+    # rows', which leaves an O(h^4) kink at the origin node that Richardson
+    # does not cancel, so re-derive f(0) from the next three nodes as a
+    # quadratic in r^2
+    x = r[1:4] ** 2
+    vals[0] = sum(
+        vals[1 + i] * np.prod([x[j] / (x[j] - x[i]) for j in range(3) if j != i])
+        for i in range(3)
+    )
 
     # derivative data: quintic-spline first derivative (FD jitter in d1 would
     # put C2 kinks in the interpolant), second derivative from the ODE, with
@@ -268,10 +265,8 @@ def build_v2base(gs: GroundState) -> RadialFunction:
     """v2base = U' r / 2 - U / (2 - p); satisfies L0 v2base = -U."""
     n, p = gs.n, gs.p
     r = gs.grid.nodes
-    U, dU, d2U = gs.profile.values, gs.profile.d1, gs.profile.d2
-    d3U = np.empty_like(U)
-    d3U[1:] = np.asarray(gs.deriv3(r[1:]))
-    d3U[0] = 0.0  # odd derivative of an even profile
+    # ODE-exact node derivatives of U, with U'''(0) = 0 by even symmetry
+    U, dU, d2U, d3U = gs.profile.values, gs.profile.d1, gs.profile.d2, gs.profile.d3
     q = 1.0 / (2.0 - p)
     vals = 0.5 * dU * r - q * U
     d1 = 0.5 * (d2U * r + dU) - q * dU

@@ -12,6 +12,16 @@ for a single peak and a two-dimensional great-circle grid for the cross
 terms of several peaks; both are exact decompositions, so the breakdown
 remainder is honest measurement error plus higher expansion orders.
 
+Each quadrature has one field pass that energy_J, norm_eps and
+residual_norm reduce: _polar_fields gives one bump's (G, G', G'') on the
+polar nodes, and _great_circle the distances to every center on the
+(theta, phi) grid; each also returns the integral against its weights and
+measure.  The single-peak term does not depend on the center on these
+models, so it is computed once and counted K times.  The cross terms of J
+and the norm share _pair_quadratic.  The residual of several peaks does
+not split into single-peak terms and is taken on the great-circle grid
+whole.
+
 The corrected ansatz Y adds eps^2 V to each bump, V = ric_factor chi +
 c s v2base with the profiles of correction.py and ric_factor the Ricci
 eigenvalue over -3, -(n-1)/(3 R^2).  On a round sphere the
@@ -27,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -179,6 +190,11 @@ class PeakAnsatz:
     def epsilon(self) -> float:
         return self.config.epsilon
 
+    @property
+    def mass(self) -> float:
+        """Coefficient 1 + eps^2 c s of u in the equation and the energy."""
+        return 1.0 + self.epsilon ** 2 * self.c_bold * self.s_center
+
     def correction(self, rho):
         """The frozen-curvature profile correction in blown-up coordinates."""
         rho = np.asarray(rho, dtype=float)
@@ -274,56 +290,19 @@ def _rho_max(model, ansatz: PeakAnsatz) -> float:
     return min(rc / eps, cap)
 
 
-def _single_peak_energy(model, ansatz: PeakAnsatz, rho_step: float) -> float:
-    eps = ansatz.epsilon
-    n = model.n
-    p = ansatz.gs.p
-    rc = ansatz.config.cutoff_r
+def _polar_fields(model, ansatz: PeakAnsatz, rho_step: float):
+    """(rho, (G, G', G''), integral) for one bump on geodesic polar nodes
+    rho = d/eps; integral(dens) integrates over the ball in blown-up units.
+    """
+    eps, rc, n = ansatz.epsilon, ansatz.config.cutoff_r, model.n
     kinks = () if np.isinf(rc) else (0.5 * rc / eps, rc / eps)
     rho, w = _panel_nodes(_rho_max(model, ansatz), rho_step, kinks)
-    g0, g1, _ = ansatz.bump(eps * rho)
-    # eps^2 |grad u|^2 = (dG/drho)^2 in blown-up units
-    gr = eps * g1
-    mass = 1.0 + eps ** 2 * ansatz.c_bold * ansatz.s_center
-    dens = 0.5 * gr ** 2 + 0.5 * mass * g0 ** 2 - np.maximum(g0, 0.0) ** p / p
     meas = rho ** (n - 1) * _polar_sinc(model, eps * rho) ** (n - 1)
-    return surface_area(n) * float(np.sum(w * dens * meas))
 
+    def integral(dens) -> float:
+        return surface_area(n) * float(np.sum(w * dens * meas))
 
-def _single_peak_norm(model, ansatz: PeakAnsatz, rho_step: float) -> float:
-    eps = ansatz.epsilon
-    n = model.n
-    rc = ansatz.config.cutoff_r
-    kinks = () if np.isinf(rc) else (0.5 * rc / eps, rc / eps)
-    rho, w = _panel_nodes(_rho_max(model, ansatz), rho_step, kinks)
-    g0, g1, _ = ansatz.bump(eps * rho)
-    gr = eps * g1
-    mass = 1.0 + eps ** 2 * ansatz.c_bold * ansatz.s_center
-    dens = gr ** 2 + mass * g0 ** 2
-    meas = rho ** (n - 1) * _polar_sinc(model, eps * rho) ** (n - 1)
-    return surface_area(n) * float(np.sum(w * dens * meas))
-
-
-def _single_peak_residual_pow(model, ansatz: PeakAnsatz, rho_step: float) -> float:
-    """Integral of |r|^p' for one peak; r is the pointwise equation defect."""
-    eps = ansatz.epsilon
-    n = model.n
-    p = ansatz.gs.p
-    pp = p / (p - 1.0)
-    rc = ansatz.config.cutoff_r
-    kinks = () if np.isinf(rc) else (0.5 * rc / eps, rc / eps)
-    rho, w = _panel_nodes(_rho_max(model, ansatz), rho_step, kinks)
-    g0, g1, g2 = ansatz.bump(eps * rho)
-    if isinstance(model, FlatSpace):
-        cot_term = 1.0 / rho
-    else:
-        R = model.radius
-        cot_term = (eps / R) / np.tan(eps * rho / R)
-    lap = eps ** 2 * g2 + (n - 1) * cot_term * eps * g1
-    mass = 1.0 + eps ** 2 * ansatz.c_bold * ansatz.s_center
-    r = -lap + mass * g0 - np.maximum(g0, 0.0) ** (p - 1.0)
-    meas = rho ** (n - 1) * _polar_sinc(model, eps * rho) ** (n - 1)
-    return surface_area(n) * float(np.sum(w * np.abs(r) ** pp * meas))
+    return rho, ansatz.bump(eps * rho), integral
 
 
 def _great_circle_basis(centers):
@@ -360,19 +339,19 @@ def _gl_panels(lo: float, hi: float, step: float):
     return nodes, weights
 
 
-def _sphere_grid(model: RoundSphere, eps: float, step_factor: float):
-    if model.n < 3:
+def _great_circle(model, ansatz: PeakAnsatz, step_factor: float):
+    """(dists, integral) on the (theta, phi) grid of the sphere: the distance
+    to every center, and integral(dens), the eps-normalized sphere integral.
+    """
+    n = model.n
+    if n < 3:
         raise UnsupportedModel("cross-term quadrature needs sphere dimension >= 3")
-    ang_step = min(step_factor * eps / model.radius, np.pi / 24.0)
-    if 6.0 / (ang_step * model.radius / eps) < 8.0:
+    eps, R = ansatz.epsilon, model.radius
+    ang_step = min(step_factor * eps / R, np.pi / 24.0)
+    if 6.0 / (ang_step * R / eps) < 8.0:
         raise ResolutionTooCoarse("angular step leaves fewer than 8 nodes per eps")
     th, wth = _gl_panels(0.0, np.pi, ang_step)
     ph, wph = _gl_panels(0.0, np.pi, ang_step)
-    return th, wth, ph, wph
-
-
-def _pair_fields(model, ansatz, th, ph):
-    """Distances to every center on the (theta, phi) great-circle grid."""
     e_a, e_b = _great_circle_basis(ansatz.config.centers)
     ct, st = np.cos(th)[:, None], np.sin(th)[:, None]
     cp = np.cos(ph)[None, :]
@@ -380,16 +359,16 @@ def _pair_fields(model, ansatz, th, ph):
     for c in ansatz.config.centers:
         ca, cb = float(c @ e_a), float(c @ e_b)
         cosang = np.clip(ct * ca + st * cp * cb, -1.0, 1.0)
-        dists.append(model.radius * np.arccos(cosang))
-    return dists
+        dists.append(R * np.arccos(cosang))
 
+    def integral(dens) -> float:
+        # the measure is built only now, after the bumps: a grid-sized
+        # array live during bump evaluation raises the peak memory
+        area = (np.sin(th) ** (n - 1))[:, None] * (np.sin(ph) ** (n - 2))[None, :]
+        wt = wth[:, None] * wph[None, :]
+        return float(np.sum(dens * ((R ** n / eps ** n) * surface_area(n - 1) * area * wt)))
 
-def _cross_measure(model, th, wth, ph, wph, eps):
-    n = model.n
-    R = model.radius
-    area = (np.sin(th) ** (n - 1))[:, None] * (np.sin(ph) ** (n - 2))[None, :]
-    wt = wth[:, None] * wph[None, :]
-    return (R ** n / eps ** n) * surface_area(n - 1) * area * wt
+    return dists, integral
 
 
 def _cos_angle(model, d_i, d_j, d_ij):
@@ -400,112 +379,110 @@ def _cos_angle(model, d_i, d_j, d_ij):
     return np.clip(val, -1.0, 1.0)
 
 
-def _cross_energy(model, ansatz: PeakAnsatz, step_factor: float) -> float:
-    """J(sum u_i) - sum J(u_i), measured on the great-circle grid."""
-    eps = ansatz.epsilon
-    p = ansatz.gs.p
-    th, wth, ph, wph = _sphere_grid(model, eps, step_factor)
-    dists = _pair_fields(model, ansatz, th, ph)
-    mass = 1.0 + eps ** 2 * ansatz.c_bold * ansatz.s_center
-    g0s, g1s = [], []
-    for d in dists:
-        g0, g1, _ = ansatz.bump(d)
-        g0s.append(g0)
-        g1s.append(g1)
-    total = sum(g0s)
-    cross = np.zeros_like(total)
-    for i in range(len(dists)):
-        for j in range(i + 1, len(dists)):
-            d_ij = model.distance(ansatz.config.centers[i], ansatz.config.centers[j])
-            cosA = _cos_angle(model, dists[i], dists[j], d_ij)
-            cross += eps ** 2 * g1s[i] * g1s[j] * cosA + mass * g0s[i] * g0s[j]
-    pot = np.maximum(total, 0.0) ** p
-    for g0 in g0s:
-        pot = pot - np.maximum(g0, 0.0) ** p
-    meas = _cross_measure(model, th, wth, ph, wph, eps)
-    return float(np.sum((cross - pot / p) * meas))
+def _pair_quadratic(model, ansatz: PeakAnsatz, dists, bumps):
+    """Sum over pairs i < j of eps^2 G_i' G_j' cos A + mass G_i G_j.
+
+    A is the angle between the geodesics to centers i and j; bumps holds
+    (G, G') per center.  This is the cross part of the quadratic form,
+    which J weighs by 1 and the norm by 2.
+    """
+    eps, centers = ansatz.epsilon, ansatz.config.centers
+    out = np.zeros_like(dists[0])
+    for i, j in combinations(range(len(centers)), 2):
+        d_ij = model.distance(centers[i], centers[j])
+        cosA = _cos_angle(model, dists[i], dists[j], d_ij)
+        out += (eps ** 2 * bumps[i][1] * bumps[j][1] * cosA
+                + ansatz.mass * bumps[i][0] * bumps[j][0])
+    return out
 
 
-def _cross_norm(model, ansatz: PeakAnsatz, step_factor: float) -> float:
-    eps = ansatz.epsilon
-    th, wth, ph, wph = _sphere_grid(model, eps, step_factor)
-    dists = _pair_fields(model, ansatz, th, ph)
-    mass = 1.0 + eps ** 2 * ansatz.c_bold * ansatz.s_center
-    bumps = [ansatz.bump(d) for d in dists]
-    cross = np.zeros_like(bumps[0][0])
-    for i in range(len(dists)):
-        for j in range(i + 1, len(dists)):
-            d_ij = model.distance(ansatz.config.centers[i], ansatz.config.centers[j])
-            cosA = _cos_angle(model, dists[i], dists[j], d_ij)
-            cross += 2.0 * (eps ** 2 * bumps[i][1] * bumps[j][1] * cosA
-                            + mass * bumps[i][0] * bumps[j][0])
-    meas = _cross_measure(model, th, wth, ph, wph, eps)
-    return float(np.sum(cross * meas))
+def _bump_and_laplacian(model, ansatz: PeakAnsatz, d):
+    """(G, Lap G) of one bump at sphere distances d from its center.
 
-
-def _full_residual_pow(model, ansatz: PeakAnsatz, step_factor: float) -> float:
-    eps = ansatz.epsilon
-    n = model.n
-    p = ansatz.gs.p
-    pp = p / (p - 1.0)
+    A function of its own so that G', G'' and cot are freed before the next
+    bump is evaluated on the grid.
+    """
     R = model.radius
-    th, wth, ph, wph = _sphere_grid(model, eps, step_factor)
-    dists = _pair_fields(model, ansatz, th, ph)
-    mass = 1.0 + eps ** 2 * ansatz.c_bold * ansatz.s_center
-    total = None
-    lap = None
-    for d in dists:
-        g0, g1, g2 = ansatz.bump(d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cot = np.where(d > 0, 1.0 / np.tan(d / R), 0.0) / R
-        piece = g2 + (n - 1) * cot * g1
-        piece = np.where(np.isfinite(piece), piece, 0.0)
-        total = g0 if total is None else total + g0
-        lap = piece if lap is None else lap + piece
-    r = -eps ** 2 * lap + mass * total - np.maximum(total, 0.0) ** (p - 1.0)
-    meas = _cross_measure(model, th, wth, ph, wph, eps)
-    return float(np.sum(np.abs(r) ** pp * meas))
+    g0, g1, g2 = ansatz.bump(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cot = np.where(d > 0, 1.0 / np.tan(d / R), 0.0) / R
+    lap = g2 + (model.n - 1) * cot * g1
+    return g0, np.where(np.isfinite(lap), lap, 0.0)
+
+
+def _peak_count(model, ansatz: PeakAnsatz) -> int:
+    """K, 0 for no ansatz; several peaks are only quadrated on the sphere."""
+    K = 0 if ansatz is None else ansatz.K
+    if K >= 2 and isinstance(model, FlatSpace):
+        raise UnsupportedModel("several peaks are only quadrated on the sphere")
+    return K
 
 
 def energy_J(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
              step_factor: float = 0.34) -> float:
     """The eps-normalized energy of the ansatz, exact peak decomposition."""
-    if ansatz is None or ansatz.K == 0:
+    K = _peak_count(model, ansatz)
+    if K == 0:
         return 0.0
-    val = sum(_single_peak_energy(model, ansatz, rho_step) for _ in range(ansatz.K))
-    if ansatz.K >= 2:
-        if isinstance(model, FlatSpace):
-            raise UnsupportedModel("several peaks are only quadrated on the sphere")
-        val += _cross_energy(model, ansatz, step_factor)
+    eps, p = ansatz.epsilon, ansatz.gs.p
+    _, (g0, g1, _), integral = _polar_fields(model, ansatz, rho_step)
+    # eps^2 |grad u|^2 = (dG/drho)^2 in blown-up units
+    gr = eps * g1
+    val = K * integral(0.5 * gr ** 2 + 0.5 * ansatz.mass * g0 ** 2
+                       - np.maximum(g0, 0.0) ** p / p)
+    if K >= 2:
+        # J(sum u_i) - sum J(u_i)
+        dists, integral = _great_circle(model, ansatz, step_factor)
+        bumps = [ansatz.bump(d)[:2] for d in dists]
+        pot = np.maximum(sum(g0 for g0, _ in bumps), 0.0) ** p
+        for g0, _ in bumps:
+            pot = pot - np.maximum(g0, 0.0) ** p
+        val += integral(_pair_quadratic(model, ansatz, dists, bumps) - pot / p)
     return val
 
 
 def norm_eps(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
              step_factor: float = 0.34) -> float:
     """Squared weighted norm (1/eps^n)(eps^2 |grad u|_2^2 + |u|_(2,s)^2)."""
-    if ansatz is None or ansatz.K == 0:
+    K = _peak_count(model, ansatz)
+    if K == 0:
         return 0.0
-    val = sum(_single_peak_norm(model, ansatz, rho_step) for _ in range(ansatz.K))
-    if ansatz.K >= 2:
-        if isinstance(model, FlatSpace):
-            raise UnsupportedModel("several peaks are only quadrated on the sphere")
-        val += _cross_norm(model, ansatz, step_factor)
+    _, (g0, g1, _), integral = _polar_fields(model, ansatz, rho_step)
+    gr = ansatz.epsilon * g1
+    val = K * integral(gr ** 2 + ansatz.mass * g0 ** 2)
+    if K >= 2:
+        dists, integral = _great_circle(model, ansatz, step_factor)
+        bumps = [ansatz.bump(d)[:2] for d in dists]
+        val += integral(2.0 * _pair_quadratic(model, ansatz, dists, bumps))
     return val
 
 
 def residual_norm(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
                   step_factor: float = 0.34) -> float:
     """L^(p') size of -eps^2 lap u + (1 + eps^2 c s) u - (u+)^(p-1)."""
-    if ansatz is None or ansatz.K == 0:
+    K = _peak_count(model, ansatz)
+    if K == 0:
         return 0.0
-    p = ansatz.gs.p
+    eps, n, p = ansatz.epsilon, model.n, ansatz.gs.p
     pp = p / (p - 1.0)
-    if ansatz.K == 1:
-        total = _single_peak_residual_pow(model, ansatz, rho_step)
-    else:
+    if K == 1:
+        rho, (g0, g1, g2), integral = _polar_fields(model, ansatz, rho_step)
         if isinstance(model, FlatSpace):
-            raise UnsupportedModel("several peaks are only quadrated on the sphere")
-        total = _full_residual_pow(model, ansatz, step_factor)
+            cot_term = 1.0 / rho
+        else:
+            R = model.radius
+            cot_term = (eps / R) / np.tan(eps * rho / R)
+        lap = eps ** 2 * g2 + (n - 1) * cot_term * eps * g1
+        r = -lap + ansatz.mass * g0 - np.maximum(g0, 0.0) ** (p - 1.0)
+    else:
+        # the single-peak terms do not separate: |r|^p' is taken on the
+        # great-circle grid for the whole sum
+        dists, integral = _great_circle(model, ansatz, step_factor)
+        fields = [_bump_and_laplacian(model, ansatz, d) for d in dists]
+        u = sum(g0 for g0, _ in fields)
+        lap = sum(lap for _, lap in fields)
+        r = -eps ** 2 * lap + ansatz.mass * u - np.maximum(u, 0.0) ** (p - 1.0)
+    total = integral(np.abs(r) ** pp)
     return total ** (1.0 / pp)
 
 

@@ -246,11 +246,6 @@ class WarpedSphere:
         return abs(float(t1) - float(t2))
 
 
-def curvature_warped_sphere(model: WarpedSphere, t: float) -> CurvaturePoint:
-    """Closed-form curvature of the warped metric at parameter t."""
-    return model.curvature_at(t)
-
-
 @dataclass
 class TabulatedCurvature:
     """Chart given by sampled curvature fields along one parameter."""

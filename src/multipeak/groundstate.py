@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -85,11 +86,17 @@ def _series_start(a: float, n: int, p: float, r0: float):
 _R0 = 1e-6
 
 
+def _radial_ode(n: int, p: float, r, y):
+    """Right-hand side of the radial ODE as a first-order system in (U, U').
+
+    n and p come first so that functools.partial(_radial_ode, n, p) is the
+    callable solve_ivp takes.
+    """
+    return [y[1], _g(y[0], p) - (n - 1.0) * y[1] / r]
+
+
 def _shoot(a: float, n: int, p: float, r_end: float = 80.0, rtol: float = 1e-12):
     """Integrate one shot; returns (kind, sol) with kind in {'cross','turn'}."""
-
-    def rhs(r, y):
-        return [y[1], _g(y[0], p) - (n - 1.0) * y[1] / r]
 
     def ev_cross(r, y):
         return y[0]
@@ -105,7 +112,7 @@ def _shoot(a: float, n: int, p: float, r_end: float = 80.0, rtol: float = 1e-12)
 
     y0 = _series_start(a, n, p, _R0)
     sol = solve_ivp(
-        rhs,
+        partial(_radial_ode, n, p),
         (_R0, r_end),
         y0,
         method="DOP853",
@@ -181,15 +188,6 @@ class GroundState:
 
     def deriv2(self, r):
         return self.profile.deriv2(r)
-
-    def deriv3(self, r):
-        """Third derivative from differentiating the ODE (grid interior only)."""
-        r = np.asarray(r, dtype=float)
-        u, du, d2u = self.profile(r), self.profile.deriv1(r), self.profile.deriv2(r)
-        return (
-            -(self.n - 1.0) * (d2u / r - du / r ** 2)
-            + du * _dg(u, self.p)
-        )
 
     def eval(self, r):
         """(U, U', U'') at r; tail form beyond r_max."""
@@ -323,9 +321,7 @@ def _match_two_sided(n: int, p: float, a0: float, r_match: float, r_max: float):
     """
     coeffs = _tail_series_coeffs(n)
     rtol = 3e-14
-
-    def rhs(r, y):
-        return [y[1], _g(y[0], p) - (n - 1.0) * y[1] / r]
+    rhs = partial(_radial_ode, n, p)
 
     def fwd(a):
         return solve_ivp(
@@ -529,17 +525,14 @@ def shoot_profile(n: int, p: float, u0: float, r_max: float = 20.0) -> GroundSta
     """
     _check_exponent(n, p)
 
-    def rhs(r, y):
-        return [y[1], _g(y[0], p) - (n - 1.0) * y[1] / r]
-
     def ev_cross(r, y):
         return y[0] - 1e-6 * u0
 
     ev_cross.terminal = True
     ev_cross.direction = -1.0
     sol = solve_ivp(
-        rhs, (_R0, r_max), _series_start(u0, n, p, _R0), method="DOP853",
-        rtol=1e-12, atol=1e-16, events=[ev_cross], dense_output=True,
+        partial(_radial_ode, n, p), (_R0, r_max), _series_start(u0, n, p, _R0),
+        method="DOP853", rtol=1e-12, atol=1e-16, events=[ev_cross], dense_output=True,
     )
     r_end = float(sol.t[-1])
     grid = RadialGrid.graded(r_end, n_nodes=2000)

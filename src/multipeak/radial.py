@@ -11,13 +11,12 @@ form.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma as gamma_fn, gammaincc, gammaln
+from scipy.special import gamma as gamma_fn
 
 
 def surface_area(n: int) -> float:
@@ -83,9 +82,6 @@ class RadialGrid:
     def size(self) -> int:
         return int(self.nodes.size)
 
-    def content_key(self) -> str:
-        return hashlib.sha256(self.nodes.tobytes()).hexdigest()
-
     @staticmethod
     def graded(r_max: float, n_nodes: int = 4000, knee: float = 10.0) -> "RadialGrid":
         """Two-zone grid: dense on [0, knee], coarser on [knee, r_max].
@@ -143,18 +139,6 @@ def tail_power_integral(c: float, a: float, b: float, R: float) -> float:
         raise ValueError("tail integral needs decay rate b > 0 and R > 0")
     vals = (R + _lag_x / b) ** a
     return float(c * np.exp(-b * R) / b * np.dot(_lag_w, vals))
-
-
-def upper_gamma_tail(c: float, a: float, b: float, R: float) -> float:
-    """Closed form c * b^-(a+1) * Gamma(a+1) * Q(a+1, bR), needing a > -1.
-
-    Kept as an independent cross-check of tail_power_integral.
-    """
-    s = a + 1.0
-    if s <= 0:
-        raise ValueError("closed form needs power a > -1")
-    log_scale = -s * np.log(b) + gammaln(s)
-    return float(c * np.exp(log_scale) * gammaincc(s, b * R))
 
 
 def _hermite_coeffs(h, *rows):
@@ -219,21 +203,6 @@ class RadialFunction:
             self._coeffs1 = None
             self._coeffs2 = None
         self._h = h
-
-    @staticmethod
-    def from_values(grid: RadialGrid, values, tail: Optional[TailModel] = None,
-                    even_at_origin: bool = True) -> "RadialFunction":
-        """Build from node values only; derivatives by second-order differences.
-
-        even_at_origin pins f'(0) = 0, appropriate for smooth radial profiles.
-        """
-        x = grid.nodes
-        f = np.asarray(values, dtype=float)
-        d1 = _fd_derivative(x, f)
-        if even_at_origin:
-            d1[0] = 0.0
-        d2 = _fd_derivative(x, d1)
-        return RadialFunction(grid, f, d1, d2, tail=tail)
 
     def _split(self, r):
         r = np.asarray(r, dtype=float)

@@ -368,6 +368,28 @@ def test_two_peak_norm_doubles():
     assert nrm == pytest.approx(2.0 * (gs.I1 + gs.I2), rel=0.02)
 
 
+@pytest.mark.parametrize("corrected", [False, True])
+def test_two_disjoint_peaks_double_one_peak(corrected):
+    # supports of radius 1.2 around centers 2.6 apart do not meet, so the
+    # cross terms vanish and J and the norm double exactly; the residual
+    # goes through the great-circle grid instead of the polar one
+    gs, cp, dc = _setup()
+    pp = gs.p / (gs.p - 1.0)
+
+    def ansatz(*centers):
+        cfg = PeakConfig(0.1, np.stack(centers), 1.2)
+        if corrected:
+            return build_Y(S3, cfg, gs, profiles=cp, dc=dc)
+        return build_W(S3, cfg, gs, c_bold=dc.c_bold)
+
+    a, b = S3.point(0.3), S3.point(2.9)
+    one, two = ansatz(a), ansatz(a, b)
+    assert energy_J(S3, two) == 2.0 * energy_J(S3, one)
+    assert norm_eps(S3, two) == 2.0 * norm_eps(S3, one)
+    r1, r2 = residual_norm(S3, one) ** pp, residual_norm(S3, two) ** pp
+    assert r2 == pytest.approx(2.0 * r1, rel=1e-3)
+
+
 def test_expansion_breakdown_accounts_for_energy():
     gs, cp, dc = _setup()
     eps = 0.05

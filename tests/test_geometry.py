@@ -18,7 +18,6 @@ from multipeak.geometry import (
     TabulatedCurvature,
     WarpedSphere,
     curvature_round_sphere,
-    curvature_warped_sphere,
     phi,
     scan_phi,
     sphere_geodesics,
@@ -108,7 +107,7 @@ def test_pole_singularity_guard():
         M.curvature_at(1e-4)
     with pytest.raises(PoleSingularity):
         M.curvature_at(np.pi - 1e-4)
-    assert curvature_warped_sphere(M, 1.0).s == pytest.approx(6.0, rel=1e-9)
+    assert M.curvature_at(1.0).s == pytest.approx(6.0, rel=1e-9)
 
 
 def test_from_samples_round_trip():
