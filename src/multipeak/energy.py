@@ -22,6 +22,12 @@ and the norm share _pair_quadratic.  The residual of several peaks does
 not split into single-peak terms and is taken on the great-circle grid
 whole.
 
+A bump is evaluated on its support d < cutoff_r only, and beyond it holds
+the exact zeros the cutoff gives; a pair term of _pair_quadratic only where
+both supports meet.  J and the norm ask for (G, G'), the residual also for
+G''.  U, chi and v2base share the ground state's radial grid, so one
+interval lookup per point serves every profile and derivative of a bump.
+
 The corrected ansatz Y adds eps^2 V to each bump, V = ric_factor chi +
 c s v2base with the profiles of correction.py and ric_factor the Ricci
 eigenvalue over -3, -(n-1)/(3 R^2).  On a round sphere the
@@ -35,7 +41,7 @@ geodesic solver off the meridian, which is out of scope here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -132,7 +138,7 @@ def admissible(model, config: PeakConfig, gs: GroundState, rho: float = None):
         for j in range(config.K):
             if i != j:
                 d = model.distance(config.centers[i], config.centers[j])
-                total += float(gs.eval(d / eps)[0])
+                total += float(gs(d / eps))
     margin = eps ** 4 - total
     ok = margin > 0.0
     for c in config.centers[1:]:
@@ -162,14 +168,17 @@ class PeakAnsatz:
             raise InjectivityViolation(
                 f"cutoff_r={config.cutoff_r!r} reaches the injectivity radius"
             )
+        centers = config.centers
+        if isinstance(model, RoundSphere):
+            centers = [c / np.linalg.norm(c) for c in centers]
         self.model = model
-        self.config = config
+        # the ansatz's own config: the caller's keeps the centers it was given
+        self.config = replace(config, centers=centers)
         self.gs = gs
         self.c_bold = float(c_bold)
         self.profiles = profiles
-        if isinstance(model, RoundSphere):
-            self.config.centers = [c / np.linalg.norm(c) for c in self.config.centers]
-        cp = model.curvature_at(config.centers[0] if config.K else None)
+        self._lookup = None  # (located rho, order) of the running blownup_profile
+        cp = model.curvature_at(self.config.centers[0] if self.K else None)
         self.s_center = cp.s
         # Ricci eigenvalue over -3: the sign that cancels the metric part
         # of the equation residual at second order
@@ -203,36 +212,66 @@ class PeakAnsatz:
         return self._ric_factor * chi(rho) + self.c_bold * self.s_center * v2b(rho)
 
     def _correction_derivs(self, rho):
-        chi = self.profiles.chi
-        v2b = self.profiles.v2base
+        """(V, V', V'') at rho.
+
+        Called from blownup_profile it reuses that call's interval lookup
+        and stops at its order, since U, chi and v2base share one grid.  It
+        takes rho alone so that a subclass can replace V by any rho ->
+        (V, V', V'').
+        """
+        at, order = self._lookup or (self.gs.grid.locate(rho), 2)
         rf, cs = self._ric_factor, self.c_bold * self.s_center
-        v0 = rf * chi(rho) + cs * v2b(rho)
-        v1 = rf * chi.deriv1(rho) + cs * v2b.deriv1(rho)
-        v2 = rf * chi.deriv2(rho) + cs * v2b.deriv2(rho)
-        return v0, v1, v2
+        chi = self.profiles.chi.evaluate(at, order)
+        v2b = self.profiles.v2base.evaluate(at, order)
+        return tuple(rf * a + cs * b for a, b in zip(chi, v2b))
 
-    def blownup_profile(self, rho):
-        """(h, h', h'') of the per-peak profile in rho = d/eps, no cutoff."""
+    def blownup_profile(self, rho, order: int = 2):
+        """(h, h', h'') of the per-peak profile in rho = d/eps, no cutoff,
+        up to the derivative of the given order.
+        """
         rho = np.asarray(rho, dtype=float)
-        u0, u1, u2 = self.gs.eval(rho)
+        at = self.gs.grid.locate(rho)
+        u = self.gs.profile.evaluate(at, order)
         if not self.include_v:
-            return u0, u1, u2
+            return u
+        self._lookup = at, order
+        try:
+            v = self._correction_derivs(rho)
+        finally:
+            self._lookup = None
         e2 = self.epsilon ** 2
-        v0, v1, v2 = self._correction_derivs(rho)
-        return u0 + e2 * v0, u1 + e2 * v1, u2 + e2 * v2
+        return tuple(a + e2 * b for a, b in zip(u, v))
 
-    def bump(self, d):
-        """(G, G', G'') of one bump versus manifold distance d."""
+    def support(self, d):
+        """Where distance d lies inside the cutoff radius."""
+        return np.asarray(d, dtype=float) < self.config.cutoff_r
+
+    def bump(self, d, order: int = 2):
+        """(G, G', G'') of one bump versus manifold distance d, up to the
+        derivative of the given order.
+
+        Only the support is evaluated; beyond it G and its derivatives are
+        the exact zeros that the cutoff gives them.
+        """
         d = np.asarray(d, dtype=float)
         eps, rc = self.epsilon, self.config.cutoff_r
-        h0, h1, h2 = self.blownup_profile(d / eps)
-        c0 = smoothstep_cutoff(d, rc)
-        c1 = smoothstep_cutoff_d1(d, rc)
-        c2 = smoothstep_cutoff_d2(d, rc)
-        g0 = h0 * c0
-        g1 = h1 / eps * c0 + h0 * c1
-        g2 = h2 / eps ** 2 * c0 + 2.0 * h1 / eps * c1 + h0 * c2
-        return g0, g1, g2
+        support = self.support(d)
+        ds = d[support]
+        h = self.blownup_profile(ds / eps, order)
+        c0 = smoothstep_cutoff(ds, rc)
+        g = [h[0] * c0]
+        if order >= 1:
+            c1 = smoothstep_cutoff_d1(ds, rc)
+            g.append(h[1] / eps * c0 + h[0] * c1)
+        if order >= 2:
+            c2 = smoothstep_cutoff_d2(ds, rc)
+            g.append(h[2] / eps ** 2 * c0 + 2.0 * h[1] / eps * c1 + h[0] * c2)
+        out = []
+        for gk in g:
+            full = np.zeros_like(d)
+            full[support] = gk
+            out.append(full[()])
+        return tuple(out)
 
     def __call__(self, x):
         ds = [self.model.distance(x, c) for c in self.config.centers]
@@ -290,9 +329,10 @@ def _rho_max(model, ansatz: PeakAnsatz) -> float:
     return min(rc / eps, cap)
 
 
-def _polar_fields(model, ansatz: PeakAnsatz, rho_step: float):
-    """(rho, (G, G', G''), integral) for one bump on geodesic polar nodes
-    rho = d/eps; integral(dens) integrates over the ball in blown-up units.
+def _polar_fields(model, ansatz: PeakAnsatz, rho_step: float, order: int):
+    """(rho, (G, G', ...), integral) for one bump on geodesic polar nodes
+    rho = d/eps, up to the derivative of the given order; integral(dens)
+    integrates over the ball in blown-up units.
     """
     eps, rc, n = ansatz.epsilon, ansatz.config.cutoff_r, model.n
     kinks = () if np.isinf(rc) else (0.5 * rc / eps, rc / eps)
@@ -302,7 +342,7 @@ def _polar_fields(model, ansatz: PeakAnsatz, rho_step: float):
     def integral(dens) -> float:
         return surface_area(n) * float(np.sum(w * dens * meas))
 
-    return rho, ansatz.bump(eps * rho), integral
+    return rho, ansatz.bump(eps * rho, order), integral
 
 
 def _great_circle_basis(centers):
@@ -384,15 +424,18 @@ def _pair_quadratic(model, ansatz: PeakAnsatz, dists, bumps):
 
     A is the angle between the geodesics to centers i and j; bumps holds
     (G, G') per center.  This is the cross part of the quadratic form,
-    which J weighs by 1 and the norm by 2.
+    which J weighs by 1 and the norm by 2.  A pair is evaluated only where
+    both supports meet and adds exact zeros elsewhere.
     """
     eps, centers = ansatz.epsilon, ansatz.config.centers
+    supports = [ansatz.support(d) for d in dists]
     out = np.zeros_like(dists[0])
     for i, j in combinations(range(len(centers)), 2):
+        meet = supports[i] & supports[j]
         d_ij = model.distance(centers[i], centers[j])
-        cosA = _cos_angle(model, dists[i], dists[j], d_ij)
-        out += (eps ** 2 * bumps[i][1] * bumps[j][1] * cosA
-                + ansatz.mass * bumps[i][0] * bumps[j][0])
+        cosA = _cos_angle(model, dists[i][meet], dists[j][meet], d_ij)
+        (g0i, g1i), (g0j, g1j) = ([g[meet] for g in bumps[k]] for k in (i, j))
+        out[meet] += eps ** 2 * g1i * g1j * cosA + ansatz.mass * g0i * g0j
     return out
 
 
@@ -400,14 +443,18 @@ def _bump_and_laplacian(model, ansatz: PeakAnsatz, d):
     """(G, Lap G) of one bump at sphere distances d from its center.
 
     A function of its own so that G', G'' and cot are freed before the next
-    bump is evaluated on the grid.
+    bump is evaluated on the grid.  Lap G is taken on the support only.
     """
     R = model.radius
     g0, g1, g2 = ansatz.bump(d)
+    support = ansatz.support(d)
+    ds = d[support]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cot = np.where(d > 0, 1.0 / np.tan(d / R), 0.0) / R
-    lap = g2 + (model.n - 1) * cot * g1
-    return g0, np.where(np.isfinite(lap), lap, 0.0)
+        cot = np.where(ds > 0, 1.0 / np.tan(ds / R), 0.0) / R
+    lap_s = g2[support] + (model.n - 1) * cot * g1[support]
+    lap = np.zeros_like(d)
+    lap[support] = np.where(np.isfinite(lap_s), lap_s, 0.0)
+    return g0, lap
 
 
 def _peak_count(model, ansatz: PeakAnsatz) -> int:
@@ -425,7 +472,7 @@ def energy_J(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
     if K == 0:
         return 0.0
     eps, p = ansatz.epsilon, ansatz.gs.p
-    _, (g0, g1, _), integral = _polar_fields(model, ansatz, rho_step)
+    _, (g0, g1), integral = _polar_fields(model, ansatz, rho_step, 1)
     # eps^2 |grad u|^2 = (dG/drho)^2 in blown-up units
     gr = eps * g1
     val = K * integral(0.5 * gr ** 2 + 0.5 * ansatz.mass * g0 ** 2
@@ -433,7 +480,7 @@ def energy_J(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
     if K >= 2:
         # J(sum u_i) - sum J(u_i)
         dists, integral = _great_circle(model, ansatz, step_factor)
-        bumps = [ansatz.bump(d)[:2] for d in dists]
+        bumps = [ansatz.bump(d, 1) for d in dists]
         pot = np.maximum(sum(g0 for g0, _ in bumps), 0.0) ** p
         for g0, _ in bumps:
             pot = pot - np.maximum(g0, 0.0) ** p
@@ -447,12 +494,12 @@ def norm_eps(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
     K = _peak_count(model, ansatz)
     if K == 0:
         return 0.0
-    _, (g0, g1, _), integral = _polar_fields(model, ansatz, rho_step)
+    _, (g0, g1), integral = _polar_fields(model, ansatz, rho_step, 1)
     gr = ansatz.epsilon * g1
     val = K * integral(gr ** 2 + ansatz.mass * g0 ** 2)
     if K >= 2:
         dists, integral = _great_circle(model, ansatz, step_factor)
-        bumps = [ansatz.bump(d)[:2] for d in dists]
+        bumps = [ansatz.bump(d, 1) for d in dists]
         val += integral(2.0 * _pair_quadratic(model, ansatz, dists, bumps))
     return val
 
@@ -466,7 +513,7 @@ def residual_norm(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
     eps, n, p = ansatz.epsilon, model.n, ansatz.gs.p
     pp = p / (p - 1.0)
     if K == 1:
-        rho, (g0, g1, g2), integral = _polar_fields(model, ansatz, rho_step)
+        rho, (g0, g1, g2), integral = _polar_fields(model, ansatz, rho_step, 2)
         if isinstance(model, FlatSpace):
             cot_term = 1.0 / rho
         else:
@@ -478,9 +525,10 @@ def residual_norm(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
         # the single-peak terms do not separate: |r|^p' is taken on the
         # great-circle grid for the whole sum
         dists, integral = _great_circle(model, ansatz, step_factor)
-        fields = [_bump_and_laplacian(model, ansatz, d) for d in dists]
-        u = sum(g0 for g0, _ in fields)
-        lap = sum(lap for _, lap in fields)
+        u = lap = 0
+        for d in dists:
+            g0, lap_i = _bump_and_laplacian(model, ansatz, d)
+            u, lap = u + g0, lap + lap_i
         r = -eps ** 2 * lap + ansatz.mass * u - np.maximum(u, 0.0) ** (p - 1.0)
     total = integral(np.abs(r) ** pp)
     return total ** (1.0 / pp)
@@ -538,7 +586,7 @@ def expansion_compare(model, config: PeakConfig, gs: GroundState,
             for j in range(config.K):
                 if i != j:
                     d = model.distance(config.centers[i], config.centers[j])
-                    term_inter -= 0.5 * gamma_value * float(gs.eval(d / eps)[0])
+                    term_inter -= 0.5 * gamma_value * float(gs(d / eps))
     rem = J - term_alpha - term_beta - term_phi - term_inter
     return EnergyBreakdown(
         epsilon=eps, K=config.K, J_measured=J, term_alpha=term_alpha,

@@ -190,8 +190,8 @@ class GroundState:
         return self.profile.deriv2(r)
 
     def eval(self, r):
-        """(U, U', U'') at r; tail form beyond r_max."""
-        return self.profile(r), self.profile.deriv1(r), self.profile.deriv2(r)
+        """(U, U', U'') at r from one interval lookup; tail form beyond r_max."""
+        return self.profile.evaluate(self.grid.locate(r))
 
     def inverse(self, value: float) -> float:
         """r with U(r) = value, for 0 < value < u0 (tail-extended)."""

@@ -12,7 +12,7 @@ form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -60,7 +60,7 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing nodes starting at 0."""
+    """Strictly increasing nodes starting at 0; widths are the cell widths."""
 
     nodes: np.ndarray
 
@@ -71,8 +71,10 @@ class RadialGrid:
             raise GridError("grid needs at least 8 nodes")
         if nodes[0] != 0.0:
             raise GridError("grid must start at r = 0")
-        if np.any(np.diff(nodes) <= 0):
+        widths = np.diff(nodes)
+        if np.any(widths <= 0):
             raise GridError("grid nodes must be strictly increasing")
+        object.__setattr__(self, "widths", widths)
 
     @property
     def r_max(self) -> float:
@@ -96,6 +98,33 @@ class RadialGrid:
         inner = np.linspace(0.0, knee, n_in + 1)
         outer = np.linspace(knee, r_max, n_out + 1)[1:]
         return RadialGrid(np.concatenate([inner, outer]))
+
+    def locate(self, r) -> "Located":
+        """The interval lookup of the points r, shared by every profile here."""
+        r = np.asarray(r, dtype=float)
+        inside = r <= self.r_max
+        ri = r[inside]
+        x = self.nodes
+        idx = np.clip(np.searchsorted(x, ri, side="right") - 1, 0, x.size - 2)
+        h = self.widths[idx]
+        return Located(self, r, inside, idx, h, (ri - x[idx]) / h)
+
+
+class Located(NamedTuple):
+    """Points r placed in the cells of one RadialGrid.
+
+    idx, h and tau (cell index, cell width, position in the cell) cover the
+    points with r <= r_max, in the order of r[inside]; the rest lie in the
+    tail.  One lookup serves every channel of every RadialFunction on the
+    grid, so a caller that needs several of them searches once.
+    """
+
+    grid: RadialGrid
+    r: np.ndarray
+    inside: np.ndarray
+    idx: np.ndarray
+    h: np.ndarray
+    tau: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -190,85 +219,70 @@ class RadialFunction:
                 raise ValueError("data arrays must match the grid size")
             if not np.all(np.isfinite(arr)):
                 raise ValueError("profile data must be finite")
-        x = grid.nodes
-        h = np.diff(x)
-        if self.d3 is None:
-            self._coeffs = _hermite_coeffs(h, self.values, self.d1, self.d2)
-        else:
-            self._coeffs = _hermite_coeffs(h, self.values, self.d1, self.d2, self.d3)
+        h = grid.widths
+        data = [self.values, self.d1, self.d2] + ([] if self.d3 is None else [self.d3])
+        coeffs = _hermite_coeffs(h, *data)
+        # per derivative order: the cells' polynomial coefficients in tau and
+        # how often to differentiate them, which is also the power of h that
+        # turns d/dtau into d/dr
+        self._channel_coeffs = [(coeffs, 0), (coeffs, 1), (coeffs, 2)]
         if self.d4 is not None:
-            self._coeffs1 = _hermite_coeffs(h, self.d1, self.d2, self.d3, self.d4)
-            self._coeffs2 = _hermite_coeffs(h, self.d2, self.d3, self.d4)
-        else:
-            self._coeffs1 = None
-            self._coeffs2 = None
-        self._h = h
+            self._channel_coeffs[1] = (_hermite_coeffs(h, self.d1, self.d2, self.d3, self.d4), 0)
+            self._channel_coeffs[2] = (_hermite_coeffs(h, self.d2, self.d3, self.d4), 0)
 
-    def _split(self, r):
-        r = np.asarray(r, dtype=float)
-        inside = r <= self.grid.r_max
-        return r, inside
-
-    def _eval_inside(self, r, deriv: int):
-        x = self.grid.nodes
-        idx = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
-        h = self._h[idx]
-        tau = (r - x[idx]) / h
-        if deriv == 1 and self._coeffs1 is not None:
-            return self._horner(self._coeffs1, idx, tau)
-        if deriv == 2 and self._coeffs2 is not None:
-            return self._horner(self._coeffs2, idx, tau)
-        c = self._coeffs[:, idx]
-        m = self._coeffs.shape[0] - 1
-        if deriv == 0:
-            out = c[m]
-            for k in range(m - 1, -1, -1):
-                out = out * tau + c[k]
-            return out
-        if deriv == 1:
-            out = m * c[m]
-            for k in range(m - 1, 0, -1):
-                out = out * tau + k * c[k]
-            return out / h
-        if deriv == 2:
-            out = m * (m - 1) * c[m]
-            for k in range(m - 1, 1, -1):
-                out = out * tau + k * (k - 1) * c[k]
-            return out / h ** 2
-        raise ValueError("deriv must be 0, 1 or 2")
-
-    @staticmethod
-    def _horner(coeffs, idx, tau):
-        c = coeffs[:, idx]
-        out = c[-1]
-        for k in range(coeffs.shape[0] - 2, -1, -1):
-            out = out * tau + c[k]
+    def _channels(self, at: Located, orders):
+        """f^(k) at the located points for each k in orders, tail beyond r_max."""
+        if at.grid is not self.grid:
+            at = self.grid.locate(at.r)
+        outside = ~at.inside
+        tail_r = at.r[outside] if outside.any() else None
+        out = []
+        for k in orders:
+            if k not in (0, 1, 2):
+                raise ValueError("deriv must be 0, 1 or 2")
+            coeffs, deriv = self._channel_coeffs[k]
+            vals = _horner(coeffs, at.idx, at.tau, deriv)
+            if deriv:
+                vals /= at.h ** deriv
+            f = np.empty_like(at.r)
+            f[at.inside] = vals
+            if tail_r is not None:
+                if self.tail is None:
+                    f[outside] = 0.0
+                else:
+                    f[outside] = (self.tail.value, self.tail.d1, self.tail.d2)[k](tail_r)
+            out.append(f[()])
         return out
 
-    def _eval(self, r, deriv: int):
-        r, inside = self._split(r)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        inside = np.atleast_1d(inside)
-        out = np.empty_like(r)
-        if np.any(inside):
-            out[inside] = self._eval_inside(r[inside], deriv)
-        if np.any(~inside):
-            ro = r[~inside]
-            if self.tail is None:
-                out[~inside] = 0.0
-            else:
-                out[~inside] = (self.tail.value, self.tail.d1, self.tail.d2)[deriv](ro)
-        return out[0] if scalar else out
+    def evaluate(self, at: Located, order: int = 2) -> tuple:
+        """(f, f', ..., f^(order)) at points located on this grid, order <= 2."""
+        return tuple(self._channels(at, range(order + 1)))
 
     def __call__(self, r):
-        return self._eval(r, 0)
+        return self._channels(self.grid.locate(r), (0,))[0]
 
     def deriv1(self, r):
-        return self._eval(r, 1)
+        return self._channels(self.grid.locate(r), (1,))[0]
 
     def deriv2(self, r):
-        return self._eval(r, 2)
+        return self._channels(self.grid.locate(r), (2,))[0]
+
+
+def _horner(coeffs, idx, tau, deriv: int = 0):
+    """d^deriv/dtau^deriv of sum over k of coeffs[k, idx] tau^k, deriv <= 2,
+    gathering one row at a time."""
+    def term(k):
+        c = coeffs[k].take(idx)
+        if deriv:
+            c *= k if deriv == 1 else k * (k - 1)
+        return c
+
+    m = coeffs.shape[0] - 1
+    out = term(m)
+    for k in range(m - 1, deriv - 1, -1):
+        out *= tau
+        out += term(k)
+    return out
 
 
 def _fd_derivative(x: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -98,6 +98,74 @@ def test_ansatz_normalizes_sphere_centers():
     assert np.linalg.norm(W.config.centers[0]) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_ansatz_leaves_caller_config_untouched():
+    gs, _, _ = _setup()
+    cfg = PeakConfig(epsilon=0.1, centers=[3.0 * S3.point(0.4)], cutoff_r=1.2)
+    W = build_W(S3, cfg, gs)
+    assert W.config is not cfg
+    assert np.linalg.norm(cfg.centers[0]) == pytest.approx(3.0, rel=1e-15)
+    # a second ansatz from the same config measures the same
+    again = build_W(S3, cfg, gs)
+    for fn in (energy_J, norm_eps, residual_norm):
+        assert fn(S3, again) == fn(S3, W)
+    unit = build_W(S3, PeakConfig(0.1, [S3.point(0.4)], 1.2), gs)
+    assert energy_J(S3, W) == pytest.approx(energy_J(S3, unit), rel=1e-13)
+
+
+# ----------------------------------------------------------- bump support
+
+
+def _unrestricted_bump(ansatz, d):
+    """(G, G', G'') on every d, the cutoff supplying the zeros."""
+    eps, rc = ansatz.epsilon, ansatz.config.cutoff_r
+    h0, h1, h2 = ansatz.blownup_profile(d / eps)
+    c0, c1, c2 = (f(d, rc) for f in (smoothstep_cutoff, smoothstep_cutoff_d1,
+                                       smoothstep_cutoff_d2))
+    return (h0 * c0, h1 / eps * c0 + h0 * c1,
+            h2 / eps**2 * c0 + 2.0 * h1 / eps * c1 + h0 * c2)
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+def test_bump_is_evaluated_on_its_support_only(corrected):
+    gs, cp, dc = _setup()
+    cfg = _one_peak(0.05)
+    A = build_Y(S3, cfg, gs, profiles=cp if corrected else None, dc=dc)
+    d = np.concatenate([np.linspace(0.0, 2.0, 801), [1.2, np.nextafter(1.2, 0.0), 3.0]])
+    inside = d < 1.2
+    got = A.bump(d)
+    want = _unrestricted_bump(A, d)
+    for g, w in zip(got, want):
+        assert np.array_equal(g[inside], w[inside])
+        assert np.all(g[~inside] == 0.0)
+        assert np.all(w[~inside] == 0.0)
+    assert all(np.array_equal(a, b) for a, b in zip(A.bump(d, 1), got))
+    assert len(A.bump(d, 1)) == 2 and len(A.bump(d, 0)) == 1
+    # scalar distances on both sides of the cutoff
+    assert A.bump(0.3) == tuple(g[0] for g in A.bump(np.array([0.3])))
+    assert A.bump(1.5) == (0.0, 0.0, 0.0)
+    assert all(np.ndim(g) == 0 for g in A.bump(0.3))
+
+
+def test_ansatz_vanishes_outside_every_support():
+    gs, _, _ = _setup()
+    W = build_W(S3, _one_peak(0.05), gs)
+    assert W(S3.point(0.6 + 1.5)) == 0.0
+    assert W(S3.point(0.6)) == float(gs(0.0))
+
+
+def test_two_peak_values_pinned():
+    # two overlapping peaks: skipping the exact zeros outside the supports
+    # must leave J, the norm and both residuals where the full grid puts them
+    gs, cp, dc = _setup()
+    cfg = PeakConfig(0.1, [S3.point(0.8), S3.point(1.4)], 1.2)
+    Y = build_Y(S3, cfg, gs, profiles=cp, dc=dc)
+    W = build_W(S3, cfg, gs, c_bold=dc.c_bold)
+    assert energy_J(S3, Y) == pytest.approx(85.77835838825403, rel=1e-14)
+    assert norm_eps(S3, Y) == pytest.approx(525.9539025193656, rel=1e-14)
+    assert residual_norm(S3, W) == pytest.approx(1.204611746743803, rel=1e-14)
+    assert residual_norm(S3, Y) == pytest.approx(1.1636329009115627, rel=1e-14)
+
+
 # ---------------------------------------------------------- admissibility
 
 

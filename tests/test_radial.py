@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaincc, gammaln
 
+from conftest import corrections, ground_state
 from multipeak.radial import (
     GridError,
     Quadrature,
@@ -10,6 +11,7 @@ from multipeak.radial import (
     RadialGrid,
     TailModel,
     _fd_derivative,
+    _hermite_coeffs,
     moment_reduce,
     moment_weight,
     surface_area,
@@ -94,6 +96,69 @@ def test_outside_grid_uses_tail_or_zero():
     f1 = from_values(g, vals, tail=tail)
     assert f1(7.5) == pytest.approx(np.exp(-7.5), rel=1e-12)
     assert f1.deriv1(7.5) == pytest.approx(-np.exp(-7.5), rel=1e-12)
+
+
+def _cellwise_reference(f: RadialFunction, r, deriv: int):
+    """f^(deriv) at r <= r_max the long way: one searchsorted, the whole
+    coefficient column of each point's cell, and Horner on the derivative
+    of the value polynomial, or on the d1/d2 channel when d4 data exist."""
+    x = f.grid.nodes
+    h = np.diff(x)
+    idx = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
+    tau = (r - x[idx]) / h[idx]
+    rows = [f.values, f.d1, f.d2] + ([] if f.d3 is None else [f.d3])
+    if f.d4 is not None and deriv:
+        rows = [f.d1, f.d2, f.d3, f.d4][deriv - 1:]
+        deriv = 0
+    c = _hermite_coeffs(h, *rows)[:, idx]
+    m = c.shape[0] - 1
+    out = np.zeros_like(r)
+    for k in range(m, deriv - 1, -1):
+        weight = 1 if deriv == 0 else k if deriv == 1 else k * (k - 1)
+        out = out * tau + weight * c[k]
+    return out / h[idx] ** deriv
+
+
+def _profiles():
+    gs = ground_state(3, 3.0)
+    # U carries d3/d4 channels, chi only (f, f', f'')
+    return {"U": gs.profile, "chi": corrections(3, 3.0).chi}
+
+
+@pytest.mark.parametrize("name", ["U", "chi"])
+def test_shared_lookup_equals_single_channel_calls(name):
+    f = _profiles()[name]
+    x = f.grid.nodes
+    mid = 0.5 * (x[1:] + x[:-1])
+    r = np.concatenate([x, mid, x[:-1] + 0.1 * np.diff(x), [f.grid.r_max + 0.5, 40.0]])
+    at = f.grid.locate(r)
+    vals = f.evaluate(at)
+    singles = (f(r), f.deriv1(r), f.deriv2(r))
+    assert len(vals) == 3
+    for got, want in zip(vals, singles):
+        assert np.array_equal(got, want)
+    inside = r <= f.grid.r_max
+    for k in range(3):
+        assert np.array_equal(vals[k][inside], _cellwise_reference(f, r[inside], k))
+    # a lower order gives the leading values of the same lookup
+    for order in (0, 1):
+        assert all(np.array_equal(a, b) for a, b in zip(f.evaluate(at, order), vals))
+        assert len(f.evaluate(at, order)) == order + 1
+
+
+def test_shared_lookup_scalar_and_tailless():
+    f = _profiles()["U"]
+    for r in (0.0, 1.234, f.grid.r_max, 35.0):
+        vals = f.evaluate(f.grid.locate(r))
+        assert vals == (f(r), f.deriv1(r), f.deriv2(r))
+        assert all(np.ndim(v) == 0 for v in vals)
+    g = RadialGrid(np.linspace(0.0, 5.0, 21))
+    bare = from_values(g, np.exp(-g.nodes))
+    r = np.array([0.0, 2.6, 5.0, 5.5, 9.0])
+    vals = bare.evaluate(g.locate(r))
+    for got, want in zip(vals, (bare(r), bare.deriv1(r), bare.deriv2(r))):
+        assert np.array_equal(got, want)
+        assert np.all(got[r > 5.0] == 0.0)
 
 
 def test_quadrature_polynomial_exactness():
