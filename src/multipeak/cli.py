@@ -51,10 +51,7 @@ from .geometry import (
     phi,
     scan_phi,
 )
-from .groundstate import GroundState, identity_report, solve_ground_state
-
-# solver settings mirrored into cache keys and provenance
-_SOLVER = {"tol": 1e-13, "n_nodes": 4000, "r_cap": 60.0}
+from .groundstate import SCHEMA, SOLVER, GroundState, identity_report, solve_ground_state
 
 _DEF_EPS = "0.1,0.07,0.05,0.035"
 _DEF_CACHE = "~/.cache/multipeak"
@@ -79,7 +76,7 @@ def _dump(payload: dict) -> str:
 def _provenance(args, **grid) -> dict:
     return {
         "version": __version__,
-        "grid": {**_SOLVER, **grid},
+        "grid": {**SOLVER, **grid},
         "seed": getattr(args, "seed", 0),
     }
 
@@ -120,16 +117,27 @@ def _cache_dir(args) -> Path:
 
 
 def cached_ground_state(n: int, p: float, cache: Path) -> GroundState:
-    """Solve or load the ground state, content-addressed by solver inputs."""
+    """Load the ground state from the disk cache, or solve and store it.
+
+    Entries are keyed by the solver settings and the record schema.  One that
+    is unreadable, uncertified or fails the energy identities is replaced.
+    """
     key_src = json.dumps(
-        {"n": n, "p": repr(p), "solver": _SOLVER, "version": __version__},
+        {"n": n, "p": repr(p), "schema": SCHEMA, "solver": SOLVER, "version": __version__},
         sort_keys=True,
     )
     key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
     path = cache / f"gs-{key}.json"
     if path.exists():
-        return GroundState.load(path)
-    gs = solve_ground_state(n, p, **_SOLVER)
+        try:
+            gs = GroundState.load(path)
+        except (ValueError, KeyError, TypeError):  # truncated or malformed entry
+            gs = None
+        if gs is not None and gs.certified:
+            rep = identity_report(gs)
+            if all(rep[k] <= 1e-6 for k in ("e_energy", "e_pohozaev", "e_alpha")):
+                return gs
+    gs = solve_ground_state(n, p)
     cache.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
     gs.save(tmp)
@@ -374,7 +382,7 @@ def cmd_energy_check(args) -> int:
 # ------------------------------------------------------------- dispatcher
 
 
-def _add_common(sp):
+def _add_common(sp, func):
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
     sp.add_argument("--p", type=float)
@@ -382,6 +390,8 @@ def _add_common(sp):
     sp.add_argument("--out")
     sp.add_argument("--cache-dir", dest="cache_dir")
     sp.add_argument("--config")
+    # parser: _apply_config converts config values with its flags' types
+    sp.set_defaults(func=func, parser=sp)
 
 
 # flags left unset by both the command line and the config file
@@ -392,11 +402,6 @@ def _finalize(args):
     for key, value in _FALLBACKS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
-    args.seed = int(args.seed)
-    if hasattr(args, "K"):
-        args.K = int(args.K)
-    if hasattr(args, "max_N"):
-        args.max_N = int(args.max_N)
     return args
 
 
@@ -408,43 +413,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("ground-state", help="solve and serialize one ground state")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_ground_state)
+    _add_common(sp, cmd_ground_state)
 
     sp = sub.add_parser("psi", help="second-order correction profiles")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_psi)
+    _add_common(sp, cmd_psi)
 
     sp = sub.add_parser("constants", help="dimensional constants for one (n, m)")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_constants)
+    _add_common(sp, cmd_constants)
 
     sp = sub.add_parser("beta-table", help="constants table over n+m <= max-N")
-    _add_common(sp)
+    _add_common(sp, cmd_beta_table)
     sp.add_argument("--max-N", dest="max_N", type=int)
-    sp.set_defaults(func=cmd_beta_table)
 
     sp = sub.add_parser("phi-scan", help="concentration functional along a model")
-    _add_common(sp)
+    _add_common(sp, cmd_phi_scan)
     sp.add_argument("--model")
     sp.add_argument("--profile", help="warp profile csv (t, f)")
-    sp.set_defaults(func=cmd_phi_scan)
 
     sp = sub.add_parser("energy-check", help="energy expansion and residual report")
-    _add_common(sp)
+    _add_common(sp, cmd_energy_check)
     sp.add_argument("--model")
     sp.add_argument("--eps")
     sp.add_argument("--K", dest="K", type=int)
     sp.add_argument("--rho", type=float, default=None,
                     help="placement radius for the admissibility check")
-    sp.set_defaults(func=cmd_energy_check)
     return ap
 
 
 def _apply_config(args):
-    """Fill unset flags from a key=value file; flags always win."""
+    """Fill unset flags from a key=value file; flags always win.
+
+    Each value is converted by its flag's type, as on the command line.
+    """
     if not getattr(args, "config", None):
         return args
+    types = {action.dest: action.type for action in args.parser._actions}
     pairs = {}
     for raw in Path(args.config).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -456,7 +459,7 @@ def _apply_config(args):
         pairs[k.strip().replace("-", "_")] = v.strip()
     for key, value in pairs.items():
         if getattr(args, key, None) is None:
-            setattr(args, key, value)
+            setattr(args, key, (types.get(key) or str)(value))
     return args
 
 

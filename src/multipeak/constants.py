@@ -24,7 +24,6 @@ integrals through the even-moment identities handled by moment_reduce.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 
@@ -32,8 +31,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
-from .correction import CorrectionProfiles
-from .groundstate import GroundState
+from .correction import CorrectionProfiles, correction_profiles
+from .groundstate import GroundState, solve_ground_state
 from .radial import (
     Quadrature,
     RadialGrid,
@@ -233,16 +232,6 @@ def base_interaction(gs: GroundState) -> float:
     return surface_area(n) * (core + tail)
 
 
-@functools.lru_cache(maxsize=None)
-def _pair_constants(n: int, m: int) -> DimensionalConstants:
-    from .groundstate import solve_ground_state
-    from .correction import correction_profiles
-
-    gs = solve_ground_state(n, product_exponent(n, m))
-    cp = correction_profiles(gs)
-    return compute_constants(gs, cp, m)
-
-
 def table_pairs(max_N: int = 9) -> list:
     """Every (n, m) with n, m >= 3 and n + m <= max_N, ordered by (n, m)."""
     return [
@@ -255,8 +244,8 @@ def table_pairs(max_N: int = 9) -> list:
 
 def beta_table(pairs=None, max_N: int = 9):
     """DimensionalConstants rows for each (n, m) pair, table_pairs(max_N) by
-    default.  Rows are memoized, so repeated tables are cheap and
-    bit-identical.
+    default.  Each row is computed on the memoised solve_ground_state, so a
+    repeated table solves nothing and is bit-identical.
     """
     if pairs is None:
         pairs = table_pairs(max_N)
@@ -264,7 +253,9 @@ def beta_table(pairs=None, max_N: int = 9):
     for (n, m) in pairs:
         if n < 3 or m < 3 or int(n) != n or int(m) != m:
             raise ValueError(f"pairs need integer n, m >= 3, got ({n}, {m})")
-        rows.append(_pair_constants(int(n), int(m)))
+        n, m = int(n), int(m)
+        gs = solve_ground_state(n, product_exponent(n, m))
+        rows.append(compute_constants(gs, correction_profiles(gs), m))
     return rows
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -51,6 +51,12 @@ class NoBracket(RuntimeError):
 
 class TailTooShort(RuntimeError):
     """Grid ends before the asymptotic regime; decay constant not certified."""
+
+
+# solver settings (bisection bracket width, grid nodes, largest r_max) and the
+# version of the GroundState.to_dict format, bumped when its keys change
+SOLVER = {"tol": 1e-13, "n_nodes": 4000, "r_cap": 60.0}
+SCHEMA = 2
 
 
 def critical_exponent(n: int) -> float:
@@ -214,6 +220,8 @@ class GroundState:
             "I1": self.I1,
             "I2": self.I2,
             "Ip": self.Ip,
+            "certified": self.certified,
+            "bracket_width": self.bracket_width,
         }
 
     @staticmethod
@@ -221,13 +229,7 @@ class GroundState:
         n, p = int(d["n"]), float(d["p"])
         grid = RadialGrid(np.asarray(d["grid"], dtype=float))
         values = np.asarray(d["values"], dtype=float)
-        if "values_d1" in d:
-            d1 = np.asarray(d["values_d1"], dtype=float)
-        else:
-            from .radial import _fd_derivative
-
-            d1 = _fd_derivative(grid.nodes, values)
-            d1[0] = 0.0
+        d1 = np.asarray(d["values_d1"], dtype=float)
         d2 = _ode_second_derivative(grid.nodes, values, d1, n, p)
         d3 = _ode_third_derivative(grid.nodes, values, d1, d2, n, p)
         d4 = _ode_fourth_derivative(grid.nodes, values, d1, d2, d3, n, p)
@@ -243,6 +245,8 @@ class GroundState:
             I1=float(d["I1"]),
             I2=float(d["I2"]),
             Ip=float(d["Ip"]),
+            bracket_width=float(d["bracket_width"]),
+            certified=bool(d["certified"]),
         )
 
     def save(self, path) -> None:
@@ -436,20 +440,18 @@ def _energy_ledger(gs_profile: RadialFunction, n: int, p: float, decay_c: float)
     return I1, I2, Ip
 
 
-def solve_ground_state(
-    n: int,
-    p: float,
-    tol: float = 1e-13,
-    n_nodes: int = 4000,
-    r_cap: float = 60.0,
-) -> GroundState:
+@cache
+def solve_ground_state(n: int, p: float) -> GroundState:
     """Certified ground-state profile on an adaptive graded grid.
 
-    r_max is chosen so U(r_max) < 1e-13 * u0 (capped at r_cap), the bisection
-    bracket has width <= tol, and the decay constant passes the two-sided fit.
+    r_max is chosen so U(r_max) < 1e-13 * u0 (capped at SOLVER["r_cap"]),
+    the bisection bracket has width <= SOLVER["tol"], and the decay constant
+    passes the two-sided fit.  The result is memoised on (n, p): every caller
+    in the process shares one solve and one GroundState, which must not be
+    mutated.  Failures raise and are not memoised.
     """
     _check_exponent(n, p)
-    lo, hi = bracket_amplitude(n, p, tol=tol)
+    lo, hi = bracket_amplitude(n, p, tol=SOLVER["tol"])
     a_star = 0.5 * (lo + hi)
     nu = (n - 1.0) / 2.0
 
@@ -471,7 +473,7 @@ def solve_ground_state(
         if abs(r_new - r_max) < 1e-9:
             break
         r_max = r_new
-    r_max = float(min(max(r_max, r_hi + 3.0), r_cap))
+    r_max = float(min(max(r_max, r_hi + 3.0), SOLVER["r_cap"]))
 
     # matching radius: past the turning region, inside the window where the
     # bracketed amplitude still pins the forward shot to ~1e-11 absolute
@@ -482,7 +484,7 @@ def solve_ground_state(
             f"matched amplitude {a_fit!r} drifted outside the certified bracket"
         )
 
-    grid = RadialGrid.graded(r_max, n_nodes=n_nodes)
+    grid = RadialGrid.graded(r_max, n_nodes=SOLVER["n_nodes"])
     values = np.empty(grid.size)
     d1 = np.empty(grid.size)
     inner = grid.nodes <= r_match

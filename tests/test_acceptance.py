@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import corrections, dimensional_constants, ground_state
+from conftest import corrections, dimensional_constants
 from curvature_fd import curvature_reference, laplacian_s_reference
 from multipeak.constants import base_interaction, beta_table, gamma, product_exponent
 from multipeak.correction import operator_identity_check, verify_L0_identities
@@ -25,7 +25,7 @@ from multipeak.energy import (
     residual_slopes,
 )
 from multipeak.geometry import RoundSphere, WarpedSphere, phi, scan_phi
-from multipeak.groundstate import identity_report
+from multipeak.groundstate import identity_report, solve_ground_state
 
 PAIRS = [(n, m) for n in range(3, 7) for m in range(3, 7) if n + m <= 9]
 
@@ -43,7 +43,7 @@ def test_criterion_01_beta_negative_for_all_pairs():
 def test_criterion_02_ground_state_identity_suite():
     worst = {}
     for n, m in PAIRS:
-        rep = identity_report(ground_state(n, product_exponent(n, m)))
+        rep = identity_report(solve_ground_state(n, product_exponent(n, m)))
         for key in ("e_energy", "e_pohozaev", "e_alpha"):
             worst[key] = max(worst.get(key, 0.0), rep[key])
     assert all(v < 1e-6 for v in worst.values()), f"identity defects {worst}"
@@ -53,13 +53,13 @@ def test_criterion_03_operator_identity_suite():
     cases = [(3, 3.0), (4, 8.0 / 3.0), (5, 8.0 / 3.0)]
     report = {}
     for n, p in cases:
-        res = verify_L0_identities(ground_state(n, p))
+        res = verify_L0_identities(solve_ground_state(n, p))
         report[(n, round(p, 6))] = res
         assert res["e1"] < 1e-6 and res["e2"] < 1e-6, f"{n=} {p=}: {res}"
 
 
 def test_criterion_04_correction_cross_validation():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     defect = operator_identity_check(gs, corrections(3, 3.0).psi)
     assert defect < 1e-3, f"full-dimension FD defect {defect:.2e}"
 
@@ -75,7 +75,7 @@ def test_criterion_05_second_order_coefficient_cross_check():
 def test_criterion_06_interaction_constant_direction_invariant():
     rng = np.random.default_rng(2026)
     for n, p in [(3, 3.0), (4, 8.0 / 3.0), (5, 8.0 / 3.0)]:
-        gs = ground_state(n, p)
+        gs = solve_ground_state(n, p)
         vals = []
         for _ in range(10):
             b = rng.standard_normal(n)
@@ -88,7 +88,7 @@ def test_criterion_06_interaction_constant_direction_invariant():
 
 def test_criterion_07_energy_expansion_single_peak():
     t0 = time.monotonic()
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     cp = corrections(3, 3.0)
     dc = dimensional_constants(3, 3)
     model = RoundSphere(3, 1.0)
@@ -124,7 +124,7 @@ def test_criterion_07_energy_expansion_single_peak():
 
 
 def test_criterion_08_residual_order_improvement():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     cp = corrections(3, 3.0)
     dc = dimensional_constants(3, 3)
     model = RoundSphere(3, 1.0)

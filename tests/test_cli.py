@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from multipeak.cli import _apply_config, _finalize, build_parser
 from multipeak.constants import CSV_COLUMNS
 from multipeak.groundstate import GroundState
 
@@ -189,6 +190,30 @@ def test_config_file_supplies_flags(cache_dir, tmp_path):
             "--cache-dir", cache_dir, "--out", str(out))
     doc = json.loads(out.read_text())
     assert doc["provenance"]["grid"]["eps_ladder"] == [0.1, 0.07]
+
+
+def test_config_values_take_their_flag_type(tmp_path):
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text("n = 3\nm = 3\nK = 2\nrho = 0.9\nseed = 4\neps = 0.1\n")
+    args = build_parser().parse_args(["energy-check", "--config", str(cfg)])
+    args = _finalize(_apply_config(args))
+    assert (args.n, args.m, args.K, args.seed) == (3, 3, 2, 4)
+    assert args.rho == 0.9
+    assert args.eps == "0.1"
+
+
+def test_corrupt_cache_entry_is_a_miss(tmp_path):
+    cache = tmp_path / "cache"
+    argv = ("ground-state", "--n", "3", "--m", "3", "--cache-dir", str(cache))
+    first = run_cli(*argv).stdout
+    (entry,) = cache.glob("gs-*.json")
+    good = entry.read_text()
+    record = json.loads(good)
+    record["I1"] *= 1.01  # readable, but the energy identities fail
+    for bad in (good[: len(good) // 2], json.dumps(record)):
+        entry.write_text(bad)
+        assert run_cli(*argv).stdout == first
+        assert entry.read_text() == good
 
 
 def test_cache_is_content_addressed(cache_dir, tmp_path):

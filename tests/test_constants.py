@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn, iv
 
-from conftest import corrections, dimensional_constants, ground_state
+from conftest import corrections, dimensional_constants
 
 from multipeak.constants import (
     CSV_COLUMNS,
@@ -21,12 +21,14 @@ from multipeak.constants import (
     table_csv,
     table_json,
 )
+from multipeak.correction import correction_profiles
+from multipeak.groundstate import solve_ground_state
 
 PAIRS = [(3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4), (4, 5), (5, 3), (5, 4), (6, 3)]
 
 
 def test_exponent_gate():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     cp = corrections(3, 3.0)
     with pytest.raises(ExponentMismatch):
         compute_constants(gs, cp, 4)
@@ -101,7 +103,7 @@ def test_positivity():
 def test_quadrature_independent_recompute():
     # same profiles, disjoint integrator: adaptive quad against panel Gauss
     dc = dimensional_constants(3, 3)
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     cp = corrections(3, 3.0)
     R = gs.r_max
     c2_alt = (4.0 * np.pi / 3.0) * quad(
@@ -128,14 +130,14 @@ def test_angular_factor_bessel_closed_form():
 def test_gamma_pinned_33():
     # pinned by adaptive quadrature of U^(p-1) r^2 * 2 sinh(r)/r (the n=3
     # angular factor in closed form); agreement there was 2.7e-11
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     gv = gamma(gs, np.array([0.0, 0.0, 1.0]))
     assert gv.value == pytest.approx(201.934383766, rel=1e-8)
     assert gv.value > 0.0
 
 
 def test_gamma_rotational_invariance():
-    gs = ground_state(4, product_exponent(4, 4))
+    gs = solve_ground_state(4, product_exponent(4, 4))
     rng = np.random.default_rng(11)
     vals = []
     for _ in range(10):
@@ -148,7 +150,7 @@ def test_gamma_rotational_invariance():
 
 def test_gamma_jensen_lower_bound():
     for (n, m) in [(3, 3), (5, 3)]:
-        gs = ground_state(n, product_exponent(n, m))
+        gs = solve_ground_state(n, product_exponent(n, m))
         e1 = np.zeros(n)
         e1[0] = 1.0
         base = base_interaction(gs)
@@ -158,12 +160,12 @@ def test_gamma_jensen_lower_bound():
 
 def test_base_interaction_is_i2_at_cubic_exponent():
     # p - 1 = 2 at (3,3), so the b=0 interaction integral is exactly I2
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     assert base_interaction(gs) == pytest.approx(gs.I2, rel=1e-9)
 
 
 def test_gamma_rejects_bad_directions():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     with pytest.raises(NotUnit):
         gamma(gs, np.array([0.0, 0.0, 2.0]))
     with pytest.raises(NotUnit):
@@ -179,6 +181,12 @@ def test_beta_table_all_pairs_negative():
         assert row.p == product_exponent(row.n, row.m)
         for key in ("I1", "I2", "Ip", "M2", "M4"):
             assert key in row.raw
+
+
+def test_beta_table_rows_use_the_memoised_ground_state():
+    gs = solve_ground_state(3, 3.0)
+    expect = compute_constants(gs, correction_profiles(gs), 3).row()
+    assert beta_table([(3, 3)])[0].row() == expect
 
 
 def test_beta_table_rejects_small_pairs():

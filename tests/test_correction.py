@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import corrections, ground_state, product_exponent
+from conftest import corrections
+from multipeak.constants import product_exponent
 from multipeak.correction import (
     build_v2base,
     chi_equation_residual,
@@ -13,7 +14,8 @@ from multipeak.correction import (
     v2base_identity_residual,
     verify_L0_identities,
 )
-from multipeak.groundstate import GroundState
+from multipeak.groundstate import GroundState, solve_ground_state
+from multipeak.radial import _fd_derivative
 
 # pinned against an independent uniform-grid solve (agreement 7e-8)
 PSI0_33 = -2.248598116732135
@@ -36,7 +38,7 @@ def test_psi_center_values_pinned():
 def test_full_dimension_operator_oracle(n, p):
     # (2n+1)-point FD Laplacian applied to psi(|z|) z1 z2 at scattered points,
     # no radial reduction anywhere on this path
-    gs = ground_state(n, p)
+    gs = solve_ground_state(n, p)
     psi = corrections(n, p).psi
     assert operator_identity_check(gs, psi) < 1e-3
 
@@ -61,7 +63,7 @@ def test_psi_negative_and_decaying():
 
 
 def test_psi_midpoint_equation_residual():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     cp = corrections(3, 3.0)
     # 7.7e-5 in the first cell without the origin re-derivation
     assert psi_equation_residual(gs, cp.psi) < 3e-5
@@ -70,7 +72,7 @@ def test_psi_midpoint_equation_residual():
 def test_chi_midpoint_equation_residual():
     # the origin value comes from the smooth interior; with the r = 0 row's
     # own value the first cell's residual is 1.5e-4
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     cp = corrections(3, 3.0)
     assert chi_equation_residual(gs, cp.chi) < 1e-5
     assert cp.chi_discrete_residual < 1e-8
@@ -79,17 +81,17 @@ def test_chi_midpoint_equation_residual():
 
 
 def test_v2base_center_values():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     v2 = build_v2base(gs)
     # U'(0) = 0 makes the center value u0/(p-2); at p = 3 that is u0 itself
     assert v2.values[0] == pytest.approx(gs.u0, rel=1e-14)
-    gs4 = ground_state(4, product_exponent(4, 4))
+    gs4 = solve_ground_state(4, product_exponent(4, 4))
     p4 = gs4.p
     assert build_v2base(gs4).values[0] == pytest.approx(gs4.u0 / (p4 - 2.0), rel=1e-14)
 
 
 def test_v2base_reproduces_definition_pointwise():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     v2 = build_v2base(gs)
     r = gs.grid.nodes
     expect = 0.5 * gs.profile.d1 * r - gs.profile.values / (2.0 - gs.p)
@@ -98,7 +100,7 @@ def test_v2base_reproduces_definition_pointwise():
 
 def test_v2base_tail_ratio():
     # v2base/U approaches -(r/2) - 1/(2-p); checked over the last decade of U
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     v2 = build_v2base(gs)
     r = np.linspace(gs.inverse(1e-11 * gs.u0), gs.inverse(1e-12 * gs.u0), 40)
     ratio = v2(r) / gs(r)
@@ -108,7 +110,7 @@ def test_v2base_tail_ratio():
 
 def test_v2base_tail_slope_fit():
     # the r-coefficient of v2base/U fitted over the tail window is -1/2
-    gs = ground_state(4, product_exponent(4, 4))
+    gs = solve_ground_state(4, product_exponent(4, 4))
     v2 = build_v2base(gs)
     r = np.linspace(gs.inverse(1e-11 * gs.u0), gs.inverse(1e-12 * gs.u0), 40)
     ratio = v2(r) / gs(r)
@@ -118,22 +120,24 @@ def test_v2base_tail_slope_fit():
 
 @pytest.mark.parametrize("n,p", [(3, 3.0), (5, 2.5)])
 def test_operator_identities(n, p):
-    ids = verify_L0_identities(ground_state(n, p))
+    ids = verify_L0_identities(solve_ground_state(n, p))
     assert ids["e1"] < 1e-6
     assert ids["e2"] < 1e-6
 
 
 @pytest.mark.parametrize("n,p", [(3, 3.0), (4, product_exponent(4, 4))])
 def test_v2base_operator_identity(n, p):
-    assert v2base_identity_residual(ground_state(n, p)) < 1e-6
+    assert v2base_identity_residual(solve_ground_state(n, p)) < 1e-6
 
 
 def test_corrupted_profile_negative_control():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     d = gs.to_dict()
     r = np.asarray(d["grid"])
-    d["values"] = (np.asarray(d["values"]) * (1.0 + 0.01 * np.cos(3.0 * r))).tolist()
-    del d["values_d1"]
+    values = np.asarray(d["values"]) * (1.0 + 0.01 * np.cos(3.0 * r))
+    d1 = _fd_derivative(r, values)
+    d1[0] = 0.0
+    d["values"], d["values_d1"] = values.tolist(), d1.tolist()
     bad = GroundState.from_dict(d)
     ids = verify_L0_identities(bad)
     assert ids["e2"] > 1e-3
@@ -141,7 +145,7 @@ def test_corrupted_profile_negative_control():
 
 @pytest.mark.parametrize("n,p", [(3, 3.0), (6, 2.4)])
 def test_kernel_orthogonality(n, p):
-    assert abs(kernel_orthogonality(ground_state(n, p))) < 1e-10
+    assert abs(kernel_orthogonality(solve_ground_state(n, p))) < 1e-10
 
 
 def test_profiles_serialize():
@@ -153,7 +157,7 @@ def test_profiles_serialize():
 
 
 def test_solve_psi_returns_profile():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     psi = solve_psi(gs)
     r = np.array([0.0, 0.5, 2.0, 10.0])
     assert np.all(np.isfinite(psi(r)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import corrections, dimensional_constants, ground_state
+from conftest import corrections, dimensional_constants
 from multipeak.constants import gamma
 from multipeak.energy import (
     COEFF_LADDER,
@@ -25,6 +25,7 @@ from multipeak.energy import (
     smoothstep_cutoff_d2,
 )
 from multipeak.geometry import FlatSpace, RoundSphere, WarpedSphere
+from multipeak.groundstate import solve_ground_state
 from multipeak.radial import Quadrature, surface_area
 
 S3 = RoundSphere(3, 1.0)
@@ -34,7 +35,7 @@ SCAL = 6.0  # unit S^3
 
 
 def _setup():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     cp = corrections(3, 3.0)
     dc = dimensional_constants(3, 3)
     return gs, cp, dc

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import corrections, ground_state, product_exponent
+from multipeak.constants import product_exponent
 from multipeak.groundstate import (
     GroundState,
     SubcriticalViolation,
@@ -24,6 +24,10 @@ MATRIX = [(n, m) for n in range(3, 8) for m in range(3, 7) if n + m <= 9]
 SPOT = [(7, 3), (7, 6)]  # N = 10 and N = 13
 
 
+def test_solve_is_memoised():
+    assert solve_ground_state(3, 3.0) is solve_ground_state(3, 3.0)
+
+
 def test_exponent_validation():
     with pytest.raises(SubcriticalViolation):
         solve_ground_state(3, 6.0)  # critical exponent exactly
@@ -36,19 +40,19 @@ def test_exponent_validation():
 
 
 def test_amplitude_pinned_n3_p3():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     assert gs.u0 == pytest.approx(U0_33, abs=1e-6)
     assert gs.bracket_width <= 1e-13
     assert gs.certified
 
 
 def test_amplitude_pinned_n4_n8thirds():
-    gs = ground_state(4, product_exponent(4, 4))
+    gs = solve_ground_state(4, product_exponent(4, 4))
     assert gs.u0 == pytest.approx(U0_44, abs=2e-6)
 
 
 def test_energy_identity_n3_p3():
-    rep = identity_report(ground_state(3, 3.0))
+    rep = identity_report(solve_ground_state(3, 3.0))
     assert rep["e_energy"] < 1e-8
     assert rep["e_pohozaev"] < 1e-8
     assert rep["e_alpha"] < 1e-8
@@ -56,14 +60,14 @@ def test_energy_identity_n3_p3():
 
 def test_exact_equality_of_I1_I2_for_n3_p3():
     # at n=3, p=3 the Pohozaev pair forces I1 = I2 = Ip/2 analytically
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     assert gs.I1 == pytest.approx(gs.I2, rel=1e-9)
     assert gs.Ip == pytest.approx(2.0 * gs.I2, rel=1e-9)
 
 
 @pytest.mark.parametrize("n,p", [(5, 2.5), (6, 2.4)])
 def test_identities_other_dimensions(n, p):
-    rep = identity_report(ground_state(n, p))
+    rep = identity_report(solve_ground_state(n, p))
     assert rep["e_energy"] < 1e-6
     assert rep["e_pohozaev"] < 1e-6
     assert rep["e_alpha"] < 1e-6
@@ -71,7 +75,7 @@ def test_identities_other_dimensions(n, p):
 
 @pytest.mark.parametrize("n,m", MATRIX + SPOT)
 def test_identity_matrix_product_exponents(n, m):
-    gs = ground_state(n, product_exponent(n, m))
+    gs = solve_ground_state(n, product_exponent(n, m))
     rep = identity_report(gs)
     assert rep["e_energy"] < 1e-6
     assert rep["e_pohozaev"] < 1e-6
@@ -83,14 +87,14 @@ def test_identity_matrix_product_exponents(n, m):
 
 
 def test_profile_shape_and_residual():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     assert ode_residual(gs, where="nodes") < 1e-12
     assert ode_residual(gs, where="midpoints") < 1e-6
     assert gs(0.0) == pytest.approx(gs.u0, rel=1e-14)
 
 
 def test_eval_origin_regularity():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     u, du, d2u = gs.eval(0.0)
     assert u == pytest.approx(gs.u0, rel=1e-14)
     assert du == 0.0
@@ -99,7 +103,7 @@ def test_eval_origin_regularity():
 
 
 def test_eval_tail_continuity_and_form():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     R = gs.r_max
     jump = abs(gs(R * (1 - 1e-12)) - gs(R * (1 + 1e-12)))
     assert jump < 1e-10
@@ -109,16 +113,16 @@ def test_eval_tail_continuity_and_form():
 
 
 def test_decay_constant_two_sided_agreement():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     c = decay_constant(gs)
     assert c > 0
     assert c == pytest.approx(gs.decay_c, rel=1e-12)
-    gs5 = ground_state(5, 2.5)
+    gs5 = solve_ground_state(5, 2.5)
     assert decay_constant(gs5) > 0
 
 
 def test_decay_constant_requires_long_tail():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     short = shoot_profile(3, 3.0, gs.u0, r_max=5.0)
     with pytest.raises(TailTooShort):
         decay_constant(short)
@@ -127,7 +131,7 @@ def test_decay_constant_requires_long_tail():
 
 
 def test_off_amplitude_negative_control():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     bad = shoot_profile(3, 3.0, gs.u0 * 1.05)
     assert not bad.certified
     rep = identity_report(bad)
@@ -138,7 +142,7 @@ def test_off_amplitude_negative_control():
 
 
 def test_inverse_round_trip():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     for v in (0.9 * gs.u0, 0.1 * gs.u0, 1e-5 * gs.u0):
         r = gs.inverse(v)
         assert gs(r) == pytest.approx(v, rel=1e-9)
@@ -147,12 +151,23 @@ def test_inverse_round_trip():
 
 
 def test_serialization_round_trip(tmp_path):
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     path = tmp_path / "gs.json"
     gs.save(path)
     back = GroundState.load(path)
     assert back.u0 == gs.u0
     assert back.I2 == gs.I2
+    assert back.certified
+    assert back.bracket_width == gs.bracket_width
     r = np.linspace(0.0, 1.5 * gs.r_max, 57)
     assert np.max(np.abs(back(r) - gs(r))) < 1e-12
     assert np.max(np.abs(back.deriv1(r) - gs.deriv1(r))) < 1e-10
+
+
+def test_uncertified_profile_stays_uncertified(tmp_path):
+    bad = shoot_profile(3, 3.0, solve_ground_state(3, 3.0).u0 * 1.05)
+    path = tmp_path / "bad.json"
+    bad.save(path)
+    back = GroundState.load(path)
+    assert not back.certified
+    assert np.isnan(back.bracket_width)

@@ -3,7 +3,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaincc, gammaln
 
-from conftest import corrections, ground_state
+from conftest import corrections
+from multipeak.groundstate import solve_ground_state
 from multipeak.radial import (
     GridError,
     Quadrature,
@@ -120,7 +121,7 @@ def _cellwise_reference(f: RadialFunction, r, deriv: int):
 
 
 def _profiles():
-    gs = ground_state(3, 3.0)
+    gs = solve_ground_state(3, 3.0)
     # U carries d3/d4 channels, chi only (f, f', f'')
     return {"U": gs.profile, "chi": corrections(3, 3.0).chi}
 
