@@ -14,15 +14,20 @@ remainder is honest measurement error plus higher expansion orders.
 
 Each quadrature has one field pass that energy_J, norm_eps and
 residual_norm reduce: _polar_fields gives one bump's (G, G', G'') on the
-polar nodes, and _great_circle the distances to every center on the
-(theta, phi) grid; each also returns the integral against its weights and
-measure.  The single-peak term does not depend on the center on these
-models, so it is computed once and counted K times.  The cross terms of J
-and the norm share _pair_quadratic.  The residual of several peaks does
-not split into single-peak terms and is taken on the great-circle grid
-whole.
+polar nodes and the integral against their weights and measure.  For
+several peaks, _great_circle gives the SupportGrid: the (theta, phi) nodes
+of the sphere's great-circle grid that lie within cutoff_r of some center,
+with the distance to every center and the measure on those nodes only.
+Every integrand is exactly 0 on the nodes it drops.  The grid is built once
+per (sphere, centers, eps, cutoff, angular step) and kept in a one-entry
+cache, so one rung of J, the norm and both residuals builds it once.  The
+single-peak term does not depend on the center on these models, so it is
+computed once and counted K times.  The cross terms of J and the norm
+share _pair_quadratic.  The residual of several peaks does not split into
+single-peak terms and is taken on the support grid whole.
 
-A bump is evaluated on its support d < cutoff_r only, and beyond it holds
+A bump is evaluated on its support d < cutoff_r only, in blocks of
+_BUMP_BLOCK points whose temporaries stay in cache, and beyond it holds
 the exact zeros the cutoff gives; a pair term of _pair_quadratic only where
 both supports meet.  J and the norm ask for (G, G'), the residual also for
 G''.  U, chi and v2base share the ground state's radial grid, so one
@@ -44,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +74,11 @@ class UnsupportedModel(TypeError):
 
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL6 = np.polynomial.legendre.leggauss(6)
+
+# Support points per block of PeakAnsatz.bump.  On a million points the
+# profile lookups (take, Horner) are bound by memory bandwidth; a block of
+# 2^16 keeps their temporaries in cache.
+_BUMP_BLOCK = 1 << 16
 
 
 def smoothstep_cutoff(r, cutoff_r: float):
@@ -250,13 +261,23 @@ class PeakAnsatz:
         """(G, G', G'') of one bump versus manifold distance d, up to the
         derivative of the given order.
 
-        Only the support is evaluated; beyond it G and its derivatives are
-        the exact zeros that the cutoff gives them.
+        Only the support is evaluated, in blocks of _BUMP_BLOCK points
+        written into the preallocated outputs; beyond it G and its
+        derivatives are the exact zeros that the cutoff gives them.
         """
         d = np.asarray(d, dtype=float)
+        flat = d.reshape(-1)
+        out = [np.zeros_like(flat) for _ in range(order + 1)]
+        support = np.flatnonzero(self.support(flat))
+        for start in range(0, support.size, _BUMP_BLOCK):
+            at = support[start:start + _BUMP_BLOCK]
+            for full, g in zip(out, self._bump_inside(flat[at], order)):
+                full[at] = g
+        return tuple(full.reshape(d.shape)[()] for full in out)
+
+    def _bump_inside(self, ds, order: int):
+        """(G, G', ...) at distances ds that all lie inside the support."""
         eps, rc = self.epsilon, self.config.cutoff_r
-        support = self.support(d)
-        ds = d[support]
         h = self.blownup_profile(ds / eps, order)
         c0 = smoothstep_cutoff(ds, rc)
         g = [h[0] * c0]
@@ -266,12 +287,7 @@ class PeakAnsatz:
         if order >= 2:
             c2 = smoothstep_cutoff_d2(ds, rc)
             g.append(h[2] / eps ** 2 * c0 + 2.0 * h[1] / eps * c1 + h[0] * c2)
-        out = []
-        for gk in g:
-            full = np.zeros_like(d)
-            full[support] = gk
-            out.append(full[()])
-        return tuple(out)
+        return g
 
     def __call__(self, x):
         ds = [self.model.distance(x, c) for c in self.config.centers]
@@ -379,10 +395,42 @@ def _gl_panels(lo: float, hi: float, step: float):
     return nodes, weights
 
 
-def _great_circle(model, ansatz: PeakAnsatz, step_factor: float):
-    """(dists, integral) on the (theta, phi) grid of the sphere: the distance
-    to every center, and integral(dens), the eps-normalized sphere integral.
+class SupportGrid(NamedTuple):
+    """The (theta, phi) grid of the sphere, kept where a support reaches.
+
+    Row i keeps the phi nodes phi[:prefix[i]] and phi[suffix[i]:], which
+    hold every node within cutoff_r of a center; every other node carries
+    exact zeros in each integrand.  dists and measure are on the kept nodes
+    in row-major order, each value bit-identical to the full grid's.
     """
+
+    theta: np.ndarray
+    phi: np.ndarray
+    prefix: np.ndarray
+    suffix: np.ndarray
+    dists: tuple
+    measure: np.ndarray
+
+    def indices(self):
+        """(rows, cols) of the kept nodes in the full grid, row-major."""
+        return _kept_indices(self.prefix, self.suffix, self.phi.size)
+
+    def integral(self, dens) -> float:
+        """The eps-normalized sphere integral of dens given on the kept nodes."""
+        return float(np.sum(dens * self.measure))
+
+
+def _kept_indices(prefix, suffix, n_phi: int):
+    counts = prefix + (n_phi - suffix)
+    rows = np.repeat(np.arange(prefix.size), counts)
+    # position within the row; past the prefix it jumps to the suffix
+    k = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cols = k + np.where(k >= prefix[rows], (suffix - prefix)[rows], 0)
+    return rows, cols
+
+
+def _great_circle(model, ansatz: PeakAnsatz, step_factor: float) -> SupportGrid:
+    """The support grid of the ansatz's centers on the sphere."""
     n = model.n
     if n < 3:
         raise UnsupportedModel("cross-term quadrature needs sphere dimension >= 3")
@@ -390,25 +438,56 @@ def _great_circle(model, ansatz: PeakAnsatz, step_factor: float):
     ang_step = min(step_factor * eps / R, np.pi / 24.0)
     if 6.0 / (ang_step * R / eps) < 8.0:
         raise ResolutionTooCoarse("angular step leaves fewer than 8 nodes per eps")
+    centers = tuple(tuple(float(x) for x in c) for c in ansatz.config.centers)
+    return _support_grid(n, float(R), centers, float(eps),
+                         float(ansatz.config.cutoff_r), float(ang_step))
+
+
+@lru_cache(maxsize=1)
+def _support_grid(n: int, R: float, centers: tuple, eps: float, cutoff_r: float,
+                  ang_step: float) -> SupportGrid:
+    """Build the SupportGrid once per (sphere, centers, eps, cutoff, step).
+
+    With c = ca e_a + cb e_b, cos(d/R) = cos(theta) ca + sin(theta) cos(phi) cb
+    falls along a row as phi ascends when cb > 0, so the cap d < cutoff_r is
+    a prefix of the row; when cb < 0 it is a suffix, and when cb = 0 the
+    whole row or none of it.  The caps are found on cos(d/R) with a margin
+    of 1e-12 for rounding.  Each row keeps the longest prefix and suffix.
+    """
     th, wth = _gl_panels(0.0, np.pi, ang_step)
     ph, wph = _gl_panels(0.0, np.pi, ang_step)
-    e_a, e_b = _great_circle_basis(ansatz.config.centers)
-    ct, st = np.cos(th)[:, None], np.sin(th)[:, None]
-    cp = np.cos(ph)[None, :]
+    units = [np.array(c) for c in centers]
+    e_a, e_b = _great_circle_basis(units)
+    coords = [(float(c @ e_a), float(c @ e_b)) for c in units]
+    ct, st, cp = np.cos(th), np.sin(th), np.cos(ph)
+    n_phi = ph.size
+    prefix = np.zeros(th.size, dtype=np.intp)
+    suffix = np.full(th.size, n_phi, dtype=np.intp)
+    cos_cut = np.cos(cutoff_r / R) - 1e-12
+    for ca, cb in coords:
+        base = cos_cut - ct * ca  # the cap is where st cp cb > base
+        if cb == 0.0:
+            prefix = np.where(base < 0.0, n_phi, prefix)
+            continue
+        tau = base / (st * cb)
+        if cb > 0.0:  # cp > tau, a prefix of the descending cp
+            prefix = np.maximum(prefix, np.searchsorted(-cp, -tau, side="left"))
+        else:  # cp < tau, a suffix
+            suffix = np.minimum(suffix, np.searchsorted(-cp, -tau, side="right"))
+    suffix = np.maximum(suffix, prefix)
+    rows, cols = _kept_indices(prefix, suffix, n_phi)
+    # the full grid's elementwise expressions, on the kept nodes only
     dists = []
-    for c in ansatz.config.centers:
-        ca, cb = float(c @ e_a), float(c @ e_b)
-        cosang = np.clip(ct * ca + st * cp * cb, -1.0, 1.0)
+    for ca, cb in coords:
+        cosang = np.clip(ct[rows] * ca + st[rows] * cp[cols] * cb, -1.0, 1.0)
         dists.append(R * np.arccos(cosang))
-
-    def integral(dens) -> float:
-        # the measure is built only now, after the bumps: a grid-sized
-        # array live during bump evaluation raises the peak memory
-        area = (np.sin(th) ** (n - 1))[:, None] * (np.sin(ph) ** (n - 2))[None, :]
-        wt = wth[:, None] * wph[None, :]
-        return float(np.sum(dens * ((R ** n / eps ** n) * surface_area(n - 1) * area * wt)))
-
-    return dists, integral
+    area = (np.sin(th) ** (n - 1))[rows] * (np.sin(ph) ** (n - 2))[cols]
+    wt = wth[rows] * wph[cols]
+    measure = (R ** n / eps ** n) * surface_area(n - 1) * area * wt
+    grid = SupportGrid(th, ph, prefix, suffix, tuple(dists), measure)
+    for arr in (th, ph, prefix, suffix, measure, *dists):
+        arr.flags.writeable = False  # shared by every caller of the cache
+    return grid
 
 
 def _cos_angle(model, d_i, d_j, d_ij):
@@ -479,12 +558,12 @@ def energy_J(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
                        - np.maximum(g0, 0.0) ** p / p)
     if K >= 2:
         # J(sum u_i) - sum J(u_i)
-        dists, integral = _great_circle(model, ansatz, step_factor)
-        bumps = [ansatz.bump(d, 1) for d in dists]
+        grid = _great_circle(model, ansatz, step_factor)
+        bumps = [ansatz.bump(d, 1) for d in grid.dists]
         pot = np.maximum(sum(g0 for g0, _ in bumps), 0.0) ** p
         for g0, _ in bumps:
             pot = pot - np.maximum(g0, 0.0) ** p
-        val += integral(_pair_quadratic(model, ansatz, dists, bumps) - pot / p)
+        val += grid.integral(_pair_quadratic(model, ansatz, grid.dists, bumps) - pot / p)
     return val
 
 
@@ -498,9 +577,9 @@ def norm_eps(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
     gr = ansatz.epsilon * g1
     val = K * integral(gr ** 2 + ansatz.mass * g0 ** 2)
     if K >= 2:
-        dists, integral = _great_circle(model, ansatz, step_factor)
-        bumps = [ansatz.bump(d, 1) for d in dists]
-        val += integral(2.0 * _pair_quadratic(model, ansatz, dists, bumps))
+        grid = _great_circle(model, ansatz, step_factor)
+        bumps = [ansatz.bump(d, 1) for d in grid.dists]
+        val += grid.integral(2.0 * _pair_quadratic(model, ansatz, grid.dists, bumps))
     return val
 
 
@@ -523,10 +602,11 @@ def residual_norm(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
         r = -lap + ansatz.mass * g0 - np.maximum(g0, 0.0) ** (p - 1.0)
     else:
         # the single-peak terms do not separate: |r|^p' is taken on the
-        # great-circle grid for the whole sum
-        dists, integral = _great_circle(model, ansatz, step_factor)
+        # support grid for the whole sum
+        grid = _great_circle(model, ansatz, step_factor)
+        integral = grid.integral
         u = lap = 0
-        for d in dists:
+        for d in grid.dists:
             g0, lap_i = _bump_and_laplacian(model, ansatz, d)
             u, lap = u + g0, lap + lap_i
         r = -eps ** 2 * lap + ansatz.mass * u - np.maximum(u, 0.0) ** (p - 1.0)

@@ -102,7 +102,11 @@ def _radial_ode(n: int, p: float, r, y):
 
 
 def _shoot(a: float, n: int, p: float, r_end: float = 80.0, rtol: float = 1e-12):
-    """Integrate one shot; returns (kind, sol) with kind in {'cross','turn'}."""
+    """Integrate one shot; returns (kind, sol) with kind in {'cross','turn'}.
+
+    sol carries t, y and t_events but no dense output: callers only classify
+    the shot or read its steps.
+    """
 
     def ev_cross(r, y):
         return y[0]
@@ -125,7 +129,6 @@ def _shoot(a: float, n: int, p: float, r_end: float = 80.0, rtol: float = 1e-12)
         rtol=rtol,
         atol=1e-16,
         events=[ev_cross, ev_turn],
-        dense_output=True,
     )
     if sol.t_events[0].size:
         return "cross", sol

@@ -1,15 +1,45 @@
+import os
+from functools import cache
+from pathlib import Path
+
+import pytest
+
 from multipeak.constants import compute_constants, product_exponent
 from multipeak.correction import correction_profiles
 from multipeak.groundstate import solve_ground_state
 
-
-def corrections(n: int, p: float):
-    return correction_profiles(solve_ground_state(n, p))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def dimensional_constants(n: int, m: int):
-    gs = solve_ground_state(n, product_exponent(n, m))
-    return compute_constants(gs, correction_profiles(gs), m)
+def checkout_env() -> dict:
+    """Environment for a `python -m multipeak.cli` child process that imports
+    this checkout's `src`, whatever the parent's PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.fixture(scope="module")
+def corrections():
+    """correction_profiles of the (n, p) ground state, once per test module."""
+
+    @cache
+    def build(n: int, p: float):
+        return correction_profiles(solve_ground_state(n, p))
+
+    return build
+
+
+@pytest.fixture(scope="module")
+def dimensional_constants(corrections):
+    """compute_constants for the pair (n, m), once per test module."""
+
+    @cache
+    def build(n: int, m: int):
+        p = product_exponent(n, m)
+        return compute_constants(solve_ground_state(n, p), corrections(n, p), m)
+
+    return build
 
 
 def pytest_terminal_summary(terminalreporter):

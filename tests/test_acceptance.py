@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import corrections, dimensional_constants
+from conftest import checkout_env
 from curvature_fd import curvature_reference, laplacian_s_reference
 from multipeak.constants import base_interaction, beta_table, gamma, product_exponent
 from multipeak.correction import operator_identity_check, verify_L0_identities
@@ -58,7 +58,7 @@ def test_criterion_03_operator_identity_suite():
         assert res["e1"] < 1e-6 and res["e2"] < 1e-6, f"{n=} {p=}: {res}"
 
 
-def test_criterion_04_correction_cross_validation():
+def test_criterion_04_correction_cross_validation(corrections):
     gs = solve_ground_state(3, 3.0)
     defect = operator_identity_check(gs, corrections(3, 3.0).psi)
     assert defect < 1e-3, f"full-dimension FD defect {defect:.2e}"
@@ -86,7 +86,7 @@ def test_criterion_06_interaction_constant_direction_invariant():
         assert vals.mean() > base_interaction(gs), f"{n=}: convexity bound violated"
 
 
-def test_criterion_07_energy_expansion_single_peak():
+def test_criterion_07_energy_expansion_single_peak(corrections, dimensional_constants):
     t0 = time.monotonic()
     gs = solve_ground_state(3, 3.0)
     cp = corrections(3, 3.0)
@@ -123,7 +123,7 @@ def test_criterion_07_energy_expansion_single_peak():
     )
 
 
-def test_criterion_08_residual_order_improvement():
+def test_criterion_08_residual_order_improvement(corrections, dimensional_constants):
     gs = solve_ground_state(3, 3.0)
     cp = corrections(3, 3.0)
     dc = dimensional_constants(3, 3)
@@ -138,7 +138,7 @@ def test_criterion_08_residual_order_improvement():
     )
 
 
-def test_criterion_09_warped_curvature_oracle_and_scan_stability():
+def test_criterion_09_warped_curvature_oracle_and_scan_stability(dimensional_constants):
     rng = np.random.default_rng(2026)
     for trial in range(50):
         n = [3, 4, 5][trial % 3]
@@ -182,6 +182,7 @@ def test_criterion_10_cli_determinism(tmp_path):
                  "--cache-dir", cache, "--out", str(out)],
                 capture_output=True,
                 text=True,
+                env=checkout_env(),
             )
             assert proc.returncode == 0, f"{argv}: {proc.stdout}{proc.stderr}"
             outs.append(out.read_bytes())

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import checkout_env
 from multipeak.cli import _apply_config, _finalize, build_parser
 from multipeak.constants import CSV_COLUMNS
 from multipeak.groundstate import GroundState
@@ -29,6 +30,7 @@ def run_cli(*argv, expect=0):
         [sys.executable, "-m", "multipeak.cli", *argv],
         capture_output=True,
         text=True,
+        env=checkout_env(),
     )
     assert proc.returncode == expect, proc.stdout + proc.stderr
     return proc

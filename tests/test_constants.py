@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn, iv
 
-from conftest import corrections, dimensional_constants
 
 from multipeak.constants import (
     CSV_COLUMNS,
@@ -27,14 +26,14 @@ from multipeak.groundstate import solve_ground_state
 PAIRS = [(3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4), (4, 5), (5, 3), (5, 4), (6, 3)]
 
 
-def test_exponent_gate():
+def test_exponent_gate(corrections):
     gs = solve_ground_state(3, 3.0)
     cp = corrections(3, 3.0)
     with pytest.raises(ExponentMismatch):
         compute_constants(gs, cp, 4)
 
 
-def test_trivial_values_33():
+def test_trivial_values_33(dimensional_constants):
     dc = dimensional_constants(3, 3)
     assert dc.N == 6
     assert dc.p == 3.0
@@ -43,7 +42,7 @@ def test_trivial_values_33():
     assert product_exponent(3, 3) == 3.0
 
 
-def test_compositional_identities_exact():
+def test_compositional_identities_exact(dimensional_constants):
     for (n, m) in [(3, 3), (4, 4), (5, 4)]:
         dc = dimensional_constants(n, m)
         cc = dc.c_bold
@@ -54,7 +53,7 @@ def test_compositional_identities_exact():
         assert dc.raw["M4"] == 6.0 * dc.c1
 
 
-def test_beta_two_path_crosscheck():
+def test_beta_two_path_crosscheck(dimensional_constants):
     # beta from its definition vs c_bold*I2 - 2*c1; the two sides integrate
     # U'^2 through different moment weights, so agreement is not circular
     for (n, m) in PAIRS:
@@ -63,14 +62,14 @@ def test_beta_two_path_crosscheck():
         assert abs(dc.beta - alt) <= 1e-6 * abs(dc.beta)
 
 
-def test_alpha_nehari_form():
+def test_alpha_nehari_form(dimensional_constants):
     for (n, m) in [(3, 3), (4, 4), (5, 3), (3, 6)]:
         dc = dimensional_constants(n, m)
         alt = (0.5 - 1.0 / dc.p) * dc.raw["Ip"]
         assert abs(dc.alpha - alt) <= 1e-6 * abs(dc.alpha)
 
 
-def test_c5_integration_by_parts():
+def test_c5_integration_by_parts(dimensional_constants):
     # int U U' |z| dz = -(n/2) * omega * int U^2 r^(n-1) dr collapses the
     # second piece of c5 onto I2
     for (n, m) in [(3, 3), (4, 4), (6, 3)]:
@@ -80,7 +79,7 @@ def test_c5_integration_by_parts():
         assert abs(dc.c5 - alt) <= 1e-10 * abs(dc.c5)
 
 
-def test_c9_closed_form():
+def test_c9_closed_form(dimensional_constants):
     # v2base solves its defining identity, so int U v2base dz has the closed
     # form I2 (1/(p-2) - n/4), i.e. I2 (m-2)/4 at the product exponent
     for (n, m) in [(3, 3), (3, 5), (4, 4), (5, 4)]:
@@ -91,7 +90,7 @@ def test_c9_closed_form():
         assert dc.c9 == 0.5 * dc.c_bold * dc.raw["U_v2base"]
 
 
-def test_positivity():
+def test_positivity(dimensional_constants):
     for (n, m) in PAIRS:
         dc = dimensional_constants(n, m)
         assert dc.alpha > 0.0
@@ -100,7 +99,7 @@ def test_positivity():
         assert dc.c3 > 0.0
 
 
-def test_quadrature_independent_recompute():
+def test_quadrature_independent_recompute(corrections, dimensional_constants):
     # same profiles, disjoint integrator: adaptive quad against panel Gauss
     dc = dimensional_constants(3, 3)
     gs = solve_ground_state(3, 3.0)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import corrections
 from multipeak.constants import product_exponent
 from multipeak.correction import (
     build_v2base,
@@ -22,12 +21,12 @@ PSI0_33 = -2.248598116732135
 PSI0_44 = -4.313771733781784
 
 
-def test_discrete_residual_small():
+def test_discrete_residual_small(corrections):
     cp = corrections(3, 3.0)
     assert cp.discrete_residual < 1e-8
 
 
-def test_psi_center_values_pinned():
+def test_psi_center_values_pinned(corrections):
     assert corrections(3, 3.0).psi.values[0] == pytest.approx(PSI0_33, abs=5e-6)
     assert corrections(4, product_exponent(4, 4)).psi.values[0] == pytest.approx(
         PSI0_44, abs=1e-5
@@ -35,7 +34,7 @@ def test_psi_center_values_pinned():
 
 
 @pytest.mark.parametrize("n,p", [(3, 3.0), (4, product_exponent(4, 4))])
-def test_full_dimension_operator_oracle(n, p):
+def test_full_dimension_operator_oracle(n, p, corrections):
     # (2n+1)-point FD Laplacian applied to psi(|z|) z1 z2 at scattered points,
     # no radial reduction anywhere on this path
     gs = solve_ground_state(n, p)
@@ -44,7 +43,7 @@ def test_full_dimension_operator_oracle(n, p):
 
 
 @pytest.mark.parametrize("n,p", [(3, 3.0), (4, product_exponent(4, 4))])
-def test_psi_flat_at_origin(n, p):
+def test_psi_flat_at_origin(n, p, corrections):
     psi = corrections(n, p).psi
     assert psi.d1[0] == 0.0
     r = np.asarray(psi.grid.nodes)
@@ -54,7 +53,7 @@ def test_psi_flat_at_origin(n, p):
     assert abs(one_sided) < 1e-6
 
 
-def test_psi_negative_and_decaying():
+def test_psi_negative_and_decaying(corrections):
     cp = corrections(3, 3.0)
     assert cp.psi.values[0] < 0
     assert -1.2 < cp.tail_exponent < -0.8
@@ -62,14 +61,14 @@ def test_psi_negative_and_decaying():
     assert -1.2 < cp4.tail_exponent < -0.8
 
 
-def test_psi_midpoint_equation_residual():
+def test_psi_midpoint_equation_residual(corrections):
     gs = solve_ground_state(3, 3.0)
     cp = corrections(3, 3.0)
     # 7.7e-5 in the first cell without the origin re-derivation
     assert psi_equation_residual(gs, cp.psi) < 3e-5
 
 
-def test_chi_midpoint_equation_residual():
+def test_chi_midpoint_equation_residual(corrections):
     # the origin value comes from the smooth interior; with the r = 0 row's
     # own value the first cell's residual is 1.5e-4
     gs = solve_ground_state(3, 3.0)
@@ -148,7 +147,7 @@ def test_kernel_orthogonality(n, p):
     assert abs(kernel_orthogonality(solve_ground_state(n, p))) < 1e-10
 
 
-def test_profiles_serialize():
+def test_profiles_serialize(corrections):
     cp = corrections(3, 3.0)
     d = cp.to_dict()
     assert d["n"] == 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import corrections, dimensional_constants
+from multipeak import energy
 from multipeak.constants import gamma
 from multipeak.energy import (
     COEFF_LADDER,
@@ -34,11 +34,10 @@ CBOLD = 0.2  # (N-2)/(4(N-1)) for N = 6
 SCAL = 6.0  # unit S^3
 
 
-def _setup():
-    gs = solve_ground_state(3, 3.0)
-    cp = corrections(3, 3.0)
-    dc = dimensional_constants(3, 3)
-    return gs, cp, dc
+@pytest.fixture(scope="module")
+def state(corrections, dimensional_constants):
+    """(gs, cp, dc) of (n, m) = (3, 3), built once for the module."""
+    return solve_ground_state(3, 3.0), corrections(3, 3.0), dimensional_constants(3, 3)
 
 
 def _one_peak(eps, center=None, cutoff=1.2):
@@ -92,15 +91,15 @@ def test_peak_config_rejects_bad_parameters():
     assert cfg.K == 2
 
 
-def test_ansatz_normalizes_sphere_centers():
-    gs, _, _ = _setup()
+def test_ansatz_normalizes_sphere_centers(state):
+    gs, _, _ = state
     cfg = PeakConfig(epsilon=0.1, centers=[3.0 * S3.point(0.4)], cutoff_r=1.2)
     W = build_W(S3, cfg, gs)
     assert np.linalg.norm(W.config.centers[0]) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_ansatz_leaves_caller_config_untouched():
-    gs, _, _ = _setup()
+def test_ansatz_leaves_caller_config_untouched(state):
+    gs, _, _ = state
     cfg = PeakConfig(epsilon=0.1, centers=[3.0 * S3.point(0.4)], cutoff_r=1.2)
     W = build_W(S3, cfg, gs)
     assert W.config is not cfg
@@ -127,8 +126,8 @@ def _unrestricted_bump(ansatz, d):
 
 
 @pytest.mark.parametrize("corrected", [False, True])
-def test_bump_is_evaluated_on_its_support_only(corrected):
-    gs, cp, dc = _setup()
+def test_bump_is_evaluated_on_its_support_only(corrected, state):
+    gs, cp, dc = state
     cfg = _one_peak(0.05)
     A = build_Y(S3, cfg, gs, profiles=cp if corrected else None, dc=dc)
     d = np.concatenate([np.linspace(0.0, 2.0, 801), [1.2, np.nextafter(1.2, 0.0), 3.0]])
@@ -147,17 +146,33 @@ def test_bump_is_evaluated_on_its_support_only(corrected):
     assert all(np.ndim(g) == 0 for g in A.bump(0.3))
 
 
-def test_ansatz_vanishes_outside_every_support():
-    gs, _, _ = _setup()
+@pytest.mark.parametrize("corrected", [False, True])
+def test_bump_blocks_equal_one_pass(corrected, state):
+    # a support of more than two blocks, as a 2-D array: each value is the
+    # one-pass formula's, bit for bit
+    gs, cp, dc = state
+    A = build_Y(S3, _one_peak(0.05), gs, profiles=cp if corrected else None, dc=dc)
+    d = np.linspace(0.0, 2.0, 6 * energy._BUMP_BLOCK).reshape(3, -1)
+    inside = d < 1.2
+    assert inside.sum() > 2 * energy._BUMP_BLOCK
+    got = A.bump(d)
+    for g, w in zip(got, _unrestricted_bump(A, d)):
+        assert g.shape == d.shape
+        assert np.array_equal(g[inside], w[inside])
+        assert np.all(g[~inside] == 0.0)
+
+
+def test_ansatz_vanishes_outside_every_support(state):
+    gs, _, _ = state
     W = build_W(S3, _one_peak(0.05), gs)
     assert W(S3.point(0.6 + 1.5)) == 0.0
     assert W(S3.point(0.6)) == float(gs(0.0))
 
 
-def test_two_peak_values_pinned():
+def test_two_peak_values_pinned(state):
     # two overlapping peaks: skipping the exact zeros outside the supports
     # must leave J, the norm and both residuals where the full grid puts them
-    gs, cp, dc = _setup()
+    gs, cp, dc = state
     cfg = PeakConfig(0.1, [S3.point(0.8), S3.point(1.4)], 1.2)
     Y = build_Y(S3, cfg, gs, profiles=cp, dc=dc)
     W = build_W(S3, cfg, gs, c_bold=dc.c_bold)
@@ -167,20 +182,101 @@ def test_two_peak_values_pinned():
     assert residual_norm(S3, Y) == pytest.approx(1.1636329009115627, rel=1e-14)
 
 
+def _rotation(seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+    return q * np.sign(np.diag(r))
+
+
+def _full_grid(ansatz, step_factor=0.34):
+    """(theta, phi, measure, dists) on the whole (theta, phi) grid, 2-D."""
+    n, R, eps = S3.n, S3.radius, ansatz.epsilon
+    ang_step = min(step_factor * eps / R, np.pi / 24.0)
+    th, wth = energy._gl_panels(0.0, np.pi, ang_step)
+    ph, wph = energy._gl_panels(0.0, np.pi, ang_step)
+    e_a, e_b = energy._great_circle_basis(ansatz.config.centers)
+    ct, st = np.cos(th)[:, None], np.sin(th)[:, None]
+    cp = np.cos(ph)[None, :]
+    dists = []
+    for c in ansatz.config.centers:
+        ca, cb = float(c @ e_a), float(c @ e_b)
+        dists.append(R * np.arccos(np.clip(ct * ca + st * cp * cb, -1.0, 1.0)))
+    area = (np.sin(th) ** (n - 1))[:, None] * (np.sin(ph) ** (n - 2))[None, :]
+    wt = wth[:, None] * wph[None, :]
+    measure = (R ** n / eps ** n) * surface_area(n - 1) * area * wt
+    return th, ph, measure, dists
+
+
+# (label, eps, centers): the bench pair turned by two rotations, whose first
+# center has c_b = -2.4e-16 (suffix) and +3.5e-17 (prefix); K = 3 listed so
+# that 1.7 falls on the far side of e_b (a proper suffix); a disjoint pair
+_GRID_CASES = [
+    (f"bench{seed}-eps{eps}", eps, [_rotation(seed) @ S3.point(a) for a in (0.8, 1.4)])
+    for seed in (41, 42) for eps in (0.1, 0.05)
+] + [
+    ("K3-eps0.05", 0.05, [S3.point(1.1), S3.point(0.5), S3.point(1.7)]),
+    ("disjoint-eps0.1", 0.1, [S3.point(0.3), S3.point(2.9)]),
+]
+
+
+@pytest.mark.parametrize("eps,centers", [c[1:] for c in _GRID_CASES],
+                         ids=[c[0] for c in _GRID_CASES])
+def test_support_grid_restricts_the_full_grid(eps, centers, state):
+    gs, _, _ = state
+    W = build_W(S3, PeakConfig(eps, centers, 1.2), gs)
+    grid = energy._great_circle(S3, W, 0.34)
+    th, ph, measure, dists = _full_grid(W)
+    rows, cols = grid.indices()
+    # kept nodes: nodes, weights and distances are the full grid's, bit for bit
+    assert np.array_equal(grid.theta, th) and np.array_equal(grid.phi, ph)
+    assert np.array_equal(grid.measure, measure[rows, cols])
+    for got, full in zip(grid.dists, dists):
+        assert np.array_equal(got, full[rows, cols])
+    # dropped nodes lie outside every support
+    dropped = np.ones(measure.shape, dtype=bool)
+    dropped[rows, cols] = False
+    assert dropped.any()
+    for full in dists:
+        assert np.all(full[dropped] >= 1.2)
+
+
+def test_support_grid_covers_prefix_and_suffix_caps():
+    # the cases above reach both branches of the cap: c_b > 0 and c_b < 0
+    signs = set()
+    for _, _, centers in _GRID_CASES:
+        units = [c / np.linalg.norm(c) for c in centers]
+        _, e_b = energy._great_circle_basis(units)
+        signs |= {np.sign(c @ e_b) for c in units}
+    assert {-1.0, 1.0} <= signs
+
+
+def test_one_rung_builds_the_support_grid_once(state):
+    gs, cp, dc = state
+    cfg = PeakConfig(0.1, [S3.point(0.8), S3.point(1.4)], 1.2)
+    Y = build_Y(S3, cfg, gs, profiles=cp, dc=dc)
+    W = build_W(S3, cfg, gs, c_bold=dc.c_bold)
+    energy._support_grid.cache_clear()
+    energy_J(S3, Y)
+    norm_eps(S3, Y)
+    residual_norm(S3, W)
+    residual_norm(S3, Y)
+    info = energy._support_grid.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 # ---------------------------------------------------------- admissibility
 
 
-def test_single_peak_margin_is_eps_fourth():
-    gs, _, _ = _setup()
+def test_single_peak_margin_is_eps_fourth(state):
+    gs, _, _ = state
     cfg = _one_peak(0.05)
     ok, margin = admissible(S3, cfg, gs)
     assert ok
     assert margin == pytest.approx(0.05 ** 4, rel=1e-14)
 
 
-def test_pair_separation_threshold():
+def test_pair_separation_threshold(state):
     # at eps = 0.05 the tail crosses eps^4 between 12 and 14 widths
-    gs, _, _ = _setup()
+    gs, _, _ = state
     eps = 0.05
     a = S3.point(0.8)
     close = PeakConfig(eps, np.stack([a, S3.point(0.8 + 12 * eps)]), 1.2)
@@ -191,8 +287,8 @@ def test_pair_separation_threshold():
     assert okf and mf > 0
 
 
-def test_placement_radius_constraint():
-    gs, _, _ = _setup()
+def test_placement_radius_constraint(state):
+    gs, _, _ = state
     cfg = PeakConfig(0.05, np.stack([S3.point(0.2), S3.point(1.4)]), 1.2)
     ok, _ = admissible(S3, cfg, gs, rho=0.8)
     assert not ok
@@ -201,24 +297,24 @@ def test_placement_radius_constraint():
 # ------------------------------------------------------------ flat model
 
 
-def test_flat_energy_equals_alpha():
-    gs, _, dc = _setup()
+def test_flat_energy_equals_alpha(state):
+    gs, _, dc = state
     for eps in (0.1, 0.05):
         cfg = PeakConfig(eps, [np.zeros(3)], cutoff_r=np.inf)
         J = energy_J(FLAT3, build_W(FLAT3, cfg, gs))
         assert J == pytest.approx(dc.alpha, abs=1e-9)
 
 
-def test_flat_residual_below_interpolation_floor():
+def test_flat_residual_below_interpolation_floor(state):
     # the profile solves the equation, so only interpolation error remains
-    gs, _, _ = _setup()
+    gs, _, _ = state
     for eps in (0.1, 0.05):
         cfg = PeakConfig(eps, [np.zeros(3)], cutoff_r=np.inf)
         assert residual_norm(FLAT3, build_W(FLAT3, cfg, gs)) < 1e-8
 
 
-def test_flat_several_peaks_refused():
-    gs, _, _ = _setup()
+def test_flat_several_peaks_refused(state):
+    gs, _, _ = state
     cfg = PeakConfig(0.1, [np.zeros(3), 3.0 * np.eye(3)[0]], cutoff_r=np.inf)
     W = build_W(FLAT3, cfg, gs)
     with pytest.raises(UnsupportedModel):
@@ -232,8 +328,8 @@ def test_flat_several_peaks_refused():
 # ------------------------------------------------------------- sphere K=1
 
 
-def test_norm_concentrates_to_flat_norm():
-    gs, _, _ = _setup()
+def test_norm_concentrates_to_flat_norm(state):
+    gs, _, _ = state
     target = gs.I1 + gs.I2
     rel_05 = abs(norm_eps(S3, build_W(S3, _one_peak(0.05), gs)) / target - 1.0)
     rel_02 = abs(norm_eps(S3, build_W(S3, _one_peak(0.02), gs)) / target - 1.0)
@@ -241,16 +337,16 @@ def test_norm_concentrates_to_flat_norm():
     assert rel_02 < rel_05
 
 
-def test_energy_quadrature_step_insensitive():
-    gs, _, _ = _setup()
+def test_energy_quadrature_step_insensitive(state):
+    gs, _, _ = state
     W = build_W(S3, _one_peak(0.05), gs)
     J1 = energy_J(S3, W, rho_step=0.25)
     J2 = energy_J(S3, W, rho_step=0.125)
     assert abs(J1 - J2) < 1e-10
 
 
-def test_correction_derivatives_consistent():
-    gs, cp, dc = _setup()
+def test_correction_derivatives_consistent(state):
+    gs, cp, dc = state
     Y = build_Y(S3, _one_peak(0.05), gs, profiles=cp, dc=dc)
     rho = np.linspace(0.3, 9.0, 37)
     v0, v1, v2 = Y._correction_derivs(rho)
@@ -262,10 +358,10 @@ def test_correction_derivatives_consistent():
     assert np.abs(v2 - fd2).max() < 5e-4
 
 
-def test_correction_cancels_curvature_residual_pointwise():
+def test_correction_cancels_curvature_residual_pointwise(state):
     # L0 V = -S + (2/3) s psi with S the second-order residual of the
     # plain bump; the psi term is the trace defect of the z_k z_l ansatz
-    gs, cp, _ = _setup()
+    gs, cp, _ = state
     rq = Quadrature(gs.grid).points
     mask = rq < 20.0
     r = rq[mask]
@@ -282,10 +378,10 @@ def test_correction_cancels_curvature_residual_pointwise():
     assert np.abs(L0V + S - (2.0 / 3.0) * SCAL * psi).max() < 1e-6
 
 
-def test_library_correction_cancels_curvature_residual_pointwise():
+def test_library_correction_cancels_curvature_residual_pointwise(state):
     # the attached V = ric_factor chi + c s v2base has L0 V = -S exactly:
     # chi is the degree-0 solve, so no trace defect is left
-    gs, cp, dc = _setup()
+    gs, cp, dc = state
     rq = Quadrature(gs.grid).points
     r = rq[rq < 20.0]
     U, dU, _ = gs.eval(r)
@@ -319,15 +415,15 @@ def _fourth_order_prediction(gs, cp):
     return phi_W, F4
 
 
-def test_expansion_second_order_coefficient():
-    gs, cp, dc = _setup()
+def test_expansion_second_order_coefficient(state):
+    gs, cp, dc = state
     fit = energy_coefficient_fit(S3, gs, cp, dc, center=S3.point(0.6))
     assert fit["eps2_coeff"] == pytest.approx(0.5 * dc.beta * SCAL, rel=1e-2)
     assert fit["fit_residual"] < 1e-2
 
 
-def test_expansion_fourth_order_coefficient_matches_quadrature():
-    gs, cp, dc = _setup()
+def test_expansion_fourth_order_coefficient_matches_quadrature(state):
+    gs, cp, dc = state
     phi_W, F4 = _fourth_order_prediction(gs, cp)
     # at cutoff 1.2 the ramp exp(-0.6/eps) still reaches the profile at
     # eps = 0.1 and 0.085, and the fit absorbs it (eps^6 coefficient +66);
@@ -338,8 +434,8 @@ def test_expansion_fourth_order_coefficient_matches_quadrature():
     assert fit["eps4_coeff"] == pytest.approx(-7.3526, rel=1e-3)
 
 
-def test_corrected_minus_plain_energy_is_quartic():
-    gs, cp, dc = _setup()
+def test_corrected_minus_plain_energy_is_quartic(state):
+    gs, cp, dc = state
     _, F4 = _fourth_order_prediction(gs, cp)
     eps = 0.05
     cfg = _one_peak(eps)
@@ -366,11 +462,11 @@ class _PsiCorrectedAnsatz(PeakAnsatz):
         return v0, v1, v2
 
 
-def test_residual_scaling_states_the_defect():
+def test_residual_scaling_states_the_defect(state):
     # the psi r^2 corrector cancels the traceless curvature part but leaves
     # the (2/3) s psi defect, whose dual norm exceeds the plain one: both
     # residuals scale like eps^2 and their ratio sits near nD/nS
-    gs, cp, dc = _setup()
+    gs, cp, dc = state
     sl = residual_slopes(S3, gs, cp, dc, center=S3.point(0.6))
     psi_vals = [
         residual_norm(S3, _PsiCorrectedAnsatz(S3, _one_peak(eps), gs,
@@ -406,8 +502,8 @@ def test_loglog_slope_recovers_power():
 # ------------------------------------------------------------- sphere K=2
 
 
-def test_two_peak_energy_label_invariant():
-    gs, _, _ = _setup()
+def test_two_peak_energy_label_invariant(state):
+    gs, _, _ = state
     eps = 0.05
     a, b = S3.point(0.8), S3.point(0.8 + 12 * eps)
     J_ab = energy_J(S3, build_W(S3, PeakConfig(eps, np.stack([a, b]), 1.2), gs))
@@ -415,8 +511,8 @@ def test_two_peak_energy_label_invariant():
     assert J_ab == J_ba
 
 
-def test_two_peak_cross_energy_tracks_interaction():
-    gs, _, _ = _setup()
+def test_two_peak_cross_energy_tracks_interaction(state):
+    gs, _, _ = state
     eps = 0.05
     a, b = S3.point(0.8), S3.point(0.8 + 12 * eps)
     J2 = energy_J(S3, build_W(S3, PeakConfig(eps, np.stack([a, b]), 1.2), gs))
@@ -429,8 +525,8 @@ def test_two_peak_cross_energy_tracks_interaction():
     assert 0.9 < cross / inter < 1.2
 
 
-def test_two_peak_norm_doubles():
-    gs, _, _ = _setup()
+def test_two_peak_norm_doubles(state):
+    gs, _, _ = state
     eps = 0.05
     a, b = S3.point(0.8), S3.point(0.8 + 12 * eps)
     nrm = norm_eps(S3, build_W(S3, PeakConfig(eps, np.stack([a, b]), 1.2), gs))
@@ -438,11 +534,11 @@ def test_two_peak_norm_doubles():
 
 
 @pytest.mark.parametrize("corrected", [False, True])
-def test_two_disjoint_peaks_double_one_peak(corrected):
+def test_two_disjoint_peaks_double_one_peak(corrected, state):
     # supports of radius 1.2 around centers 2.6 apart do not meet, so the
     # cross terms vanish and J and the norm double exactly; the residual
     # goes through the great-circle grid instead of the polar one
-    gs, cp, dc = _setup()
+    gs, cp, dc = state
     pp = gs.p / (gs.p - 1.0)
 
     def ansatz(*centers):
@@ -459,8 +555,8 @@ def test_two_disjoint_peaks_double_one_peak(corrected):
     assert r2 == pytest.approx(2.0 * r1, rel=1e-3)
 
 
-def test_expansion_breakdown_accounts_for_energy():
-    gs, cp, dc = _setup()
+def test_expansion_breakdown_accounts_for_energy(state):
+    gs, cp, dc = state
     eps = 0.05
     a, b = S3.point(0.8), S3.point(0.8 + 12 * eps)
     bd = expansion_compare(S3, PeakConfig(eps, np.stack([a, b]), 1.2), gs, cp, dc)
@@ -479,30 +575,30 @@ def test_expansion_breakdown_accounts_for_energy():
 # ---------------------------------------------------------------- guards
 
 
-def test_rho_step_guard():
-    gs, _, _ = _setup()
+def test_rho_step_guard(state):
+    gs, _, _ = state
     W = build_W(S3, _one_peak(0.05), gs)
     with pytest.raises(ResolutionTooCoarse):
         energy_J(S3, W, rho_step=1.5)
 
 
-def test_cutoff_past_injectivity_radius():
-    gs, _, _ = _setup()
+def test_cutoff_past_injectivity_radius(state):
+    gs, _, _ = state
     cfg = _one_peak(0.05, cutoff=np.pi + 0.1)
     with pytest.raises(InjectivityViolation):
         build_W(S3, cfg, gs)
 
 
-def test_warped_model_refused():
-    gs, _, _ = _setup()
+def test_warped_model_refused(state):
+    gs, _, _ = state
     M = WarpedSphere(3, np.sin)
     cfg = PeakConfig(0.05, [1.5], cutoff_r=1.2)
     with pytest.raises(UnsupportedModel):
         PeakAnsatz(M, cfg, gs)
 
 
-def test_build_y_without_profiles_is_plain():
-    gs, _, dc = _setup()
+def test_build_y_without_profiles_is_plain(state):
+    gs, _, dc = state
     cfg = _one_peak(0.05)
     Y = build_Y(S3, cfg, gs, profiles=None, dc=dc)
     assert not Y.include_v

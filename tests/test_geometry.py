@@ -23,7 +23,6 @@ from multipeak.geometry import (
     sphere_geodesics,
 )
 
-from conftest import dimensional_constants
 from curvature_fd import curvature_reference, laplacian_s_reference
 
 
@@ -142,19 +141,19 @@ def test_flat_space_is_curvature_free():
     assert F.injectivity_radius == np.inf
 
 
-def test_phi_vanishes_on_zero_curvature():
+def test_phi_vanishes_on_zero_curvature(dimensional_constants):
     dc = dimensional_constants(3, 3)
     assert phi(CurvaturePoint(0.0, 0.0, 0.0, 0.0), dc) == 0.0
 
 
-def test_phi_round_unit_sphere_pinned():
+def test_phi_round_unit_sphere_pinned(dimensional_constants):
     # frozen regression value for the (3, 3) pair on the unit 3-sphere
     dc = dimensional_constants(3, 3)
     val = phi(curvature_round_sphere(3, 1.0), dc)
     assert val == pytest.approx(-146.32282518075203, rel=1e-9)
 
 
-def test_scan_round_sphere_is_constant_and_raises():
+def test_scan_round_sphere_is_constant_and_raises(dimensional_constants):
     dc = dimensional_constants(3, 3)
     with pytest.raises(NoInteriorCritical) as exc:
         scan_phi(RoundSphere(3, 1.0), dc)
@@ -165,13 +164,13 @@ def test_scan_round_sphere_is_constant_and_raises():
     assert quiet.points == []
 
 
-def test_scan_dimension_mismatch_rejected():
+def test_scan_dimension_mismatch_rejected(dimensional_constants):
     dc = dimensional_constants(3, 3)
     with pytest.raises(ValueError):
         scan_phi(RoundSphere(4, 1.0), dc)
 
 
-def test_scan_finds_symmetric_extrema():
+def test_scan_finds_symmetric_extrema(dimensional_constants):
     dc = dimensional_constants(3, 3)
     M = WarpedSphere(3, lambda t: np.sin(t) + 0.05 * np.sin(t) ** 2)
     scan = scan_phi(M, dc)
@@ -184,7 +183,7 @@ def test_scan_finds_symmetric_extrema():
     assert scan.points[1].phi < scan.points[0].phi
 
 
-def test_scan_stable_under_refinement():
+def test_scan_stable_under_refinement(dimensional_constants):
     dc = dimensional_constants(3, 3)
     M = WarpedSphere(3, lambda t: np.sin(t) + 0.05 * np.sin(t) ** 2)
     coarse = scan_phi(M, dc, resolution=2001)
@@ -194,7 +193,7 @@ def test_scan_stable_under_refinement():
         assert abs(p.t - q.t) < 1e-6
 
 
-def test_tabulated_interpolates_warped_fields():
+def test_tabulated_interpolates_warped_fields(dimensional_constants):
     dc = dimensional_constants(3, 3)
     M = WarpedSphere(3, lambda t: np.sin(t) + 0.05 * np.sin(t) ** 2)
     grid = np.linspace(0.1, np.pi - 0.1, 501)

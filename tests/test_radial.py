@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaincc, gammaln
 
-from conftest import corrections
 from multipeak.groundstate import solve_ground_state
 from multipeak.radial import (
     GridError,
@@ -120,15 +119,15 @@ def _cellwise_reference(f: RadialFunction, r, deriv: int):
     return out / h[idx] ** deriv
 
 
-def _profiles():
+def _profiles(corrections):
     gs = solve_ground_state(3, 3.0)
     # U carries d3/d4 channels, chi only (f, f', f'')
     return {"U": gs.profile, "chi": corrections(3, 3.0).chi}
 
 
 @pytest.mark.parametrize("name", ["U", "chi"])
-def test_shared_lookup_equals_single_channel_calls(name):
-    f = _profiles()[name]
+def test_shared_lookup_equals_single_channel_calls(name, corrections):
+    f = _profiles(corrections)[name]
     x = f.grid.nodes
     mid = 0.5 * (x[1:] + x[:-1])
     r = np.concatenate([x, mid, x[:-1] + 0.1 * np.diff(x), [f.grid.r_max + 0.5, 40.0]])
@@ -147,8 +146,8 @@ def test_shared_lookup_equals_single_channel_calls(name):
         assert len(f.evaluate(at, order)) == order + 1
 
 
-def test_shared_lookup_scalar_and_tailless():
-    f = _profiles()["U"]
+def test_shared_lookup_scalar_and_tailless(corrections):
+    f = _profiles(corrections)["U"]
     for r in (0.0, 1.234, f.grid.r_max, 35.0):
         vals = f.evaluate(f.grid.locate(r))
         assert vals == (f(r), f.deriv1(r), f.deriv2(r))
