@@ -17,12 +17,10 @@ from .constants import (
     gamma,
     product_exponent,
     table_csv,
-    table_json,
 )
 from .correction import (
     CorrectionProfiles,
     correction_profiles,
-    solve_psi,
     verify_L0_identities,
 )
 from .energy import (
@@ -90,9 +88,7 @@ __all__ = [
     "residual_slopes",
     "scan_phi",
     "solve_ground_state",
-    "solve_psi",
     "table_csv",
-    "table_json",
     "verify_L0_identities",
 ]
 

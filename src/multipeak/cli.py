@@ -3,9 +3,10 @@
 Six subcommands: ground-state, psi, constants, beta-table, phi-scan,
 energy-check.  Every artifact starts with a provenance block (package
 version, grid parameters, seed) and is byte-identical across reruns with
-the same flags.  Ground states are cached under a content-addressed
-directory keyed by the solver inputs, so repeated commands skip the
-expensive solve; cached and fresh runs serialize to the same bytes.
+the same flags.  Ground states and their correction profiles are cached
+under a content-addressed directory keyed by the solver inputs, so
+repeated commands skip the expensive solves; cached and fresh runs
+serialize to the same bytes.
 
 Failures exit nonzero with a single JSON object {"error": <class>,
 "detail": <message>} on stdout.  A scan without interior critical points
@@ -31,7 +32,7 @@ from .constants import (
     table_csv,
     table_pairs,
 )
-from .correction import correction_profiles, verify_L0_identities
+from .correction import CorrectionProfiles, correction_profiles, verify_L0_identities
 from .energy import (
     PeakConfig,
     admissible,
@@ -116,18 +117,35 @@ def _cache_dir(args) -> Path:
     return Path(raw).expanduser()
 
 
-def cached_ground_state(n: int, p: float, cache: Path) -> GroundState:
-    """Load the ground state from the disk cache, or solve and store it.
+def _entry(cache: Path, kind: str, n: int, p: float) -> Path:
+    """Cache file of one kind ("gs" or "cp") for (n, p).
 
-    Entries are keyed by the solver settings and the record schema.  One that
-    is unreadable, uncertified or fails the energy identities is replaced.
+    The key hashes the solver settings and the record schema, so entries
+    written under other settings are never read.
     """
     key_src = json.dumps(
         {"n": n, "p": repr(p), "schema": SCHEMA, "solver": SOLVER, "version": __version__},
         sort_keys=True,
     )
     key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
-    path = cache / f"gs-{key}.json"
+    return cache / f"{kind}-{key}.json"
+
+
+def _store(path: Path, save) -> None:
+    """Write an entry through save(tmp) and an atomic rename."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(".tmp")
+    save(tmp)
+    os.replace(tmp, path)
+
+
+def cached_ground_state(n: int, p: float, cache: Path) -> GroundState:
+    """Load the ground state from the disk cache, or solve and store it.
+
+    An entry that is unreadable, uncertified or fails the energy identities
+    is replaced.
+    """
+    path = _entry(cache, "gs", n, p)
     if path.exists():
         try:
             gs = GroundState.load(path)
@@ -138,11 +156,25 @@ def cached_ground_state(n: int, p: float, cache: Path) -> GroundState:
             if all(rep[k] <= 1e-6 for k in ("e_energy", "e_pohozaev", "e_alpha")):
                 return gs
     gs = solve_ground_state(n, p)
-    cache.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    gs.save(tmp)
-    os.replace(tmp, path)
+    _store(path, gs.save)
     return gs
+
+
+def cached_profiles(gs: GroundState, cache: Path) -> CorrectionProfiles:
+    """Load gs's correction profiles from the disk cache, or solve and store
+    them beside gs's entry.  An unreadable entry is replaced.
+
+    A hit imports no scipy: only the solve needs its banded solver and spline.
+    """
+    path = _entry(cache, "cp", gs.n, gs.p)
+    if path.exists():
+        try:
+            return CorrectionProfiles.load(gs, path)
+        except (ValueError, KeyError, TypeError):  # truncated or malformed entry
+            pass
+    cp = correction_profiles(gs)
+    _store(path, cp.save)
+    return cp
 
 
 # ------------------------------------------------------------- subcommands
@@ -165,8 +197,9 @@ def cmd_ground_state(args) -> int:
 
 def cmd_psi(args) -> int:
     n, p, m = _resolve_exponent(args)
-    gs = cached_ground_state(n, p, _cache_dir(args))
-    cp = correction_profiles(gs)
+    cache = _cache_dir(args)
+    gs = cached_ground_state(n, p, cache)
+    cp = cached_profiles(gs, cache)
     payload = {
         "provenance": _provenance(args),
         "n": n,
@@ -183,9 +216,9 @@ def cmd_constants(args) -> int:
     if args.n is None or args.m is None:
         raise ValueError("constants needs --n and --m")
     n, m = int(args.n), int(args.m)
-    gs = cached_ground_state(n, product_exponent(n, m), _cache_dir(args))
-    cp = correction_profiles(gs)
-    dc = compute_constants(gs, cp, m)
+    cache = _cache_dir(args)
+    gs = cached_ground_state(n, product_exponent(n, m), cache)
+    dc = compute_constants(gs, cached_profiles(gs, cache), m)
     rng = np.random.default_rng(args.seed)
     vals = []
     for _ in range(10):
@@ -213,7 +246,7 @@ def cmd_beta_table(args) -> int:
     rows = []
     for n, m in table_pairs(max_N):
         gs = cached_ground_state(n, product_exponent(n, m), cache)
-        rows.append(compute_constants(gs, correction_profiles(gs), m))
+        rows.append(compute_constants(gs, cached_profiles(gs, cache), m))
     _emit(table_csv(rows, provenance=_flat_provenance(args, max_N=max_N)), args.out)
     return 0
 
@@ -243,8 +276,9 @@ def cmd_phi_scan(args) -> int:
         raise ValueError("phi-scan needs --n and --m")
     n, m = int(args.n), int(args.m)
     model = _scan_model(args)
-    gs = cached_ground_state(n, product_exponent(n, m), _cache_dir(args))
-    dc = compute_constants(gs, correction_profiles(gs), m)
+    cache = _cache_dir(args)
+    gs = cached_ground_state(n, product_exponent(n, m), cache)
+    dc = compute_constants(gs, cached_profiles(gs, cache), m)
     warning = None
     try:
         scan = scan_phi(model, dc)
@@ -316,7 +350,7 @@ def cmd_energy_check(args) -> int:
     model = _energy_model(args)
     cache = _cache_dir(args)
     gs = cached_ground_state(n, product_exponent(n, m), cache)
-    cp = correction_profiles(gs)
+    cp = cached_profiles(gs, cache)
     dc = compute_constants(gs, cp, m)
     centers = _default_centers(model, K)
     gamma_value = None

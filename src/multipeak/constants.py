@@ -24,12 +24,11 @@ integrals through the even-moment identities handled by moment_reduce.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln
 
 from .correction import CorrectionProfiles, correction_profiles
 from .groundstate import GroundState, solve_ground_state
@@ -211,7 +210,7 @@ def gamma(gs: GroundState, b, rel_tol: float = 1e-10) -> GammaValue:
     # asymptotics: U^(p-1) ~ c^(p-1) r^(-(p-1)nu) e^(-(p-1)r) and
     # A(r) ~ Gamma((n-1)/2) 2^((n-3)/2) r^(-(n-1)/2) e^r
     nu = (n - 1.0) / 2.0
-    c_ang = np.exp(gammaln((n - 1.0) / 2.0)) * 2.0 ** ((n - 3.0) / 2.0)
+    c_ang = math.gamma((n - 1.0) / 2.0) * 2.0 ** ((n - 3.0) / 2.0)
     tail = tail_power_integral(
         gs.decay_c ** (p - 1.0) * c_ang, nu * (2.0 - p), p - 2.0, R
     )
@@ -274,8 +273,3 @@ def table_csv(rows, provenance: dict | None = None) -> str:
             cells.append(str(v) if isinstance(v, int) else repr(float(v)))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def table_json(rows) -> str:
-    """JSON array of row objects, key order fixed by the CSV column order."""
-    return json.dumps([row.row() for row in rows], indent=2) + "\n"

@@ -29,11 +29,10 @@ odd-moment kernel orthogonality integral.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
-from scipy.linalg import solve_banded
 
 from .groundstate import GroundState
 from .radial import Quadrature, RadialFunction, TailModel, moment_reduce
@@ -66,9 +65,58 @@ class CorrectionProfiles:
             "tail_exponent": self.tail_exponent,
         }
 
+    def save(self, path) -> None:
+        """Store what only the solve can produce: node values, their spline
+        first derivatives and the solve's diagnostics.  `load` rebuilds the
+        rest from the ground state."""
+        record = {
+            "n": self.gs.n,
+            "p": self.gs.p,
+            "psi_values": self.psi.values.tolist(),
+            "psi_d1": self.psi.d1.tolist(),
+            "chi_values": self.chi.values.tolist(),
+            "chi_d1": self.chi.d1.tolist(),
+            "discrete_residual": self.discrete_residual,
+            "chi_discrete_residual": self.chi_discrete_residual,
+            "tail_exponent": self.tail_exponent,
+        }
+        with open(path, "w") as fh:
+            fh.write(json.dumps(record))
+
+    @staticmethod
+    def load(gs: GroundState, path) -> "CorrectionProfiles":
+        """Profiles saved for gs, bit-equal to correction_profiles(gs).
+
+        Raises ValueError, KeyError or TypeError for a malformed record, one
+        saved for another (n, p), or arrays that do not fit gs's grid or are
+        not finite.
+        """
+        with open(path) as fh:
+            d = json.load(fh)
+        if (int(d["n"]), float(d["p"])) != (gs.n, gs.p):
+            raise ValueError("profiles were saved for another ground state")
+        arrays = {}
+        for key in ("psi_values", "psi_d1", "chi_values", "chi_d1"):
+            arrays[key] = np.asarray(d[key], dtype=float)
+            if arrays[key].shape != gs.grid.nodes.shape:
+                raise ValueError(f"{key} does not fit the ground-state grid")
+            if not np.all(np.isfinite(arrays[key])):
+                raise ValueError(f"{key} holds non-finite values")
+        return CorrectionProfiles(
+            gs=gs,
+            psi=_profile(gs, "psi", arrays["psi_values"], arrays["psi_d1"]),
+            chi=_profile(gs, "chi", arrays["chi_values"], arrays["chi_d1"]),
+            v2base=build_v2base(gs),
+            discrete_residual=float(d["discrete_residual"]),
+            chi_discrete_residual=float(d["chi_discrete_residual"]),
+            tail_exponent=float(d["tail_exponent"]),
+        )
+
 
 def _tridiag_solve(lower, diag, upper, rhs):
     """Banded tridiagonal solve; raises SingularSystem on failure."""
+    from scipy.linalg import solve_banded
+
     m = diag.size
     ab = np.zeros((3, m))
     ab[0, 1:] = upper
@@ -150,23 +198,30 @@ def _chi_source(r, U, dU, p, n):
     return r * dU
 
 
-def _solve_radial(gs: GroundState, ell: int, source, tail_power: float):
-    """(RadialFunction, discrete residual) for the degree-ell radial equation
-    with source(r, U, U', p, n) on the right.
+# name -> (harmonic degree ell, source(r, U, U', p, n), k in the far field
+# c r^(k - (n-1)/2) e^(-r)); chi's k = 2 because its source r U' is resonant
+# with the decaying solution of -Lap + 1
+_EQUATIONS = {"psi": (2, _psi_source, 0.0), "chi": (0, _chi_source, 2.0)}
+
+
+def _solve_radial(gs: GroundState, name: str):
+    """(node values, first derivative, discrete residual) of the named
+    degree-ell radial equation.
 
     Second-order centered differences (three-point nonuniform stencils), a
     regularized even-symmetry row at r = 0 and a Dirichlet zero at r_max,
     solved on the grid and on its midpoint refinement, then Richardson-
-    extrapolated at the nodes.  The far field c r^tail_power exp(-r) is
-    fitted for tail completion.
+    extrapolated at the nodes.  The first derivative is a quintic spline's
+    (FD jitter in d1 would put C2 kinks in the interpolant).
     """
+    from scipy.interpolate import make_interp_spline
+
+    ell, source, _ = _EQUATIONS[name]
     n, p = gs.n, gs.p
     r = gs.grid.nodes
     U = gs.profile.values
     dU = gs.profile.d1
-    pot = _potential(U, p)
-    src = source(r, U, dU, p, n)
-    vals_c, res_c = _assemble_and_solve(r, pot, src, n, ell)
+    vals_c, res_c = _assemble_and_solve(r, _potential(U, p), source(r, U, dU, p, n), n, ell)
 
     r_fine = np.sort(np.concatenate([r, 0.5 * (r[1:] + r[:-1])]))
     U_f = gs.profile(r_fine)
@@ -185,23 +240,35 @@ def _solve_radial(gs: GroundState, ell: int, source, tail_power: float):
         vals[1 + i] * np.prod([x[j] / (x[j] - x[i]) for j in range(3) if j != i])
         for i in range(3)
     )
-
-    # derivative data: quintic-spline first derivative (FD jitter in d1 would
-    # put C2 kinks in the interpolant), second derivative from the ODE, with
-    # the even-symmetry limits f'(0) = 0 and (n+2 ell) f''(0) = pot f - src
-    k1 = n - 1.0 + 2.0 * ell
     d1 = make_interp_spline(r, vals, k=5).derivative(1)(r)
     d1[0] = 0.0
+    return vals, d1, max(res_c, res_f)
+
+
+def _profile(gs: GroundState, name: str, vals, d1) -> RadialFunction:
+    """The named profile from its node values and first derivative.
+
+    The second derivative comes from the ODE, with the even-symmetry limit
+    (n+2 ell) f''(0) = pot f - src, and the far field is fitted for tail
+    completion.  Solved and loaded profiles both pass through here, so they
+    agree bit for bit.
+    """
+    ell, source, power = _EQUATIONS[name]
+    n, p = gs.n, gs.p
+    r = gs.grid.nodes
+    U = gs.profile.values
+    pot = _potential(U, p)
+    src = source(r, U, gs.profile.d1, p, n)
     d2 = np.empty(r.size)
-    d2[1:] = -k1 * d1[1:] / r[1:] + pot[1:] * vals[1:] - src[1:]
+    d2[1:] = -(n - 1.0 + 2.0 * ell) * d1[1:] / r[1:] + pot[1:] * vals[1:] - src[1:]
     d2[0] = (pot[0] * vals[0] - src[0]) / (n + 2.0 * ell)
 
+    tail_power = power - (n - 1.0) / 2.0
     r_max = gs.r_max
     fitwin = (r > 0.5 * r_max) & (r < 0.7 * r_max)
     shape = r[fitwin] ** tail_power * np.exp(-r[fitwin])
     c_tail = float(np.dot(shape, vals[fitwin]) / np.dot(shape, shape))
-    fn = RadialFunction(gs.grid, vals, d1, d2, tail=TailModel(c_tail, tail_power, 1.0))
-    return fn, max(res_c, res_f)
+    return RadialFunction(gs.grid, vals, d1, d2, tail=TailModel(c_tail, tail_power, 1.0))
 
 
 def _certify(name: str, residual: float, residual_tol: float) -> None:
@@ -209,55 +276,38 @@ def _certify(name: str, residual: float, residual_tol: float) -> None:
         raise SingularSystem(f"{name} discrete residual {residual:.2e} exceeds {residual_tol:.2e}")
 
 
-def _solve_psi_core(gs: GroundState, residual_tol: float):
-    """(psi, discrete residual, fitted tail log-slope).
-
-    psi is the degree-2 case, with far field r^(-(n-1)/2) e^(-r); its
-    discrete residual is certified in absolute terms.
-    """
-    fn, res = _solve_radial(gs, 2, _psi_source, -(gs.n - 1.0) / 2.0)
-    _certify("psi", res, residual_tol)
-    # tail exponent from a mid-tail window, clear of the Dirichlet cap
-    r, vals, r_max = fn.grid.nodes, fn.values, gs.r_max
+def _tail_slope(gs: GroundState, vals) -> float:
+    """Fitted log-slope of psi over a mid-tail window, clear of the
+    Dirichlet cap; nan when the window holds fewer than 10 nodes."""
+    r, r_max = gs.grid.nodes, gs.r_max
     win = (r > 0.45 * r_max) & (r < 0.65 * r_max) & (np.abs(vals) > 0)
-    slope = np.nan
-    if win.sum() >= 10:
-        A = np.stack([np.ones(win.sum()), r[win]], axis=1)
-        slope = float(np.linalg.lstsq(A, np.log(np.abs(vals[win])), rcond=None)[0][1])
-    return fn, res, slope
-
-
-def _solve_chi_core(gs: GroundState, residual_tol: float):
-    """chi is the degree-0 case, with far field r^(2-(n-1)/2) e^(-r): the
-    source r U' is resonant with the decaying solution of -Lap + 1.
-
-    chi reaches ~300 at (n, m) = (6, 3), where rounding alone leaves an
-    absolute discrete residual of 4e-8, so its residual is certified
-    relative to max |chi|.
-    """
-    fn, res = _solve_radial(gs, 0, _chi_source, 2.0 - (gs.n - 1.0) / 2.0)
-    rel = res / np.max(np.abs(fn.values))
-    _certify("chi", rel, residual_tol)
-    return fn, rel
-
-
-def solve_psi(gs: GroundState, residual_tol: float = 1e-8) -> RadialFunction:
-    """The radial correction factor psi on the ground-state grid."""
-    return _solve_psi_core(gs, residual_tol)[0]
+    if win.sum() < 10:
+        return np.nan
+    A = np.stack([np.ones(win.sum()), r[win]], axis=1)
+    return float(np.linalg.lstsq(A, np.log(np.abs(vals[win])), rcond=None)[0][1])
 
 
 def correction_profiles(gs: GroundState, residual_tol: float = 1e-8) -> CorrectionProfiles:
-    """Solve psi and chi, build v2base, and bundle them with diagnostics."""
-    psi_fn, resid, slope = _solve_psi_core(gs, residual_tol)
-    chi_fn, chi_resid = _solve_chi_core(gs, residual_tol)
+    """Solve psi and chi, build v2base, and bundle them with diagnostics.
+
+    psi's discrete residual is certified in absolute terms.  chi reaches ~300
+    at (n, m) = (6, 3), where rounding alone leaves an absolute discrete
+    residual of 4e-8, so its residual is certified relative to max |chi|.
+    Raises SingularSystem when either exceeds residual_tol.
+    """
+    psi_vals, psi_d1, resid = _solve_radial(gs, "psi")
+    _certify("psi", resid, residual_tol)
+    chi_vals, chi_d1, chi_res = _solve_radial(gs, "chi")
+    chi_resid = float(chi_res / np.max(np.abs(chi_vals)))
+    _certify("chi", chi_resid, residual_tol)
     return CorrectionProfiles(
         gs=gs,
-        psi=psi_fn,
-        chi=chi_fn,
+        psi=_profile(gs, "psi", psi_vals, psi_d1),
+        chi=_profile(gs, "chi", chi_vals, chi_d1),
         v2base=build_v2base(gs),
         discrete_residual=resid,
         chi_discrete_residual=chi_resid,
-        tail_exponent=slope,
+        tail_exponent=_tail_slope(gs, psi_vals),
     )
 
 
@@ -325,6 +375,8 @@ def verify_L0_identities(gs: GroundState) -> dict:
     from a fresh quintic spline through the stored node values only, and is
     reported as a weighted-L2 relative residual over the grid interior.
     """
+    from scipy.interpolate import make_interp_spline
+
     n, p = gs.n, gs.p
     # every 3rd node: differentiation amplifies value noise by 1/h^2, and the
     # wider spacing buys a 9x noise cut at negligible truncation cost
@@ -349,8 +401,9 @@ def v2base_identity_residual(gs: GroundState) -> float:
     return _weak_residuals(gs)[1]
 
 
-def _midpoint_residual(gs: GroundState, f: RadialFunction, ell: int, source) -> float:
-    """Continuous degree-ell equation residual of f at cell midpoints."""
+def _midpoint_residual(gs: GroundState, f: RadialFunction, name: str) -> float:
+    """Continuous residual of the named equation for f at cell midpoints."""
+    ell, source, _ = _EQUATIONS[name]
     n, p = gs.n, gs.p
     nodes = gs.grid.nodes
     r = 0.5 * (nodes[1:] + nodes[:-1])
@@ -363,12 +416,12 @@ def _midpoint_residual(gs: GroundState, f: RadialFunction, ell: int, source) -> 
 
 def psi_equation_residual(gs: GroundState, psi: RadialFunction) -> float:
     """Continuous-equation residual of psi at cell midpoints (consistency)."""
-    return _midpoint_residual(gs, psi, 2, _psi_source)
+    return _midpoint_residual(gs, psi, "psi")
 
 
 def chi_equation_residual(gs: GroundState, chi: RadialFunction) -> float:
     """Continuous-equation residual of chi at cell midpoints (consistency)."""
-    return _midpoint_residual(gs, chi, 0, _chi_source)
+    return _midpoint_residual(gs, chi, "chi")
 
 
 def operator_identity_check(

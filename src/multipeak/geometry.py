@@ -1,8 +1,8 @@
 """Model manifolds with computable curvature, and the concentration functional.
 
 Provides constant-curvature spheres, warped metrics dt^2 + f(t)^2 g_(S^(n-1))
-with closed-form curvature from the warp profile, tabulated curvature charts,
-and flat space.  On these the functional
+with closed-form curvature from the warp profile, and flat space.  On these
+the functional
 
   phi = (1/(120(n+2))) (-c8 lap_s + c6 ric2 - 3 c1 riem2) + c7 s^2 + c9 s
 
@@ -14,18 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
-from scipy.optimize import minimize_scalar
 
 from .constants import DimensionalConstants
 
 
 class PoleSingularity(ValueError):
     """Curvature requested too close to a warp pole, where 1/f is unstable."""
-
-
-class AntipodalPair(ValueError):
-    """The log map is undefined for antipodal points."""
 
 
 class NoInteriorCritical(RuntimeError):
@@ -59,12 +53,6 @@ def curvature_round_sphere(n: int, radius: float) -> CurvaturePoint:
         ric2=n * (n - 1) ** 2 / (r2 * r2),
         riem2=2.0 * n * (n - 1) / (r2 * r2),
     )
-
-
-@dataclass
-class Geodesic:
-    distance: float
-    log: np.ndarray
 
 
 @dataclass
@@ -107,20 +95,6 @@ class RoundSphere:
         b = b / np.linalg.norm(b)
         ang = float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
         return self.radius * ang
-
-
-def sphere_geodesics(model: RoundSphere, xi1, xi2) -> Geodesic:
-    """Great-circle distance and the inverse exponential map at xi1."""
-    a = np.asarray(xi1, dtype=float) / np.linalg.norm(xi1)
-    b = np.asarray(xi2, dtype=float) / np.linalg.norm(xi2)
-    theta = float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
-    if np.pi - theta < 1e-9:
-        raise AntipodalPair("log map undefined within 1e-9 of the antipode")
-    d = model.radius * theta
-    tangent = b - np.cos(theta) * a
-    norm = np.linalg.norm(tangent)
-    log = np.zeros_like(a) if norm < 1e-15 else (d / norm) * tangent
-    return Geodesic(distance=d, log=log)
 
 
 @dataclass
@@ -185,6 +159,8 @@ class WarpedSphere:
             except Exception:
                 vals = np.array([f(x) for x in t], dtype=float)
         self.pole_tol = float(pole_tol) if pole_tol is not None else 1e-3 * self.L
+        from scipy.interpolate import make_interp_spline
+
         self._f = make_interp_spline(t, vals, k=7)
         self._df = [self._f.derivative(k) for k in range(1, 5)]
         scale = float(np.max(np.abs(vals)))
@@ -246,38 +222,6 @@ class WarpedSphere:
         return abs(float(t1) - float(t2))
 
 
-@dataclass
-class TabulatedCurvature:
-    """Chart given by sampled curvature fields along one parameter."""
-
-    t: np.ndarray
-    s: np.ndarray
-    lap_s: np.ndarray
-    ric2: np.ndarray
-    riem2: np.ndarray
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        k = 3 if self.t.size >= 4 else 1
-        self._sp = {
-            name: make_interp_spline(self.t, np.asarray(getattr(self, name), float), k=k)
-            for name in ("s", "lap_s", "ric2", "riem2")
-        }
-
-    @property
-    def parameter_range(self):
-        return (float(self.t[0]), float(self.t[-1]))
-
-    @property
-    def pole_tol(self) -> float:
-        return 0.0
-
-    def curvature_at(self, t: float) -> CurvaturePoint:
-        if not (self.t[0] <= t <= self.t[-1]):
-            raise ValueError(f"t={t!r} outside the tabulated range")
-        return CurvaturePoint(*(float(self._sp[k](t)) for k in ("s", "lap_s", "ric2", "riem2")))
-
-
 def phi(cp: CurvaturePoint, dc: DimensionalConstants) -> float:
     """The concentration functional at one point from its curvature data."""
     n = dc.n
@@ -330,17 +274,16 @@ def scan_phi(model, dc: DimensionalConstants, resolution: int = 2001,
     h = (hi - lo) / (resolution - 1)
     for i in range(1, resolution - 1):
         if d[i - 1] > 0.0 and d[i] < 0.0:
-            kind = "max"
-            res = minimize_scalar(lambda t: -func(t), method="golden",
-                                  bracket=(ts[i - 1], ts[i], ts[i + 1]),
-                                  options={"xtol": 1e-11})
+            kind, objective = "max", lambda t: -func(t)
         elif d[i - 1] < 0.0 and d[i] > 0.0:
-            kind = "min"
-            res = minimize_scalar(func, method="golden",
-                                  bracket=(ts[i - 1], ts[i], ts[i + 1]),
-                                  options={"xtol": 1e-11})
+            kind, objective = "min", func
         else:
             continue
+        from scipy.optimize import minimize_scalar
+
+        res = minimize_scalar(objective, method="golden",
+                              bracket=(ts[i - 1], ts[i], ts[i + 1]),
+                              options={"xtol": 1e-11})
         t_star = float(res.x)
         curv = (func(t_star + h) - 2.0 * func(t_star) + func(t_star - h)) / h ** 2
         if abs(curv) * span ** 2 < 1e-6 * spread:

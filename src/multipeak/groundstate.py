@@ -23,13 +23,11 @@ must agree to 1%, otherwise the tail is deemed too short to certify.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .radial import (
     Quadrature,
@@ -54,9 +52,22 @@ class TailTooShort(RuntimeError):
 
 
 # solver settings (bisection bracket width, grid nodes, largest r_max) and the
-# version of the GroundState.to_dict format, bumped when its keys change
+# version of the cached records (GroundState.to_dict and CorrectionProfiles.save),
+# bumped when their keys change
 SOLVER = {"tol": 1e-13, "n_nodes": 4000, "r_cap": 60.0}
-SCHEMA = 2
+SCHEMA = 3
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported at the first solve.
+
+    Importing scipy.integrate costs more than a warm CLI command does, so
+    only a cold solve pays for it.  The solver calls through this module
+    attribute, which lets a caller rebind it (e.g. to count integrations).
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def critical_exponent(n: int) -> float:
@@ -96,9 +107,12 @@ def _radial_ode(n: int, p: float, r, y):
     """Right-hand side of the radial ODE as a first-order system in (U, U').
 
     n and p come first so that functools.partial(_radial_ode, n, p) is the
-    callable solve_ivp takes.
+    callable solve_ivp takes.  It works on Python floats: per call, numpy's
+    scalar overhead would cost more than the arithmetic, and the results are
+    the same bits as _g's.
     """
-    return [y[1], _g(y[0], p) - (n - 1.0) * y[1] / r]
+    u, du = float(y[0]), float(y[1])
+    return [du, u - math.copysign(abs(u) ** (p - 1.0), u) - (n - 1.0) * du / r]
 
 
 def _shoot(a: float, n: int, p: float, r_end: float = 80.0, rtol: float = 1e-12):
@@ -202,15 +216,6 @@ class GroundState:
         """(U, U', U'') at r from one interval lookup; tail form beyond r_max."""
         return self.profile.evaluate(self.grid.locate(r))
 
-    def inverse(self, value: float) -> float:
-        """r with U(r) = value, for 0 < value < u0 (tail-extended)."""
-        if not (0.0 < value < self.u0):
-            raise ValueError("inverse needs a value strictly between 0 and u0")
-        r_hi = self.r_max
-        while self(r_hi) > value:
-            r_hi *= 1.5
-        return brentq(lambda r: self(r) - value, 0.0, r_hi, xtol=1e-13)
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -253,8 +258,10 @@ class GroundState:
         )
 
     def save(self, path) -> None:
+        # one json.dumps string: json.dump streams through the pure-Python
+        # encoder, about twice as slow for the same bytes
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+            fh.write(json.dumps(self.to_dict()))
 
     @staticmethod
     def load(path) -> "GroundState":
@@ -522,39 +529,6 @@ def solve_ground_state(n: int, p: float) -> GroundState:
     )
 
 
-def shoot_profile(n: int, p: float, u0: float, r_max: float = 20.0) -> GroundState:
-    """Uncertified profile from a single shot at a given amplitude.
-
-    Intended for negative controls: identity defects grow visibly when u0 is
-    off the ground-state value.  No decay certification is attempted.
-    """
-    _check_exponent(n, p)
-
-    def ev_cross(r, y):
-        return y[0] - 1e-6 * u0
-
-    ev_cross.terminal = True
-    ev_cross.direction = -1.0
-    sol = solve_ivp(
-        partial(_radial_ode, n, p), (_R0, r_max), _series_start(u0, n, p, _R0),
-        method="DOP853", rtol=1e-12, atol=1e-16, events=[ev_cross], dense_output=True,
-    )
-    r_end = float(sol.t[-1])
-    grid = RadialGrid.graded(r_end, n_nodes=2000)
-    yv = sol.sol(np.clip(grid.nodes, _R0, r_end))
-    values, d1 = yv[0], yv[1]
-    d1[0] = 0.0
-    d2 = _ode_second_derivative(grid.nodes, values, d1, n, p)
-    d3 = _ode_third_derivative(grid.nodes, values, d1, d2, n, p)
-    d4 = _ode_fourth_derivative(grid.nodes, values, d1, d2, d3, n, p)
-    profile = RadialFunction(grid, values, d1, d2, tail=None, d3=d3, d4=d4)
-    I1, I2, Ip = _energy_ledger(profile, n, p, decay_c=0.0)
-    return GroundState(
-        n=n, p=p, u0=float(values[0]), decay_c=np.nan, profile=profile,
-        I1=I1, I2=I2, Ip=Ip, certified=False,
-    )
-
-
 def decay_constant(gs: GroundState) -> float:
     """Refit the decay constant from stored profile data.
 
@@ -565,33 +539,6 @@ def decay_constant(gs: GroundState) -> float:
         gs.grid.nodes, gs.profile.values, gs.profile.d1, gs.n, gs.u0
     )
     return c_u
-
-
-def truncate(gs: GroundState, r_max: float) -> GroundState:
-    """Cut a ground state at a smaller r_max, recertifying the decay fit.
-
-    Raises TailTooShort when the remaining tail cannot support the fit.
-    """
-    nodes = gs.grid.nodes
-    keep = nodes <= r_max
-    if keep.sum() < 8:
-        raise TailTooShort("truncation leaves too few nodes")
-    grid = RadialGrid(nodes[keep])
-    values = gs.profile.values[keep]
-    d1 = gs.profile.d1[keep]
-    d2 = gs.profile.d2[keep]
-    d3 = None if gs.profile.d3 is None else gs.profile.d3[keep]
-    d4 = None if gs.profile.d4 is None else gs.profile.d4[keep]
-    c_u, _ = _fit_decay(grid.nodes, values, d1, gs.n, float(values[0]))
-    nu = (gs.n - 1.0) / 2.0
-    profile = RadialFunction(
-        grid, values, d1, d2, tail=TailModel(c_u, -nu, 1.0), d3=d3, d4=d4
-    )
-    I1, I2, Ip = _energy_ledger(profile, gs.n, gs.p, c_u)
-    return GroundState(
-        n=gs.n, p=gs.p, u0=float(values[0]), decay_c=c_u, profile=profile,
-        I1=I1, I2=I2, Ip=Ip, bracket_width=gs.bracket_width,
-    )
 
 
 def identity_report(gs: GroundState) -> dict:

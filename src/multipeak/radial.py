@@ -11,17 +11,17 @@ form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma as gamma_fn
 
 
 def surface_area(n: int) -> float:
     """Measure of the unit sphere S^{n-1} in R^n."""
-    return 2.0 * np.pi ** (n / 2.0) / gamma_fn(n / 2.0)
+    return 2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 # Hermite quintic: p(tau), tau in [0,1], matching f, h f', h^2 f'' at both ends.

@@ -1,0 +1,99 @@
+"""Ground-state helpers that only the tests use.
+
+shoot_profile builds the uncertified single-shot profile that negative
+controls feed to the identity checks; truncate cuts a certified profile
+short to exercise the decay-fit gate; inverse solves U(r) = value for
+tail-window radii.  They reuse the solver's private pieces, so a change to
+those pieces shows up here too.
+"""
+
+from functools import partial
+
+import numpy as np
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
+
+from multipeak.groundstate import (
+    _R0,
+    GroundState,
+    TailTooShort,
+    _check_exponent,
+    _energy_ledger,
+    _fit_decay,
+    _ode_fourth_derivative,
+    _ode_second_derivative,
+    _ode_third_derivative,
+    _radial_ode,
+    _series_start,
+)
+from multipeak.radial import RadialFunction, RadialGrid, TailModel
+
+
+def shoot_profile(n: int, p: float, u0: float, r_max: float = 20.0) -> GroundState:
+    """Uncertified profile from a single shot at a given amplitude.
+
+    Intended for negative controls: identity defects grow visibly when u0 is
+    off the ground-state value.  No decay certification is attempted.
+    """
+    _check_exponent(n, p)
+
+    def ev_cross(r, y):
+        return y[0] - 1e-6 * u0
+
+    ev_cross.terminal = True
+    ev_cross.direction = -1.0
+    sol = solve_ivp(
+        partial(_radial_ode, n, p), (_R0, r_max), _series_start(u0, n, p, _R0),
+        method="DOP853", rtol=1e-12, atol=1e-16, events=[ev_cross], dense_output=True,
+    )
+    r_end = float(sol.t[-1])
+    grid = RadialGrid.graded(r_end, n_nodes=2000)
+    yv = sol.sol(np.clip(grid.nodes, _R0, r_end))
+    values, d1 = yv[0], yv[1]
+    d1[0] = 0.0
+    d2 = _ode_second_derivative(grid.nodes, values, d1, n, p)
+    d3 = _ode_third_derivative(grid.nodes, values, d1, d2, n, p)
+    d4 = _ode_fourth_derivative(grid.nodes, values, d1, d2, d3, n, p)
+    profile = RadialFunction(grid, values, d1, d2, tail=None, d3=d3, d4=d4)
+    I1, I2, Ip = _energy_ledger(profile, n, p, decay_c=0.0)
+    return GroundState(
+        n=n, p=p, u0=float(values[0]), decay_c=np.nan, profile=profile,
+        I1=I1, I2=I2, Ip=Ip, certified=False,
+    )
+
+
+def truncate(gs: GroundState, r_max: float) -> GroundState:
+    """Cut a ground state at a smaller r_max, recertifying the decay fit.
+
+    Raises TailTooShort when the remaining tail cannot support the fit.
+    """
+    nodes = gs.grid.nodes
+    keep = nodes <= r_max
+    if keep.sum() < 8:
+        raise TailTooShort("truncation leaves too few nodes")
+    grid = RadialGrid(nodes[keep])
+    values = gs.profile.values[keep]
+    d1 = gs.profile.d1[keep]
+    d2 = gs.profile.d2[keep]
+    d3 = None if gs.profile.d3 is None else gs.profile.d3[keep]
+    d4 = None if gs.profile.d4 is None else gs.profile.d4[keep]
+    c_u, _ = _fit_decay(grid.nodes, values, d1, gs.n, float(values[0]))
+    nu = (gs.n - 1.0) / 2.0
+    profile = RadialFunction(
+        grid, values, d1, d2, tail=TailModel(c_u, -nu, 1.0), d3=d3, d4=d4
+    )
+    I1, I2, Ip = _energy_ledger(profile, gs.n, gs.p, c_u)
+    return GroundState(
+        n=gs.n, p=gs.p, u0=float(values[0]), decay_c=c_u, profile=profile,
+        I1=I1, I2=I2, Ip=Ip, bracket_width=gs.bracket_width,
+    )
+
+
+def inverse(gs: GroundState, value: float) -> float:
+    """r with U(r) = value, for 0 < value < u0 (tail-extended)."""
+    if not (0.0 < value < gs.u0):
+        raise ValueError("inverse needs a value strictly between 0 and u0")
+    r_hi = gs.r_max
+    while gs(r_hi) > value:
+        r_hi *= 1.5
+    return brentq(lambda r: gs(r) - value, 0.0, r_hi, xtol=1e-13)

@@ -217,6 +217,42 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
         assert run_cli(*argv).stdout == first
         assert entry.read_text() == good
 
+    # the correction profiles stored beside it: truncated, or an array short
+    argv = ("psi", "--n", "3", "--m", "3", "--cache-dir", str(cache))
+    first = run_cli(*argv).stdout
+    (entry,) = cache.glob("cp-*.json")
+    good = entry.read_text()
+    record = json.loads(good)
+    record["chi_d1"] = record["chi_d1"][:-1]
+    for bad in (good[: len(good) // 2], json.dumps(record)):
+        entry.write_text(bad)
+        assert run_cli(*argv).stdout == first
+        assert entry.read_text() == good
+
+
+def loaded_scipy(*argv) -> list:
+    """scipy modules in sys.modules of a child that imports multipeak.cli
+    and, given argv, runs that command."""
+    code = (
+        "import sys\n"
+        "import multipeak.cli as cli\n"
+        "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "sys.stderr.write(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.exit(rc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stderr.split()
+
+
+def test_warm_path_imports_no_scipy(cache_dir, tmp_path):
+    assert loaded_scipy() == []
+    argv = ("constants", "--n", "3", "--m", "3", "--cache-dir", cache_dir,
+            "--out", str(tmp_path / "const.json"))
+    run_cli(*argv)  # warms both cache entries
+    assert loaded_scipy(*argv) == []
+
 
 def test_cache_is_content_addressed(cache_dir, tmp_path):
     run_cli("ground-state", "--n", "3", "--m", "3",

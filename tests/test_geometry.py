@@ -5,25 +5,82 @@ elementary finite-difference Christoffel pipeline that shares no code with
 the closed forms under test.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from scipy.interpolate import make_interp_spline
 
 from multipeak.geometry import (
-    AntipodalPair,
     CurvaturePoint,
     FlatSpace,
     NoInteriorCritical,
     PoleSingularity,
     RoundSphere,
-    TabulatedCurvature,
     WarpedSphere,
     curvature_round_sphere,
     phi,
     scan_phi,
-    sphere_geodesics,
 )
 
 from curvature_fd import curvature_reference, laplacian_s_reference
+
+
+class AntipodalPair(ValueError):
+    """The log map is undefined for antipodal points."""
+
+
+@dataclass
+class Geodesic:
+    distance: float
+    log: np.ndarray
+
+
+def sphere_geodesics(model: RoundSphere, xi1, xi2) -> Geodesic:
+    """Great-circle distance and the inverse exponential map at xi1."""
+    a = np.asarray(xi1, dtype=float) / np.linalg.norm(xi1)
+    b = np.asarray(xi2, dtype=float) / np.linalg.norm(xi2)
+    theta = float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
+    if np.pi - theta < 1e-9:
+        raise AntipodalPair("log map undefined within 1e-9 of the antipode")
+    d = model.radius * theta
+    tangent = b - np.cos(theta) * a
+    norm = np.linalg.norm(tangent)
+    log = np.zeros_like(a) if norm < 1e-15 else (d / norm) * tangent
+    return Geodesic(distance=d, log=log)
+
+
+@dataclass
+class TabulatedCurvature:
+    """Chart given by sampled curvature fields along one parameter; a second
+    model for scan_phi, independent of the warped closed forms."""
+
+    t: np.ndarray
+    s: np.ndarray
+    lap_s: np.ndarray
+    ric2: np.ndarray
+    riem2: np.ndarray
+
+    def __post_init__(self):
+        self.t = np.asarray(self.t, dtype=float)
+        k = 3 if self.t.size >= 4 else 1
+        self._sp = {
+            name: make_interp_spline(self.t, np.asarray(getattr(self, name), float), k=k)
+            for name in ("s", "lap_s", "ric2", "riem2")
+        }
+
+    @property
+    def parameter_range(self):
+        return (float(self.t[0]), float(self.t[-1]))
+
+    @property
+    def pole_tol(self) -> float:
+        return 0.0
+
+    def curvature_at(self, t: float) -> CurvaturePoint:
+        if not (self.t[0] <= t <= self.t[-1]):
+            raise ValueError(f"t={t!r} outside the tabulated range")
+        return CurvaturePoint(*(float(self._sp[k](t)) for k in ("s", "lap_s", "ric2", "riem2")))
 
 
 def warp_family(a, b):
