@@ -1,10 +1,12 @@
 """Solve the radial ground state -U'' - (n-1)/r U' + U = U^(p-1) and check
 its exact identities.
 
-The solver brackets the critical shooting amplitude, then matches a
-forward integration from a series start against a backward integration
+The solver brackets the critical shooting amplitude coarsely, then matches
+a forward integration from a series start against a backward integration
 seeded by the exponential tail expansion, so the stored profile satisfies
-the equation to near machine precision between grid nodes.
+the equation to near machine precision between grid nodes.  Two shots just
+below and above the matched amplitude certify it: the bracket width printed
+below is the distance between them.
 """
 
 import numpy as np

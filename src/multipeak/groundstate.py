@@ -1,19 +1,27 @@
 """Radial ground state of  -Lap(U) + U = U^(p-1)  on R^n.
 
-The unique positive decreasing solution is found by a two-stage process:
+The unique positive decreasing solution is found in three stages:
 
-1. shooting from the origin with bisection on the central value u0, using
-   the series start U(r) = a + (a - a^(p-1)) r^2 / (2n) + O(r^4) and the
-   classification "crosses zero" (a too large) versus "turns back upward"
-   (a too small);
-2. matched two-sided integration: a forward pass from the series start and
-   a backward pass seeded by the asymptotic far-field series at r_max meet
-   at a matching radius inside the stable window of both, and a Newton
-   iteration on (amplitude, tail constant) drives the value and slope
-   mismatch to the integrator noise floor.  Backward integration is stable
-   for the decaying solution, so this extends the profile to where
-   U < 1e-13 * u0 without the exponential error blowup of pure shooting,
-   and the interpolant satisfies the ODE to ~1e-11 pointwise between nodes.
+1. a coarse bracket: shooting from the origin with bisection on the central
+   value u0, using the series start U(r) = a + (a - a^(p-1)) r^2 / (2n) +
+   O(r^4) and the classification "crosses zero" (a too large) versus "turns
+   back upward" (a too small), down to a relative width of
+   SOLVER["bracket_rtol"];
+2. matched two-sided integration from the bracket's midpoint: a forward pass
+   from the series start and a backward pass seeded by the asymptotic
+   far-field series meet at a matching radius inside the stable window of
+   both, and a Newton iteration on (amplitude, tail constant) drives the
+   value and slope mismatch to the integrator noise floor.  Backward
+   integration is stable for the decaying solution, so this extends the
+   profile to where U < 1e-13 * u0 without the exponential error blowup of
+   pure shooting, and the interpolant satisfies the ODE to ~1e-11 pointwise
+   between nodes.  The backward pass starts past a provisional r_max taken
+   from the forward pass; the grid ends at the r_max of the matched tail
+   constant;
+3. certification: the matched amplitude a must lie inside the coarse
+   bracket, and two independent shots at a (1 -/+ SOLVER["certify_delta"])
+   must turn back and cross zero.  Those two shots are the certified
+   bracket, of width 2 * certify_delta * a.
 
 The far field obeys U(r) ~ c r^(-(n-1)/2) e^(-r); the constant c is fitted
 twice (from U and from U') with 1/r intercept extrapolation and the two fits
@@ -51,11 +59,12 @@ class TailTooShort(RuntimeError):
     """Grid ends before the asymptotic regime; decay constant not certified."""
 
 
-# solver settings (bisection bracket width, grid nodes, largest r_max) and the
-# version of the cached records (GroundState.to_dict and CorrectionProfiles.save),
-# bumped when their keys change
-SOLVER = {"tol": 1e-13, "n_nodes": 4000, "r_cap": 60.0}
-SCHEMA = 3
+# solver settings (relative width of the bisection bracket, relative offset of
+# the two certification shots, grid nodes, largest r_max) and the version of
+# the cached records (GroundState.to_dict and CorrectionProfiles.save), bumped
+# when their keys change
+SOLVER = {"bracket_rtol": 1e-6, "certify_delta": 1e-12, "n_nodes": 4000, "r_cap": 60.0}
+SCHEMA = 4
 
 
 def solve_ivp(*args, **kwargs):
@@ -101,6 +110,12 @@ def _series_start(a: float, n: int, p: float, r0: float):
 
 
 _R0 = 1e-6
+# matching radius of the two-sided integration: past the turning region, and
+# before the forward pass's growing mode has amplified its errors much
+_R_MATCH = 6.0
+# how far past the provisional tail radius the backward pass starts: room for
+# the matched tail constant to exceed the provisional one by a factor e^2
+_R_START_MARGIN = 2.0
 
 
 def _radial_ode(n: int, p: float, r, y):
@@ -115,12 +130,9 @@ def _radial_ode(n: int, p: float, r, y):
     return [du, u - math.copysign(abs(u) ** (p - 1.0), u) - (n - 1.0) * du / r]
 
 
-def _shoot(a: float, n: int, p: float, r_end: float = 80.0, rtol: float = 1e-12):
-    """Integrate one shot; returns (kind, sol) with kind in {'cross','turn'}.
-
-    sol carries t, y and t_events but no dense output: callers only classify
-    the shot or read its steps.
-    """
+def _shoot(a: float, n: int, p: float, r_end: float = 80.0, rtol: float = 1e-12) -> str:
+    """Integrate one shot from amplitude a and classify it: 'cross' when U
+    crosses zero (a too large), 'turn' when U' turns positive (a too small)."""
 
     def ev_cross(r, y):
         return y[0]
@@ -134,52 +146,50 @@ def _shoot(a: float, n: int, p: float, r_end: float = 80.0, rtol: float = 1e-12)
     ev_turn.terminal = True
     ev_turn.direction = 1.0
 
-    y0 = _series_start(a, n, p, _R0)
     sol = solve_ivp(
         partial(_radial_ode, n, p),
         (_R0, r_end),
-        y0,
+        _series_start(a, n, p, _R0),
         method="DOP853",
         rtol=rtol,
         atol=1e-16,
         events=[ev_cross, ev_turn],
     )
-    if sol.t_events[0].size:
-        return "cross", sol
-    if sol.t_events[1].size:
-        return "turn", sol
-    # shot survived the whole window: numerically on the separatrix
-    return "turn", sol
+    # a shot that survives the whole window is numerically on the separatrix
+    return "cross" if sol.t_events[0].size else "turn"
 
 
-def bracket_amplitude(n: int, p: float, tol: float = 1e-13, max_iter: int = 200):
-    """Bisect the central amplitude between overshoot and undershoot shots."""
+def bracket_amplitude(n: int, p: float, rel_width: float):
+    """Bisect the central amplitude between undershoot and overshoot shots.
+
+    Returns (lo, hi, shots): the shot from lo turns back, the one from hi
+    crosses zero, hi - lo <= rel_width * hi, and shots counts the
+    integrations made.  The bracket only has to seed the Newton matching, so
+    its shots use rtol 1e-10.
+    """
     lo = (p / 2.0) ** (1.0 / (p - 2.0))  # zero-energy start always turns back
     hi = None
     a = lo * 1.2
+    shots = 0
     for _ in range(80):
-        kind, _ = _shoot(a, n, p, rtol=1e-10)
-        if kind == "cross":
+        shots += 1
+        if _shoot(a, n, p, rtol=1e-10) == "cross":
             hi = a
             break
         lo = a
         a *= 1.5
     if hi is None:
         raise NoBracket(f"no overshoot found up to amplitude {a:.3e} for n={n}, p={p}")
-    it = 0
-    while hi - lo > tol:
-        it += 1
-        if it > max_iter:
-            raise NoBracket(f"bisection stalled at width {hi - lo:.3e}")
+    while hi - lo > rel_width * hi:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        kind, _ = _shoot(mid, n, p, rtol=1e-12)
-        if kind == "cross":
+        shots += 1
+        if _shoot(mid, n, p, rtol=1e-10) == "cross":
             hi = mid
         else:
             lo = mid
-    return lo, hi
+    return lo, hi, shots
 
 
 @dataclass
@@ -194,6 +204,12 @@ class GroundState:
     Ip: float
     bracket_width: float = np.nan
     certified: bool = True
+    # solver diagnostics: bisection and certification shots, Newton steps of
+    # the matching and its final relative mismatch
+    bracket_shots: int = 0
+    certify_shots: int = 0
+    newton_steps: int = 0
+    match_mismatch: float = np.nan
 
     @property
     def grid(self) -> RadialGrid:
@@ -230,6 +246,10 @@ class GroundState:
             "Ip": self.Ip,
             "certified": self.certified,
             "bracket_width": self.bracket_width,
+            "bracket_shots": self.bracket_shots,
+            "certify_shots": self.certify_shots,
+            "newton_steps": self.newton_steps,
+            "match_mismatch": self.match_mismatch,
         }
 
     @staticmethod
@@ -255,6 +275,10 @@ class GroundState:
             Ip=float(d["Ip"]),
             bracket_width=float(d["bracket_width"]),
             certified=bool(d["certified"]),
+            bracket_shots=int(d["bracket_shots"]),
+            certify_shots=int(d["certify_shots"]),
+            newton_steps=int(d["newton_steps"]),
+            match_mismatch=float(d["match_mismatch"]),
         )
 
     def save(self, path) -> None:
@@ -326,40 +350,64 @@ def _tail_series_state(c: float, n: int, r: float, coeffs: np.ndarray):
     return c * e * S, c * e * (dS - S)
 
 
-def _match_two_sided(n: int, p: float, a0: float, r_match: float, r_max: float):
+def _tail_radius(c: float, n: int, level: float, coeffs: np.ndarray) -> float:
+    """Radius where the far-field series of tail constant c falls to level.
+
+    Fixed-point iteration r <- r + log(U(r) / level) contracts by about nu / r
+    and alternates around the root, so the larger of the last two iterates
+    is a radius where the series is at most level.
+    """
+    r = 25.0
+    for _ in range(60):
+        r_new = r + math.log(_tail_series_state(c, n, r, coeffs)[0] / level)
+        if abs(r_new - r) < 1e-9:
+            break
+        r = r_new
+    return max(r, r_new)
+
+
+def _match_two_sided(n: int, p: float, a0: float):
     """Newton-matched forward/backward profile.
 
     Unknowns: central amplitude a and tail constant c.  Conditions: value and
-    slope continuity at r_match.  Returns (a, c, fwd_sol, bwd_sol) with dense
-    interpolants covering [_R0, r_match] and [r_match, r_max].
+    slope continuity at _R_MATCH.  The backward pass starts at r_start, past
+    the tail radius of the constant that the first forward pass gives at
+    _R_MATCH, so that the tail radius of the matched constant lies inside it.
+    Returns (a, c, fwd_sol, bwd_sol, newton_steps, mismatch) with dense
+    interpolants covering [_R0, _R_MATCH] and [_R_MATCH, r_start]; mismatch
+    is the accepted relative value/slope mismatch.
     """
     coeffs = _tail_series_coeffs(n)
     rtol = 3e-14
     rhs = partial(_radial_ode, n, p)
 
-    def fwd(a):
+    # only iterates need dense output: the Jacobian reads end states alone
+    def fwd(a, dense=True):
         return solve_ivp(
-            rhs, (_R0, r_match), _series_start(a, n, p, _R0),
-            method="DOP853", rtol=rtol, atol=1e-18, dense_output=True,
+            rhs, (_R0, _R_MATCH), _series_start(a, n, p, _R0),
+            method="DOP853", rtol=rtol, atol=1e-18, dense_output=dense,
         )
 
-    def bwd(c):
+    def bwd(c, dense=True):
         return solve_ivp(
-            rhs, (r_max, r_match), _tail_series_state(c, n, r_max, coeffs),
-            method="DOP853", rtol=rtol, atol=1e-30, dense_output=True,
+            rhs, (r_start, _R_MATCH), _tail_series_state(c, n, r_start, coeffs),
+            method="DOP853", rtol=rtol, atol=1e-30, dense_output=dense,
         )
 
     sf = fwd(a0)
     uf, duf = sf.y[0, -1], sf.y[1, -1]
     if uf <= 0 or duf >= 0:
         raise NoBracket("forward shot left the decreasing regime before matching")
-    c0 = uf / _tail_series_state(1.0, n, r_match, coeffs)[0]
+    c0 = uf / _tail_series_state(1.0, n, _R_MATCH, coeffs)[0]
+    r_start = min(_tail_radius(c0, n, 1e-13 * a0, coeffs) + _R_START_MARGIN, SOLVER["r_cap"])
     # mismatch normalized by the local solution scale
     u_scale, du_scale = abs(uf), abs(duf)
 
     x = np.array([a0, c0])
     sb = bwd(c0)
     best = None
+    steps = 0
+    prev = np.inf
     for _ in range(10):
         F = np.array([
             (sf.y[0, -1] - sb.y[0, -1]) / u_scale,
@@ -368,10 +416,12 @@ def _match_two_sided(n: int, p: float, a0: float, r_match: float, r_max: float):
         fnorm = float(np.max(np.abs(F)))
         if best is None or fnorm < best[0]:
             best = (fnorm, x.copy(), sf, sb)
-        if fnorm < 1e-12:
+        # converged, or a step no longer halves the mismatch: the noise floor
+        if fnorm < 1e-12 or fnorm > 0.5 * prev:
             break
+        prev = fnorm
         da, dc = 1e-9 * abs(x[0]), 1e-9 * abs(x[1])
-        sfa, sbc = fwd(x[0] + da), bwd(x[1] + dc)
+        sfa, sbc = fwd(x[0] + da, dense=False), bwd(x[1] + dc, dense=False)
         J = np.array([
             [(sfa.y[0, -1] - sf.y[0, -1]) / da / u_scale,
              -(sbc.y[0, -1] - sb.y[0, -1]) / dc / u_scale],
@@ -383,6 +433,7 @@ def _match_two_sided(n: int, p: float, a0: float, r_match: float, r_max: float):
         except np.linalg.LinAlgError:
             raise NoBracket("singular Jacobian in the two-sided matching")
         x = x + step
+        steps += 1
         if not (x[0] > 0 and x[1] > 0):
             raise NoBracket("two-sided matching left the positive cone")
         sf, sb = fwd(x[0]), bwd(x[1])
@@ -391,7 +442,7 @@ def _match_two_sided(n: int, p: float, a0: float, r_match: float, r_max: float):
         raise NoBracket(
             f"two-sided matching stalled at relative mismatch {fnorm:.3e}"
         )
-    return float(x[0]), float(x[1]), sf, sb
+    return float(x[0]), float(x[1]), sf, sb, steps, fnorm
 
 
 def _fit_decay(r, u, du, n, u0):
@@ -454,51 +505,43 @@ def _energy_ledger(gs_profile: RadialFunction, n: int, p: float, decay_c: float)
 def solve_ground_state(n: int, p: float) -> GroundState:
     """Certified ground-state profile on an adaptive graded grid.
 
-    r_max is chosen so U(r_max) < 1e-13 * u0 (capped at SOLVER["r_cap"]),
-    the bisection bracket has width <= SOLVER["tol"], and the decay constant
+    A bisection brackets u0 to a relative width of SOLVER["bracket_rtol"],
+    the two-sided Newton matching polishes the bracket's midpoint, and two
+    shots at u0 (1 -/+ SOLVER["certify_delta"]) certify the matched u0: the
+    lower one turns back, the upper one crosses zero, and u0 lies inside the
+    bisection bracket.  bracket_width is the width of that certified pair.
+    r_max is chosen so that the tail of the matched constant falls below
+    1e-13 * u0 there (capped at SOLVER["r_cap"]), and the decay constant
     passes the two-sided fit.  The result is memoised on (n, p): every caller
     in the process shares one solve and one GroundState, which must not be
     mutated.  Failures raise and are not memoised.
     """
     _check_exponent(n, p)
-    lo, hi = bracket_amplitude(n, p, tol=SOLVER["tol"])
-    a_star = 0.5 * (lo + hi)
-    nu = (n - 1.0) / 2.0
-
-    kind, shot = _shoot(a_star, n, p, rtol=1e-12)
-    t = shot.t
-    yy = shot.y
-    clean = (yy[0] > 1e-8 * a_star) & (yy[1] < 0)
-    if not clean.any():
-        raise NoBracket("shot produced no usable decreasing segment")
-    i_hi = int(np.where(clean)[0][-1])
-    r_hi = float(t[i_hi])
-    c_loc = float(yy[0, i_hi] * r_hi ** nu * np.exp(r_hi))
-
-    # smallest r with c_loc r^-nu e^-r = 1e-13 u0, by fixed point iteration
-    target = 1e-13 * a_star
-    r_max = max(r_hi + 4.0, 25.0)
-    for _ in range(60):
-        r_new = np.log(c_loc / target) - nu * np.log(r_max)
-        if abs(r_new - r_max) < 1e-9:
-            break
-        r_max = r_new
-    r_max = float(min(max(r_max, r_hi + 3.0), SOLVER["r_cap"]))
-
-    # matching radius: past the turning region, inside the window where the
-    # bracketed amplitude still pins the forward shot to ~1e-11 absolute
-    r_match = min(6.0, 0.45 * r_max)
-    a_fit, c_star, sf, sb = _match_two_sided(n, p, a_star, r_match, r_max)
-    if abs(a_fit - a_star) > max(100.0 * (hi - lo), 1e-11 * a_star):
+    lo, hi, bracket_shots = bracket_amplitude(n, p, SOLVER["bracket_rtol"])
+    a_fit, c_star, sf, sb, newton_steps, mismatch = _match_two_sided(n, p, 0.5 * (lo + hi))
+    half = SOLVER["certify_delta"] * a_fit
+    if not lo <= a_fit <= hi:
         raise NoBracket(
-            f"matched amplitude {a_fit!r} drifted outside the certified bracket"
+            f"matched amplitude {a_fit!r} outside the bisection bracket [{lo!r}, {hi!r}]"
+        )
+    below, above = _shoot(a_fit - half, n, p), _shoot(a_fit + half, n, p)
+    if (below, above) != ("turn", "cross"):
+        raise NoBracket(
+            f"matched amplitude {a_fit!r} not certified: the shots {half:.2e} "
+            f"below and above it {below} and {above}"
         )
 
+    nu = (n - 1.0) / 2.0
+    r_max = min(_tail_radius(c_star, n, 1e-13 * a_fit, _tail_series_coeffs(n)), SOLVER["r_cap"])
+    if r_max > sb.t[0]:
+        raise TailTooShort(
+            f"tail radius {r_max:.3f} lies past the backward pass's start {sb.t[0]:.3f}"
+        )
     grid = RadialGrid.graded(r_max, n_nodes=SOLVER["n_nodes"])
     values = np.empty(grid.size)
     d1 = np.empty(grid.size)
-    inner = grid.nodes <= r_match
-    yf = sf.sol(np.clip(grid.nodes[inner], _R0, r_match))
+    inner = grid.nodes <= _R_MATCH
+    yf = sf.sol(np.clip(grid.nodes[inner], _R0, _R_MATCH))
     yb = sb.sol(grid.nodes[~inner])
     values[inner], d1[inner] = yf[0], yf[1]
     values[~inner], d1[~inner] = yb[0], yb[1]
@@ -525,7 +568,11 @@ def solve_ground_state(n: int, p: float) -> GroundState:
         I1=I1,
         I2=I2,
         Ip=Ip,
-        bracket_width=hi - lo,
+        bracket_width=2.0 * half,
+        bracket_shots=bracket_shots,
+        certify_shots=2,
+        newton_steps=newton_steps,
+        match_mismatch=mismatch,
     )
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from multipeak import groundstate
 from multipeak.constants import product_exponent
 from multipeak.groundstate import (
+    SOLVER,
     GroundState,
     SubcriticalViolation,
     TailTooShort,
@@ -22,6 +24,7 @@ U0_44 = 7.881469905845131
 
 MATRIX = [(n, m) for n in range(3, 8) for m in range(3, 7) if n + m <= 9]
 SPOT = [(7, 3), (7, 6)]  # N = 10 and N = 13
+GS_COLD = [(3, 3), (4, 3), (6, 3), (3, 6)]  # the benchmark's cold-solve pairs
 
 
 def test_solve_is_memoised():
@@ -42,8 +45,41 @@ def test_exponent_validation():
 def test_amplitude_pinned_n3_p3():
     gs = solve_ground_state(3, 3.0)
     assert gs.u0 == pytest.approx(U0_33, abs=1e-6)
-    assert gs.bracket_width <= 1e-13
     assert gs.certified
+
+
+@pytest.mark.parametrize("n,m", GS_COLD)
+def test_bracket_width_is_certified(n, m):
+    # the record's bracket is one the classification shots resolve: from its
+    # lower end the shot turns back, from its upper end it crosses zero
+    p = product_exponent(n, m)
+    gs = solve_ground_state(n, p)
+    assert gs.bracket_width <= 2.5e-12 * gs.u0
+    half = gs.bracket_width / 2.0
+    assert groundstate._shoot(gs.u0 - half, n, p) == "turn"
+    assert groundstate._shoot(gs.u0 + half, n, p) == "cross"
+
+
+def test_solver_diagnostics_are_deterministic(monkeypatch):
+    # two fresh solves, past the memo, make the same shots and Newton steps
+    calls = []
+    solve_ivp = groundstate.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(groundstate, "solve_ivp", counted)
+    first = solve_ground_state.__wrapped__(3, 3.0)
+    made = len(calls)
+    second = solve_ground_state.__wrapped__(3, 3.0)
+    keys = ("bracket_shots", "certify_shots", "newton_steps", "match_mismatch")
+    assert [getattr(first, k) for k in keys] == [getattr(second, k) for k in keys]
+    assert len(calls) == 2 * made
+    assert made == first.bracket_shots + first.certify_shots + 2 + 4 * first.newton_steps
+    assert made <= 45
+    assert first.certify_shots == 2
+    assert first.match_mismatch < 1e-9
 
 
 def test_amplitude_pinned_n4_n8thirds():
@@ -84,6 +120,15 @@ def test_identity_matrix_product_exponents(n, m):
     assert np.all(vals > 0)
     assert np.all(gs.profile.d1[1:] <= 0)
     assert gs.decay_c > 0
+
+
+@pytest.mark.parametrize("n,m", MATRIX + SPOT)
+def test_r_max_keeps_tail_contract(n, m):
+    # the stored tail model has fallen below 1e-13 u0 where the grid ends
+    gs = solve_ground_state(n, product_exponent(n, m))
+    if gs.r_max < SOLVER["r_cap"]:
+        nu = (n - 1.0) / 2.0
+        assert gs.decay_c * gs.r_max ** -nu * np.exp(-gs.r_max) <= 1e-13 * gs.u0
 
 
 def test_profile_shape_and_residual():
@@ -159,6 +204,8 @@ def test_serialization_round_trip(tmp_path):
     assert back.I2 == gs.I2
     assert back.certified
     assert back.bracket_width == gs.bracket_width
+    for k in ("bracket_shots", "certify_shots", "newton_steps", "match_mismatch"):
+        assert getattr(back, k) == getattr(gs, k)
     r = np.linspace(0.0, 1.5 * gs.r_max, 57)
     assert np.max(np.abs(back(r) - gs(r))) < 1e-12
     assert np.max(np.abs(back.deriv1(r) - gs.deriv1(r))) < 1e-10
