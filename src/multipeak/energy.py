@@ -13,24 +13,27 @@ terms of several peaks; both are exact decompositions, so the breakdown
 remainder is honest measurement error plus higher expansion orders.
 
 Each quadrature has one field pass that energy_J, norm_eps and
-residual_norm reduce: _polar_fields gives one bump's (G, G', G'') on the
-polar nodes and the integral against their weights and measure.  For
-several peaks, _great_circle gives the SupportGrid: the (theta, phi) nodes
-of the sphere's great-circle grid that lie within cutoff_r of some center,
-with the distance to every center and the measure on those nodes only.
-Every integrand is exactly 0 on the nodes it drops.  The grid is built once
-per (sphere, centers, eps, cutoff, angular step) and kept in a one-entry
-cache, so one rung of J, the norm and both residuals builds it once.  The
-single-peak term does not depend on the center on these models, so it is
-computed once and counted K times.  The cross terms of J and the norm
-share _pair_quadratic.  The residual of several peaks does not split into
-single-peak terms and is taken on the support grid whole.
+residual_norm reduce.  For one peak, _polar_fields gives the bump's
+(G, G', G'') on the polar nodes and the integral against their weights and
+measure; the single-peak term does not depend on the center on these
+models, so it is computed once and counted K times.  For several peaks,
+_great_circle gives the SupportGrid: the (theta, phi) nodes of the sphere's
+great-circle grid that lie within cutoff_r of some center, with the
+distance to every center and the measure on those nodes only.  Every
+integrand is exactly 0 on the nodes it drops.  The grid is built once per
+(sphere, centers, eps, cutoff, angular step) and kept in a one-entry cache.
+_field_pass walks its nodes in blocks of _BUMP_BLOCK, evaluates each bump
+there once as (G, G', Lap G), and fills the densities of J's cross terms,
+the norm's cross terms and the residual of the whole sum, which does not
+split into single-peak terms.  The three integrals are kept in the grid's
+memo under what the fields read beyond the grid, so one rung of J, the
+norm and both residuals builds the grid once and runs one pass per
+distinct ansatz, even when an equal ansatz is built again.
 
 A bump is evaluated on its support d < cutoff_r only, in blocks of
 _BUMP_BLOCK points whose temporaries stay in cache, and beyond it holds
-the exact zeros the cutoff gives; a pair term of _pair_quadratic only where
-both supports meet.  J and the norm ask for (G, G'), the residual also for
-G''.  U, chi and v2base share the ground state's radial grid, so one
+the exact zeros the cutoff gives; a pair term only where both supports
+meet.  U, chi and v2base share the ground state's radial grid, so one
 interval lookup per point serves every profile and derivative of a bump.
 
 The corrected ansatz Y adds eps^2 V to each bump, V = ric_factor chi +
@@ -75,9 +78,9 @@ class UnsupportedModel(TypeError):
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL6 = np.polynomial.legendre.leggauss(6)
 
-# Support points per block of PeakAnsatz.bump.  On a million points the
-# profile lookups (take, Horner) are bound by memory bandwidth; a block of
-# 2^16 keeps their temporaries in cache.
+# Support points per block of PeakAnsatz.bump, and grid nodes per block of
+# _field_pass.  On a million points the profile lookups (take, Horner) are
+# bound by memory bandwidth; a block of 2^16 keeps their temporaries in cache.
 _BUMP_BLOCK = 1 << 16
 
 
@@ -401,7 +404,8 @@ class SupportGrid(NamedTuple):
     Row i keeps the phi nodes phi[:prefix[i]] and phi[suffix[i]:], which
     hold every node within cutoff_r of a center; every other node carries
     exact zeros in each integrand.  dists and measure are on the kept nodes
-    in row-major order, each value bit-identical to the full grid's.
+    in row-major order, each value bit-identical to the full grid's.  memo
+    holds the _grid_integrals of the ansatze measured on this grid.
     """
 
     theta: np.ndarray
@@ -410,6 +414,7 @@ class SupportGrid(NamedTuple):
     suffix: np.ndarray
     dists: tuple
     measure: np.ndarray
+    memo: dict
 
     def indices(self):
         """(rows, cols) of the kept nodes in the full grid, row-major."""
@@ -484,7 +489,7 @@ def _support_grid(n: int, R: float, centers: tuple, eps: float, cutoff_r: float,
     area = (np.sin(th) ** (n - 1))[rows] * (np.sin(ph) ** (n - 2))[cols]
     wt = wth[rows] * wph[cols]
     measure = (R ** n / eps ** n) * surface_area(n - 1) * area * wt
-    grid = SupportGrid(th, ph, prefix, suffix, tuple(dists), measure)
+    grid = SupportGrid(th, ph, prefix, suffix, tuple(dists), measure, {})
     for arr in (th, ph, prefix, suffix, measure, *dists):
         arr.flags.writeable = False  # shared by every caller of the cache
     return grid
@@ -498,42 +503,88 @@ def _cos_angle(model, d_i, d_j, d_ij):
     return np.clip(val, -1.0, 1.0)
 
 
-def _pair_quadratic(model, ansatz: PeakAnsatz, dists, bumps):
-    """Sum over pairs i < j of eps^2 G_i' G_j' cos A + mass G_i G_j.
+class _GridIntegrals(NamedTuple):
+    """The support-grid integrals of one ansatz with K >= 2 peaks.
 
-    A is the angle between the geodesics to centers i and j; bumps holds
-    (G, G') per center.  This is the cross part of the quadratic form,
-    which J weighs by 1 and the norm by 2.  A pair is evaluated only where
-    both supports meet and adds exact zeros elsewhere.
+    J is the cross part J(sum u_i) - sum J(u_i), norm the cross part of the
+    squared norm, residual the integral of |r|^p' for the whole sum.
     """
-    eps, centers = ansatz.epsilon, ansatz.config.centers
-    supports = [ansatz.support(d) for d in dists]
-    out = np.zeros_like(dists[0])
-    for i, j in combinations(range(len(centers)), 2):
-        meet = supports[i] & supports[j]
-        d_ij = model.distance(centers[i], centers[j])
-        cosA = _cos_angle(model, dists[i][meet], dists[j][meet], d_ij)
-        (g0i, g1i), (g0j, g1j) = ([g[meet] for g in bumps[k]] for k in (i, j))
-        out[meet] += eps ** 2 * g1i * g1j * cosA + ansatz.mass * g0i * g0j
-    return out
+
+    J: float
+    norm: float
+    residual: float
 
 
-def _bump_and_laplacian(model, ansatz: PeakAnsatz, d):
-    """(G, Lap G) of one bump at sphere distances d from its center.
-
-    A function of its own so that G', G'' and cot are freed before the next
-    bump is evaluated on the grid.  Lap G is taken on the support only.
+def _bump_fields(model, ansatz: PeakAnsatz, d):
+    """(support, G, G', Lap G) of one bump at sphere distances d from its
+    center; Lap G is taken on the support only.
     """
     R = model.radius
-    g0, g1, g2 = ansatz.bump(d)
     support = ansatz.support(d)
+    g0, g1, g2 = ansatz.bump(d)
     ds = d[support]
     with np.errstate(divide="ignore", invalid="ignore"):
         cot = np.where(ds > 0, 1.0 / np.tan(ds / R), 0.0) / R
     lap_s = g2[support] + (model.n - 1) * cot * g1[support]
     lap = np.zeros_like(d)
     lap[support] = np.where(np.isfinite(lap_s), lap_s, 0.0)
-    return g0, lap
+    return support, g0, g1, lap
+
+
+def _field_pass(model, ansatz: PeakAnsatz, grid: SupportGrid) -> _GridIntegrals:
+    """The three support-grid integrals from one evaluation of each bump.
+
+    The kept nodes are walked in blocks of _BUMP_BLOCK.  Per block each bump
+    gives (G, G', Lap G) once, and the densities of J, the norm and the
+    residual are written into full-length arrays, which grid.integral
+    reduces whole.  The cross part of the quadratic form, summed over pairs
+    i < j, is eps^2 G_i' G_j' cos A + mass G_i G_j with A the angle between
+    the geodesics to centers i and j; J weighs it by 1 and the norm by 2.
+    A pair is evaluated only where both supports meet and adds exact zeros
+    elsewhere.
+    """
+    eps, p, mass = ansatz.epsilon, ansatz.gs.p, ansatz.mass
+    pp = p / (p - 1.0)
+    centers = ansatz.config.centers
+    pairs = [(i, j, model.distance(centers[i], centers[j]))
+             for i, j in combinations(range(len(centers)), 2)]
+    dens_J, dens_norm, dens_res = (np.empty_like(grid.measure) for _ in range(3))
+    for start in range(0, grid.measure.size, _BUMP_BLOCK):
+        block = slice(start, start + _BUMP_BLOCK)
+        dists = [d[block] for d in grid.dists]
+        supports, g0s, g1s, laps = zip(*(_bump_fields(model, ansatz, d) for d in dists))
+        pair = np.zeros_like(dists[0])
+        for i, j, d_ij in pairs:
+            meet = supports[i] & supports[j]
+            cosA = _cos_angle(model, dists[i][meet], dists[j][meet], d_ij)
+            g0i, g1i, g0j, g1j = (g[meet] for g in (g0s[i], g1s[i], g0s[j], g1s[j]))
+            pair[meet] += eps ** 2 * g1i * g1j * cosA + mass * g0i * g0j
+        u = sum(g0s)
+        pot = np.maximum(u, 0.0) ** p
+        for g0 in g0s:
+            pot = pot - np.maximum(g0, 0.0) ** p
+        dens_J[block] = pair - pot / p
+        dens_norm[block] = 2.0 * pair
+        r = -eps ** 2 * sum(laps) + mass * u - np.maximum(u, 0.0) ** (p - 1.0)
+        dens_res[block] = np.abs(r) ** pp
+    return _GridIntegrals(grid.integral(dens_J), grid.integral(dens_norm),
+                          grid.integral(dens_res))
+
+
+def _grid_integrals(model, ansatz: PeakAnsatz, step_factor: float) -> _GridIntegrals:
+    """_field_pass of the ansatz, once per ansatz and support grid.
+
+    The result is kept in the grid's memo and dropped with it.  Its key is
+    what the fields read beyond the grid, so equal ansatze share one entry;
+    gs and profiles enter by identity, and the entry holds them so that
+    their ids stay taken.
+    """
+    grid = _great_circle(model, ansatz, step_factor)
+    key = (type(ansatz), id(ansatz.gs), id(ansatz.profiles), ansatz.c_bold,
+           ansatz.s_center, ansatz._ric_factor)
+    if key not in grid.memo:
+        grid.memo[key] = (ansatz.gs, ansatz.profiles, _field_pass(model, ansatz, grid))
+    return grid.memo[key][2]
 
 
 def _peak_count(model, ansatz: PeakAnsatz) -> int:
@@ -557,13 +608,7 @@ def energy_J(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
     val = K * integral(0.5 * gr ** 2 + 0.5 * ansatz.mass * g0 ** 2
                        - np.maximum(g0, 0.0) ** p / p)
     if K >= 2:
-        # J(sum u_i) - sum J(u_i)
-        grid = _great_circle(model, ansatz, step_factor)
-        bumps = [ansatz.bump(d, 1) for d in grid.dists]
-        pot = np.maximum(sum(g0 for g0, _ in bumps), 0.0) ** p
-        for g0, _ in bumps:
-            pot = pot - np.maximum(g0, 0.0) ** p
-        val += grid.integral(_pair_quadratic(model, ansatz, grid.dists, bumps) - pot / p)
+        val += _grid_integrals(model, ansatz, step_factor).J
     return val
 
 
@@ -577,9 +622,7 @@ def norm_eps(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
     gr = ansatz.epsilon * g1
     val = K * integral(gr ** 2 + ansatz.mass * g0 ** 2)
     if K >= 2:
-        grid = _great_circle(model, ansatz, step_factor)
-        bumps = [ansatz.bump(d, 1) for d in grid.dists]
-        val += grid.integral(2.0 * _pair_quadratic(model, ansatz, grid.dists, bumps))
+        val += _grid_integrals(model, ansatz, step_factor).norm
     return val
 
 
@@ -600,17 +643,11 @@ def residual_norm(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
             cot_term = (eps / R) / np.tan(eps * rho / R)
         lap = eps ** 2 * g2 + (n - 1) * cot_term * eps * g1
         r = -lap + ansatz.mass * g0 - np.maximum(g0, 0.0) ** (p - 1.0)
+        total = integral(np.abs(r) ** pp)
     else:
         # the single-peak terms do not separate: |r|^p' is taken on the
         # support grid for the whole sum
-        grid = _great_circle(model, ansatz, step_factor)
-        integral = grid.integral
-        u = lap = 0
-        for d in grid.dists:
-            g0, lap_i = _bump_and_laplacian(model, ansatz, d)
-            u, lap = u + g0, lap + lap_i
-        r = -eps ** 2 * lap + ansatz.mass * u - np.maximum(u, 0.0) ** (p - 1.0)
-    total = integral(np.abs(r) ** pp)
+        total = _grid_integrals(model, ansatz, step_factor).residual
     return total ** (1.0 / pp)
 
 

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,116 @@ def test_one_rung_builds_the_support_grid_once(state):
     residual_norm(S3, Y)
     info = energy._support_grid.cache_info()
     assert (info.misses, info.hits) == (1, 3)
+
+
+def _whole_array_integrals(ansatz, grid):
+    """(J, norm, residual) cross integrals by the whole-array formulas.
+
+    Each bump is evaluated on every kept node at once, at order 1 for J and
+    the norm and again at order 2 for the residual; the pair and Laplacian
+    temporaries span the whole grid.
+    """
+    eps, p, mass, R = ansatz.epsilon, ansatz.gs.p, ansatz.mass, S3.radius
+    pp = p / (p - 1.0)
+    centers, dists = ansatz.config.centers, grid.dists
+    bumps = [ansatz.bump(d, 1) for d in dists]
+    supports = [ansatz.support(d) for d in dists]
+    pair = np.zeros_like(dists[0])
+    for i, j in combinations(range(len(centers)), 2):
+        meet = supports[i] & supports[j]
+        d_ij = S3.distance(centers[i], centers[j])
+        cosA = energy._cos_angle(S3, dists[i][meet], dists[j][meet], d_ij)
+        (g0i, g1i), (g0j, g1j) = ([g[meet] for g in bumps[k]] for k in (i, j))
+        pair[meet] += eps ** 2 * g1i * g1j * cosA + mass * g0i * g0j
+    pot = np.maximum(sum(g0 for g0, _ in bumps), 0.0) ** p
+    for g0, _ in bumps:
+        pot = pot - np.maximum(g0, 0.0) ** p
+    u = lap = 0
+    for d, support in zip(dists, supports):
+        g0, g1, g2 = ansatz.bump(d)
+        ds = d[support]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cot = np.where(ds > 0, 1.0 / np.tan(ds / R), 0.0) / R
+        lap_s = g2[support] + (S3.n - 1) * cot * g1[support]
+        lap_i = np.zeros_like(d)
+        lap_i[support] = np.where(np.isfinite(lap_s), lap_s, 0.0)
+        u, lap = u + g0, lap + lap_i
+    r = -eps ** 2 * lap + mass * u - np.maximum(u, 0.0) ** (p - 1.0)
+    return (grid.integral(pair - pot / p), grid.integral(2.0 * pair),
+            grid.integral(np.abs(r) ** pp))
+
+
+@pytest.mark.parametrize("eps,centers", [c[1:] for c in _GRID_CASES],
+                         ids=[c[0] for c in _GRID_CASES])
+def test_field_pass_equals_whole_array_formulas(eps, centers, state, monkeypatch):
+    # blocks of 1001 put block edges inside every support
+    gs, cp, dc = state
+    Y = build_Y(S3, PeakConfig(eps, centers, 1.2), gs, profiles=cp, dc=dc)
+    grid = energy._great_circle(S3, Y, 0.34)
+    want = _whole_array_integrals(Y, grid)
+    for block in (energy._BUMP_BLOCK, 1001):
+        monkeypatch.setattr(energy, "_BUMP_BLOCK", block)
+        assert tuple(energy._field_pass(S3, Y, grid)) == want, block
+
+
+@pytest.fixture
+def field_passes(monkeypatch):
+    """The ansatze of every _field_pass run, from an empty grid cache on."""
+    energy._support_grid.cache_clear()
+    calls = []
+    run = energy._field_pass
+
+    def counted(model, ansatz, grid):
+        calls.append(ansatz)
+        return run(model, ansatz, grid)
+
+    monkeypatch.setattr(energy, "_field_pass", counted)
+    return calls
+
+
+def _rung(state, eps=0.1):
+    gs, cp, dc = state
+    cfg = PeakConfig(eps, [S3.point(0.8), S3.point(1.4)], 1.2)
+    return (build_Y(S3, cfg, gs, profiles=cp, dc=dc),
+            build_W(S3, cfg, gs, c_bold=dc.c_bold))
+
+
+def test_one_rung_runs_one_field_pass_per_ansatz(state, field_passes):
+    Y, W = _rung(state)
+    energy_J(S3, Y)
+    norm_eps(S3, Y)
+    residual_norm(S3, W)
+    residual_norm(S3, Y)
+    assert field_passes == [Y, W]
+
+
+def test_energy_check_rung_shares_the_pass_of_an_equal_ansatz(field_passes, tmp_path):
+    # expansion_compare builds Y, and the residual of Y builds it again
+    from multipeak import cli
+
+    out = tmp_path / "energy.json"
+    rc = cli.main(["energy-check", "--n", "3", "--m", "3", "--K", "2", "--eps", "0.1",
+                   "--cache-dir", str(tmp_path / "cache"), "--out", str(out)])
+    assert rc == 0 and out.exists()
+    assert [A.include_v for A in field_passes] == [True, False]
+
+
+def test_field_pass_memo_keys(state, field_passes):
+    gs, cp, dc = state
+    Y, W = _rung(state)
+    residual_norm(S3, W)
+    residual_norm(S3, Y)
+    assert field_passes == [W, Y]  # W and Y never share an entry
+    # a subclass may change the fields, so it does not reuse its base's entry
+    Z = _PsiCorrectedAnsatz(S3, Y.config, gs, c_bold=dc.c_bold, profiles=cp)
+    residual_norm(S3, Z)
+    assert field_passes[-1] is Z
+    # a new angular step or eps builds a new grid and measures again
+    residual_norm(S3, Y, step_factor=0.3)
+    assert field_passes[-1] is Y and len(field_passes) == 4
+    Y2, _ = _rung(state, eps=0.09)
+    residual_norm(S3, Y2)
+    assert field_passes[-1] is Y2 and len(field_passes) == 5
 
 
 # ---------------------------------------------------------- admissibility
