@@ -177,6 +177,15 @@ def cached_profiles(gs: GroundState, cache: Path) -> CorrectionProfiles:
     return cp
 
 
+def _constants(n: int, m: int, cache: Path) -> tuple:
+    """(gs, cp, dc) of the pair (n, m): the cached ground state and
+    correction profiles, and the dimensional constants they give.
+    """
+    gs = cached_ground_state(n, product_exponent(n, m), cache)
+    cp = cached_profiles(gs, cache)
+    return gs, cp, compute_constants(gs, cp, m)
+
+
 # ------------------------------------------------------------- subcommands
 
 
@@ -216,9 +225,7 @@ def cmd_constants(args) -> int:
     if args.n is None or args.m is None:
         raise ValueError("constants needs --n and --m")
     n, m = int(args.n), int(args.m)
-    cache = _cache_dir(args)
-    gs = cached_ground_state(n, product_exponent(n, m), cache)
-    dc = compute_constants(gs, cached_profiles(gs, cache), m)
+    gs, _, dc = _constants(n, m, _cache_dir(args))
     # gamma's radial-angular quadrature reads the direction only to check
     # that it is a unit vector, so one seeded direction gives the value
     # (criterion 06 checks the invariance over many directions)
@@ -238,10 +245,7 @@ def cmd_beta_table(args) -> int:
     if max_N < 6:
         raise ValueError("--max-N must be at least 6")
     cache = _cache_dir(args)
-    rows = []
-    for n, m in table_pairs(max_N):
-        gs = cached_ground_state(n, product_exponent(n, m), cache)
-        rows.append(compute_constants(gs, cached_profiles(gs, cache), m))
+    rows = [_constants(n, m, cache)[2] for n, m in table_pairs(max_N)]
     _emit(table_csv(rows, provenance=_flat_provenance(args, max_N=max_N)), args.out)
     return 0
 
@@ -253,27 +257,33 @@ def _load_warp_profile(path: str):
     return data[:, 0], data[:, 1]
 
 
-def _scan_model(args):
+def _model(args, other: str, aliases: tuple, build):
+    """The unit sphere (the default), or the other model build(n), as
+    --model names it.
+    """
     name = (args.model or "sphere").lower()
     n = int(args.n)
     if name in ("sphere", "round", "roundsphere"):
         return RoundSphere(n, 1.0)
-    if name in ("warped", "warpedsphere"):
-        if not args.profile:
-            raise ValueError("warped model needs --profile <csv>")
-        t, f_vals = _load_warp_profile(args.profile)
-        return WarpedSphere.from_samples(n, t, f_vals)
-    raise ValueError(f"unknown model {args.model!r}; use sphere or warped")
+    if name in aliases:
+        return build(n)
+    raise ValueError(f"unknown model {args.model!r}; use sphere or {other}")
+
+
+def _warped_model(args, n: int):
+    if not args.profile:
+        raise ValueError("warped model needs --profile <csv>")
+    t, f_vals = _load_warp_profile(args.profile)
+    return WarpedSphere.from_samples(n, t, f_vals)
 
 
 def cmd_phi_scan(args) -> int:
     if args.n is None or args.m is None:
         raise ValueError("phi-scan needs --n and --m")
     n, m = int(args.n), int(args.m)
-    model = _scan_model(args)
-    cache = _cache_dir(args)
-    gs = cached_ground_state(n, product_exponent(n, m), cache)
-    dc = compute_constants(gs, cached_profiles(gs, cache), m)
+    model = _model(args, "warped", ("warped", "warpedsphere"),
+                   lambda n: _warped_model(args, n))
+    dc = _constants(n, m, _cache_dir(args))[2]
     warning = None
     try:
         scan = scan_phi(model, dc)
@@ -311,16 +321,6 @@ def cmd_phi_scan(args) -> int:
     return 0
 
 
-def _energy_model(args):
-    name = (args.model or "sphere").lower()
-    n = int(args.n)
-    if name in ("sphere", "round", "roundsphere"):
-        return RoundSphere(n, 1.0)
-    if name in ("flat", "flatspace"):
-        return FlatSpace(n)
-    raise ValueError(f"unknown model {args.model!r}; use sphere or flat")
-
-
 def _default_centers(model, K: int):
     if isinstance(model, FlatSpace):
         if K != 1:
@@ -342,11 +342,8 @@ def cmd_energy_check(args) -> int:
     eps_ladder = tuple(float(e) for e in args.eps.split(","))
     if not eps_ladder or any(e <= 0 for e in eps_ladder):
         raise ValueError("--eps needs positive comma-separated values")
-    model = _energy_model(args)
-    cache = _cache_dir(args)
-    gs = cached_ground_state(n, product_exponent(n, m), cache)
-    cp = cached_profiles(gs, cache)
-    dc = compute_constants(gs, cp, m)
+    model = _model(args, "flat", ("flat", "flatspace"), FlatSpace)
+    gs, cp, dc = _constants(n, m, _cache_dir(args))
     centers = _default_centers(model, K)
     gamma_value = None
     if K >= 2:

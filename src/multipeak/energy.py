@@ -12,26 +12,26 @@ for a single peak and a two-dimensional great-circle grid for the cross
 terms of several peaks; both are exact decompositions, so the breakdown
 remainder is honest measurement error plus higher expansion orders.
 
-Each quadrature has one field pass that energy_J, norm_eps and
-residual_norm reduce.  For one peak, _polar_fields gives the bump's
-(G, G', G'') on the polar nodes and the integral against their weights and
-measure; the single-peak term does not depend on the center on these
+energy_J, norm_eps and residual_norm read one measurement of the ansatz,
+_measure, which gives J, the squared norm and the residual norm together.
+Its single-peak terms come from _polar_pass: one order-2 evaluation of the
+bump (G, G', G'') on the polar nodes, integrated against their weights and
+measure.  The single-peak term does not depend on the center on these
 models, so it is computed once and counted K times.  For several peaks,
 _great_circle gives the SupportGrid: the (theta, phi) nodes of the sphere's
 great-circle grid that lie within cutoff_r of some center, with the
 distance to every center and the measure on those nodes only.  Every
 integrand is exactly 0 on the nodes it drops.  The grid is built once per
-(sphere, centers, eps, cutoff, angular step) and kept in a one-entry cache.
-_field_pass walks its nodes in blocks of _BUMP_BLOCK, evaluates each bump
-there once as (G, G', Lap G), and fills the densities of J's cross terms,
-the norm's cross terms and the residual of the whole sum, which does not
-split into single-peak terms.  The three integrals are kept in the grid's
-memo under what the fields read beyond the grid, so one rung of J, the
-norm and both residuals builds the grid once and runs one pass per
-distinct ansatz, even when an equal ansatz is built again.
+(sphere, centers, eps, cutoff) and kept in a one-entry cache.  _field_pass
+walks its nodes in blocks of _BUMP_BLOCK, whose temporaries stay in cache,
+evaluates each bump there once as (G, G', Lap G), and fills the densities
+of J's cross terms, the norm's cross terms and the residual of the whole
+sum, which does not split into single-peak terms.  The three integrals are
+kept in the grid's memo under what the fields read beyond the grid, so one
+rung of J, the norm and both residuals builds the grid once and runs one
+pass per distinct ansatz, even when an equal ansatz is built again.
 
-A bump is evaluated on its support d < cutoff_r only, in blocks of
-_BUMP_BLOCK points whose temporaries stay in cache, and beyond it holds
+A bump is evaluated on its support d < cutoff_r only and beyond it holds
 the exact zeros the cutoff gives; a pair term only where both supports
 meet.  U, chi and v2base share the ground state's radial grid, so one
 interval lookup per point serves every profile and derivative of a bump.
@@ -78,10 +78,14 @@ class UnsupportedModel(TypeError):
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL6 = np.polynomial.legendre.leggauss(6)
 
-# Support points per block of PeakAnsatz.bump, and grid nodes per block of
-# _field_pass.  On a million points the profile lookups (take, Horner) are
-# bound by memory bandwidth; a block of 2^16 keeps their temporaries in cache.
+# Support-grid nodes per block of _field_pass.  On a million points the
+# profile lookups (take, Horner) are bound by memory bandwidth; a block of
+# 2^16 keeps their temporaries in cache.
 _BUMP_BLOCK = 1 << 16
+
+# The support grid's angular step is at most _STEP_FACTOR eps / R (and
+# pi/24); with six Gauss nodes per step that is 6 / 0.34 = 17.6 per eps.
+_STEP_FACTOR = 0.34
 
 
 def smoothstep_cutoff(r, cutoff_r: float):
@@ -191,7 +195,6 @@ class PeakAnsatz:
         self.gs = gs
         self.c_bold = float(c_bold)
         self.profiles = profiles
-        self._lookup = None  # (located rho, order) of the running blownup_profile
         cp = model.curvature_at(self.config.centers[0] if self.K else None)
         self.s_center = cp.s
         # Ricci eigenvalue over -3: the sign that cancels the metric part
@@ -218,22 +221,11 @@ class PeakAnsatz:
         """Coefficient 1 + eps^2 c s of u in the equation and the energy."""
         return 1.0 + self.epsilon ** 2 * self.c_bold * self.s_center
 
-    def correction(self, rho):
-        """The frozen-curvature profile correction in blown-up coordinates."""
-        rho = np.asarray(rho, dtype=float)
-        chi = self.profiles.chi
-        v2b = self.profiles.v2base
-        return self._ric_factor * chi(rho) + self.c_bold * self.s_center * v2b(rho)
-
-    def _correction_derivs(self, rho):
-        """(V, V', V'') at rho.
-
-        Called from blownup_profile it reuses that call's interval lookup
-        and stops at its order, since U, chi and v2base share one grid.  It
-        takes rho alone so that a subclass can replace V by any rho ->
-        (V, V', V'').
+    def _correction_derivs(self, at, order: int):
+        """(V, V', ...) up to the given order at points located on the ground
+        state's grid, which U, chi and v2base share.  A subclass may replace
+        V by any function of at.r.
         """
-        at, order = self._lookup or (self.gs.grid.locate(rho), 2)
         rf, cs = self._ric_factor, self.c_bold * self.s_center
         chi = self.profiles.chi.evaluate(at, order)
         v2b = self.profiles.v2base.evaluate(at, order)
@@ -243,18 +235,12 @@ class PeakAnsatz:
         """(h, h', h'') of the per-peak profile in rho = d/eps, no cutoff,
         up to the derivative of the given order.
         """
-        rho = np.asarray(rho, dtype=float)
         at = self.gs.grid.locate(rho)
         u = self.gs.profile.evaluate(at, order)
         if not self.include_v:
             return u
-        self._lookup = at, order
-        try:
-            v = self._correction_derivs(rho)
-        finally:
-            self._lookup = None
         e2 = self.epsilon ** 2
-        return tuple(a + e2 * b for a, b in zip(u, v))
+        return tuple(a + e2 * b for a, b in zip(u, self._correction_derivs(at, order)))
 
     def support(self, d):
         """Where distance d lies inside the cutoff radius."""
@@ -264,19 +250,15 @@ class PeakAnsatz:
         """(G, G', G'') of one bump versus manifold distance d, up to the
         derivative of the given order.
 
-        Only the support is evaluated, in blocks of _BUMP_BLOCK points
-        written into the preallocated outputs; beyond it G and its
-        derivatives are the exact zeros that the cutoff gives them.
+        Only the support is evaluated; beyond it G and its derivatives are
+        the exact zeros that the cutoff gives them.
         """
         d = np.asarray(d, dtype=float)
-        flat = d.reshape(-1)
-        out = [np.zeros_like(flat) for _ in range(order + 1)]
-        support = np.flatnonzero(self.support(flat))
-        for start in range(0, support.size, _BUMP_BLOCK):
-            at = support[start:start + _BUMP_BLOCK]
-            for full, g in zip(out, self._bump_inside(flat[at], order)):
-                full[at] = g
-        return tuple(full.reshape(d.shape)[()] for full in out)
+        support = self.support(d)
+        out = [np.zeros_like(d) for _ in range(order + 1)]
+        for full, g in zip(out, self._bump_inside(d[support], order)):
+            full[support] = g
+        return tuple(full[()] for full in out)
 
     def _bump_inside(self, ds, order: int):
         """(G, G', ...) at distances ds that all lie inside the support."""
@@ -348,12 +330,24 @@ def _rho_max(model, ansatz: PeakAnsatz) -> float:
     return min(rc / eps, cap)
 
 
-def _polar_fields(model, ansatz: PeakAnsatz, rho_step: float, order: int):
-    """(rho, (G, G', ...), integral) for one bump on geodesic polar nodes
-    rho = d/eps, up to the derivative of the given order; integral(dens)
-    integrates over the ball in blown-up units.
+class _Integrals(NamedTuple):
+    """J, the squared norm and the integral of |r|^p' of an ansatz's field.
+
+    From _polar_pass they are one peak's; from _grid_integrals J and norm
+    are the cross parts J(sum u_i) - sum J(u_i) and the like, and residual
+    is taken for the whole sum.
     """
-    eps, rc, n = ansatz.epsilon, ansatz.config.cutoff_r, model.n
+
+    J: float
+    norm: float
+    residual: float
+
+
+def _polar_pass(model, ansatz: PeakAnsatz, rho_step: float) -> _Integrals:
+    """The integrals of one bump on geodesic polar nodes rho = d/eps over
+    the ball in blown-up units, from one evaluation of (G, G', G'').
+    """
+    eps, rc, n, p = ansatz.epsilon, ansatz.config.cutoff_r, model.n, ansatz.gs.p
     kinks = () if np.isinf(rc) else (0.5 * rc / eps, rc / eps)
     rho, w = _panel_nodes(_rho_max(model, ansatz), rho_step, kinks)
     meas = rho ** (n - 1) * _polar_sinc(model, eps * rho) ** (n - 1)
@@ -361,7 +355,20 @@ def _polar_fields(model, ansatz: PeakAnsatz, rho_step: float, order: int):
     def integral(dens) -> float:
         return surface_area(n) * float(np.sum(w * dens * meas))
 
-    return rho, ansatz.bump(eps * rho, order), integral
+    g0, g1, g2 = ansatz.bump(eps * rho)
+    mass, pos = ansatz.mass, np.maximum(g0, 0.0)
+    # eps^2 |grad u|^2 = (dG/drho)^2 in blown-up units
+    gr = eps * g1
+    if isinstance(model, FlatSpace):
+        cot_term = 1.0 / rho
+    else:
+        R = model.radius
+        cot_term = (eps / R) / np.tan(eps * rho / R)
+    lap = eps ** 2 * g2 + (n - 1) * cot_term * eps * g1
+    r = -lap + mass * g0 - pos ** (p - 1.0)
+    return _Integrals(integral(0.5 * gr ** 2 + 0.5 * mass * g0 ** 2 - pos ** p / p),
+                      integral(gr ** 2 + mass * g0 ** 2),
+                      integral(np.abs(r) ** (p / (p - 1.0))))
 
 
 def _great_circle_basis(centers):
@@ -416,10 +423,6 @@ class SupportGrid(NamedTuple):
     measure: np.ndarray
     memo: dict
 
-    def indices(self):
-        """(rows, cols) of the kept nodes in the full grid, row-major."""
-        return _kept_indices(self.prefix, self.suffix, self.phi.size)
-
     def integral(self, dens) -> float:
         """The eps-normalized sphere integral of dens given on the kept nodes."""
         return float(np.sum(dens * self.measure))
@@ -434,15 +437,13 @@ def _kept_indices(prefix, suffix, n_phi: int):
     return rows, cols
 
 
-def _great_circle(model, ansatz: PeakAnsatz, step_factor: float) -> SupportGrid:
+def _great_circle(model, ansatz: PeakAnsatz) -> SupportGrid:
     """The support grid of the ansatz's centers on the sphere."""
     n = model.n
     if n < 3:
         raise UnsupportedModel("cross-term quadrature needs sphere dimension >= 3")
     eps, R = ansatz.epsilon, model.radius
-    ang_step = min(step_factor * eps / R, np.pi / 24.0)
-    if 6.0 / (ang_step * R / eps) < 8.0:
-        raise ResolutionTooCoarse("angular step leaves fewer than 8 nodes per eps")
+    ang_step = min(_STEP_FACTOR * eps / R, np.pi / 24.0)
     centers = tuple(tuple(float(x) for x in c) for c in ansatz.config.centers)
     return _support_grid(n, float(R), centers, float(eps),
                          float(ansatz.config.cutoff_r), float(ang_step))
@@ -503,35 +504,24 @@ def _cos_angle(model, d_i, d_j, d_ij):
     return np.clip(val, -1.0, 1.0)
 
 
-class _GridIntegrals(NamedTuple):
-    """The support-grid integrals of one ansatz with K >= 2 peaks.
-
-    J is the cross part J(sum u_i) - sum J(u_i), norm the cross part of the
-    squared norm, residual the integral of |r|^p' for the whole sum.
-    """
-
-    J: float
-    norm: float
-    residual: float
-
-
 def _bump_fields(model, ansatz: PeakAnsatz, d):
     """(support, G, G', Lap G) of one bump at sphere distances d from its
-    center; Lap G is taken on the support only.
+    center, each evaluated on the support only.
     """
     R = model.radius
     support = ansatz.support(d)
-    g0, g1, g2 = ansatz.bump(d)
+    G, dG, lap = (np.zeros_like(d) for _ in range(3))
     ds = d[support]
+    g0, g1, g2 = ansatz._bump_inside(ds, 2)
+    G[support], dG[support] = g0, g1
     with np.errstate(divide="ignore", invalid="ignore"):
         cot = np.where(ds > 0, 1.0 / np.tan(ds / R), 0.0) / R
-    lap_s = g2[support] + (model.n - 1) * cot * g1[support]
-    lap = np.zeros_like(d)
+    lap_s = g2 + (model.n - 1) * cot * g1
     lap[support] = np.where(np.isfinite(lap_s), lap_s, 0.0)
-    return support, g0, g1, lap
+    return support, G, dG, lap
 
 
-def _field_pass(model, ansatz: PeakAnsatz, grid: SupportGrid) -> _GridIntegrals:
+def _field_pass(model, ansatz: PeakAnsatz, grid: SupportGrid) -> _Integrals:
     """The three support-grid integrals from one evaluation of each bump.
 
     The kept nodes are walked in blocks of _BUMP_BLOCK.  Per block each bump
@@ -567,11 +557,11 @@ def _field_pass(model, ansatz: PeakAnsatz, grid: SupportGrid) -> _GridIntegrals:
         dens_norm[block] = 2.0 * pair
         r = -eps ** 2 * sum(laps) + mass * u - np.maximum(u, 0.0) ** (p - 1.0)
         dens_res[block] = np.abs(r) ** pp
-    return _GridIntegrals(grid.integral(dens_J), grid.integral(dens_norm),
-                          grid.integral(dens_res))
+    return _Integrals(grid.integral(dens_J), grid.integral(dens_norm),
+                      grid.integral(dens_res))
 
 
-def _grid_integrals(model, ansatz: PeakAnsatz, step_factor: float) -> _GridIntegrals:
+def _grid_integrals(model, ansatz: PeakAnsatz) -> _Integrals:
     """_field_pass of the ansatz, once per ansatz and support grid.
 
     The result is kept in the grid's memo and dropped with it.  Its key is
@@ -579,7 +569,7 @@ def _grid_integrals(model, ansatz: PeakAnsatz, step_factor: float) -> _GridInteg
     gs and profiles enter by identity, and the entry holds them so that
     their ids stay taken.
     """
-    grid = _great_circle(model, ansatz, step_factor)
+    grid = _great_circle(model, ansatz)
     key = (type(ansatz), id(ansatz.gs), id(ansatz.profiles), ansatz.c_bold,
            ansatz.s_center, ansatz._ric_factor)
     if key not in grid.memo:
@@ -587,68 +577,41 @@ def _grid_integrals(model, ansatz: PeakAnsatz, step_factor: float) -> _GridInteg
     return grid.memo[key][2]
 
 
-def _peak_count(model, ansatz: PeakAnsatz) -> int:
-    """K, 0 for no ansatz; several peaks are only quadrated on the sphere."""
+def _measure(model, ansatz: PeakAnsatz, rho_step: float) -> _Integrals:
+    """J, the squared norm and the residual norm of the ansatz.
+
+    The single-peak terms come from one polar pass and are counted K
+    times; for K >= 2 the cross terms of J and the norm, and the residual
+    of the whole sum, which does not separate, come from the support grid.
+    Several peaks are only quadrated on the sphere.
+    """
     K = 0 if ansatz is None else ansatz.K
+    if K == 0:
+        return _Integrals(0.0, 0.0, 0.0)
     if K >= 2 and isinstance(model, FlatSpace):
         raise UnsupportedModel("several peaks are only quadrated on the sphere")
-    return K
+    one = _polar_pass(model, ansatz, rho_step)
+    J, norm, residual = one
+    if K >= 2:
+        cross = _grid_integrals(model, ansatz)
+        J, norm, residual = K * J + cross.J, K * norm + cross.norm, cross.residual
+    pp = ansatz.gs.p / (ansatz.gs.p - 1.0)
+    return _Integrals(J, norm, residual ** (1.0 / pp))
 
 
-def energy_J(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
-             step_factor: float = 0.34) -> float:
+def energy_J(model, ansatz: PeakAnsatz, rho_step: float = 0.25) -> float:
     """The eps-normalized energy of the ansatz, exact peak decomposition."""
-    K = _peak_count(model, ansatz)
-    if K == 0:
-        return 0.0
-    eps, p = ansatz.epsilon, ansatz.gs.p
-    _, (g0, g1), integral = _polar_fields(model, ansatz, rho_step, 1)
-    # eps^2 |grad u|^2 = (dG/drho)^2 in blown-up units
-    gr = eps * g1
-    val = K * integral(0.5 * gr ** 2 + 0.5 * ansatz.mass * g0 ** 2
-                       - np.maximum(g0, 0.0) ** p / p)
-    if K >= 2:
-        val += _grid_integrals(model, ansatz, step_factor).J
-    return val
+    return _measure(model, ansatz, rho_step).J
 
 
-def norm_eps(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
-             step_factor: float = 0.34) -> float:
+def norm_eps(model, ansatz: PeakAnsatz, rho_step: float = 0.25) -> float:
     """Squared weighted norm (1/eps^n)(eps^2 |grad u|_2^2 + |u|_(2,s)^2)."""
-    K = _peak_count(model, ansatz)
-    if K == 0:
-        return 0.0
-    _, (g0, g1), integral = _polar_fields(model, ansatz, rho_step, 1)
-    gr = ansatz.epsilon * g1
-    val = K * integral(gr ** 2 + ansatz.mass * g0 ** 2)
-    if K >= 2:
-        val += _grid_integrals(model, ansatz, step_factor).norm
-    return val
+    return _measure(model, ansatz, rho_step).norm
 
 
-def residual_norm(model, ansatz: PeakAnsatz, rho_step: float = 0.25,
-                  step_factor: float = 0.34) -> float:
+def residual_norm(model, ansatz: PeakAnsatz, rho_step: float = 0.25) -> float:
     """L^(p') size of -eps^2 lap u + (1 + eps^2 c s) u - (u+)^(p-1)."""
-    K = _peak_count(model, ansatz)
-    if K == 0:
-        return 0.0
-    eps, n, p = ansatz.epsilon, model.n, ansatz.gs.p
-    pp = p / (p - 1.0)
-    if K == 1:
-        rho, (g0, g1, g2), integral = _polar_fields(model, ansatz, rho_step, 2)
-        if isinstance(model, FlatSpace):
-            cot_term = 1.0 / rho
-        else:
-            R = model.radius
-            cot_term = (eps / R) / np.tan(eps * rho / R)
-        lap = eps ** 2 * g2 + (n - 1) * cot_term * eps * g1
-        r = -lap + ansatz.mass * g0 - np.maximum(g0, 0.0) ** (p - 1.0)
-        total = integral(np.abs(r) ** pp)
-    else:
-        # the single-peak terms do not separate: |r|^p' is taken on the
-        # support grid for the whole sum
-        total = _grid_integrals(model, ansatz, step_factor).residual
-    return total ** (1.0 / pp)
+    return _measure(model, ansatz, rho_step).residual
 
 
 @dataclass
@@ -677,14 +640,13 @@ class EnergyBreakdown:
 
 def expansion_compare(model, config: PeakConfig, gs: GroundState,
                       profiles: CorrectionProfiles, dc: DimensionalConstants,
-                      rho_step: float = 0.25, step_factor: float = 0.34,
                       gamma_value: float = None) -> EnergyBreakdown:
     """Measured energy against the explicit expansion terms.
 
     remainder = J_measured - alpha - beta - phi - interaction, exactly.
     """
     ansatz = build_Y(model, config, gs, profiles=profiles, dc=dc)
-    J = energy_J(model, ansatz, rho_step=rho_step, step_factor=step_factor)
+    J = energy_J(model, ansatz)
     eps = config.epsilon
     term_alpha = config.K * dc.alpha
     term_beta = 0.0
@@ -718,8 +680,7 @@ SLOPE_LADDER = (0.1, 0.07, 0.05, 0.035)
 
 def energy_coefficient_fit(model, gs: GroundState, profiles: CorrectionProfiles,
                            dc: DimensionalConstants, center, cutoff_r: float = 1.2,
-                           eps_ladder=COEFF_LADDER, rho_step: float = 0.25,
-                           include_v: bool = True) -> dict:
+                           eps_ladder=COEFF_LADDER) -> dict:
     """Fit (J(eps) - alpha)/eps^2 to a quadratic in eps^2 for one peak.
 
     Returns the extracted eps^2 and eps^4 energy coefficients together with
@@ -729,8 +690,7 @@ def energy_coefficient_fit(model, gs: GroundState, profiles: CorrectionProfiles,
     ys = []
     for eps in eps_ladder:
         config = PeakConfig(epsilon=eps, centers=[center], cutoff_r=cutoff_r)
-        ansatz = build_Y(model, config, gs, profiles=profiles if include_v else None, dc=dc)
-        J = energy_J(model, ansatz, rho_step=rho_step)
+        J = energy_J(model, build_Y(model, config, gs, profiles=profiles, dc=dc))
         ys.append((J - dc.alpha) / eps ** 2)
     e0 = max(eps_ladder)
     x = np.array([(e / e0) ** 2 for e in eps_ladder])
@@ -762,7 +722,7 @@ def loglog_slope(eps_ladder, values) -> tuple:
 
 def residual_slopes(model, gs: GroundState, profiles: CorrectionProfiles,
                     dc: DimensionalConstants, center, cutoff_r: float = 1.2,
-                    eps_ladder=SLOPE_LADDER, rho_step: float = 0.25) -> dict:
+                    eps_ladder=SLOPE_LADDER) -> dict:
     """Log-log residual decay rates of the plain and corrected ansatz."""
     eps_ladder = tuple(float(e) for e in eps_ladder)
     vals = {"W": [], "Y": []}
@@ -770,8 +730,8 @@ def residual_slopes(model, gs: GroundState, profiles: CorrectionProfiles,
         config = PeakConfig(epsilon=eps, centers=[center], cutoff_r=cutoff_r)
         W = build_W(model, config, gs, c_bold=dc.c_bold)
         Y = build_Y(model, config, gs, profiles=profiles, dc=dc)
-        vals["W"].append(residual_norm(model, W, rho_step=rho_step))
-        vals["Y"].append(residual_norm(model, Y, rho_step=rho_step))
+        vals["W"].append(residual_norm(model, W))
+        vals["Y"].append(residual_norm(model, Y))
     out = {"eps_ladder": eps_ladder, "W_values": vals["W"], "Y_values": vals["Y"]}
     out["W_slope"], out["W_r2"] = loglog_slope(eps_ladder, vals["W"])
     out["Y_slope"], out["Y_r2"] = loglog_slope(eps_ladder, vals["Y"])

@@ -258,12 +258,7 @@ class GroundState:
         grid = RadialGrid(np.asarray(d["grid"], dtype=float))
         values = np.asarray(d["values"], dtype=float)
         d1 = np.asarray(d["values_d1"], dtype=float)
-        d2 = _ode_second_derivative(grid.nodes, values, d1, n, p)
-        d3 = _ode_third_derivative(grid.nodes, values, d1, d2, n, p)
-        d4 = _ode_fourth_derivative(grid.nodes, values, d1, d2, d3, n, p)
-        nu = (n - 1.0) / 2.0
-        tail = TailModel(float(d["decay_c"]), -nu, 1.0)
-        profile = RadialFunction(grid, values, d1, d2, tail=tail, d3=d3, d4=d4)
+        profile = _node_profile(grid, values, d1, n, p, float(d["decay_c"]))
         return GroundState(
             n=n,
             p=p,
@@ -291,6 +286,18 @@ class GroundState:
     def load(path) -> "GroundState":
         with open(path) as fh:
             return GroundState.from_dict(json.load(fh))
+
+
+def _node_profile(grid: RadialGrid, values, d1, n: int, p: float,
+                  decay_c: float) -> RadialFunction:
+    """The profile through node values and first derivatives: d2, d3 and d4
+    from the ODE, and the tail decay_c r^(-(n-1)/2) e^(-r) past the grid.
+    """
+    d2 = _ode_second_derivative(grid.nodes, values, d1, n, p)
+    d3 = _ode_third_derivative(grid.nodes, values, d1, d2, n, p)
+    d4 = _ode_fourth_derivative(grid.nodes, values, d1, d2, d3, n, p)
+    tail = TailModel(decay_c, -(n - 1.0) / 2.0, 1.0)
+    return RadialFunction(grid, values, d1, d2, tail=tail, d3=d3, d4=d4)
 
 
 def _ode_second_derivative(r, u, du, n, p):
@@ -531,7 +538,6 @@ def solve_ground_state(n: int, p: float) -> GroundState:
             f"below and above it {below} and {above}"
         )
 
-    nu = (n - 1.0) / 2.0
     r_max = min(_tail_radius(c_star, n, 1e-13 * a_fit, _tail_series_coeffs(n)), SOLVER["r_cap"])
     if r_max > sb.t[0]:
         raise TailTooShort(
@@ -551,13 +557,8 @@ def solve_ground_state(n: int, p: float) -> GroundState:
     if np.any(d1[1:] > 1e-12 * values[0]):
         raise NoBracket("polished profile lost monotonicity")
     d1 = np.minimum(d1, 0.0)
-    d2 = _ode_second_derivative(grid.nodes, values, d1, n, p)
-    d3 = _ode_third_derivative(grid.nodes, values, d1, d2, n, p)
-    d4 = _ode_fourth_derivative(grid.nodes, values, d1, d2, d3, n, p)
-
-    c_u, c_du = _fit_decay(grid.nodes, values, d1, n, float(values[0]))
-    tail = TailModel(c_u, -nu, 1.0)
-    profile = RadialFunction(grid, values, d1, d2, tail=tail, d3=d3, d4=d4)
+    c_u, _ = _fit_decay(grid.nodes, values, d1, n, float(values[0]))
+    profile = _node_profile(grid, values, d1, n, p, c_u)
     I1, I2, Ip = _energy_ledger(profile, n, p, c_u)
     return GroundState(
         n=n,

@@ -285,25 +285,6 @@ def _horner(coeffs, idx, tau, deriv: int = 0):
     return out
 
 
-def _fd_derivative(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Second-order derivative estimates on a nonuniform grid."""
-    d = np.empty_like(f)
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    d[1:-1] = (hm ** 2 * f[2:] + (hp ** 2 - hm ** 2) * f[1:-1] - hp ** 2 * f[:-2]) / (
-        hm * hp * (hm + hp)
-    )
-    h0, h1 = x[1] - x[0], x[2] - x[1]
-    d[0] = (-(2 * h0 + h1) * f[0] + (h0 + h1) ** 2 / h1 * f[1] - h0 ** 2 / h1 * f[2]) / (
-        h0 * (h0 + h1)
-    )
-    hN, hN1 = x[-1] - x[-2], x[-2] - x[-3]
-    d[-1] = ((2 * hN + hN1) * f[-1] - (hN + hN1) ** 2 / hN1 * f[-2] + hN ** 2 / hN1 * f[-3]) / (
-        hN * (hN + hN1)
-    )
-    return d
-
-
 class Quadrature:
     """Composite Gauss-Legendre rule over the cells of a RadialGrid."""
 

@@ -3,7 +3,8 @@
 shoot_profile builds the uncertified single-shot profile that negative
 controls feed to the identity checks; truncate cuts a certified profile
 short to exercise the decay-fit gate; inverse solves U(r) = value for
-tail-window radii.  They reuse the solver's private pieces, so a change to
+tail-window radii; fd_derivative is the finite-difference oracle of
+profile derivatives.  They reuse the solver's private pieces, so a change to
 those pieces shows up here too.
 """
 
@@ -97,3 +98,22 @@ def inverse(gs: GroundState, value: float) -> float:
     while gs(r_hi) > value:
         r_hi *= 1.5
     return brentq(lambda r: gs(r) - value, 0.0, r_hi, xtol=1e-13)
+
+
+def fd_derivative(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Second-order derivative estimates on a nonuniform grid."""
+    d = np.empty_like(f)
+    hm = x[1:-1] - x[:-2]
+    hp = x[2:] - x[1:-1]
+    d[1:-1] = (hm ** 2 * f[2:] + (hp ** 2 - hm ** 2) * f[1:-1] - hp ** 2 * f[:-2]) / (
+        hm * hp * (hm + hp)
+    )
+    h0, h1 = x[1] - x[0], x[2] - x[1]
+    d[0] = (-(2 * h0 + h1) * f[0] + (h0 + h1) ** 2 / h1 * f[1] - h0 ** 2 / h1 * f[2]) / (
+        h0 * (h0 + h1)
+    )
+    hN, hN1 = x[-1] - x[-2], x[-2] - x[-3]
+    d[-1] = ((2 * hN + hN1) * f[-1] - (hN + hN1) ** 2 / hN1 * f[-2] + hN ** 2 / hN1 * f[-3]) / (
+        hN * (hN + hN1)
+    )
+    return d

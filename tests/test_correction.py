@@ -14,9 +14,8 @@ from multipeak.correction import (
     verify_L0_identities,
 )
 from multipeak.groundstate import GroundState, solve_ground_state
-from multipeak.radial import _fd_derivative
 
-from profile_oracles import inverse
+from profile_oracles import fd_derivative, inverse
 
 # pinned against an independent uniform-grid solve (agreement 7e-8)
 PSI0_33 = -2.248598116732135
@@ -136,7 +135,7 @@ def test_corrupted_profile_negative_control():
     d = gs.to_dict()
     r = np.asarray(d["grid"])
     values = np.asarray(d["values"]) * (1.0 + 0.01 * np.cos(3.0 * r))
-    d1 = _fd_derivative(r, values)
+    d1 = fd_derivative(r, values)
     d1[0] = 0.0
     d["values"], d["values_d1"] = values.tolist(), d1.tolist()
     bad = GroundState.from_dict(d)

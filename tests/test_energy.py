@@ -129,39 +129,30 @@ def _unrestricted_bump(ansatz, d):
 
 @pytest.mark.parametrize("corrected", [False, True])
 def test_bump_is_evaluated_on_its_support_only(corrected, state):
+    # the cutoff's edge, and a 2-D array with a support of more than two
+    # _BUMP_BLOCKs: each value is the unrestricted formula's, bit for bit
     gs, cp, dc = state
     cfg = _one_peak(0.05)
     A = build_Y(S3, cfg, gs, profiles=cp if corrected else None, dc=dc)
-    d = np.concatenate([np.linspace(0.0, 2.0, 801), [1.2, np.nextafter(1.2, 0.0), 3.0]])
-    inside = d < 1.2
-    got = A.bump(d)
-    want = _unrestricted_bump(A, d)
-    for g, w in zip(got, want):
-        assert np.array_equal(g[inside], w[inside])
-        assert np.all(g[~inside] == 0.0)
-        assert np.all(w[~inside] == 0.0)
-    assert all(np.array_equal(a, b) for a, b in zip(A.bump(d, 1), got))
-    assert len(A.bump(d, 1)) == 2 and len(A.bump(d, 0)) == 1
+    edge = np.concatenate([np.linspace(0.0, 2.0, 801), [1.2, np.nextafter(1.2, 0.0), 3.0]])
+    wide = np.linspace(0.0, 2.0, 6 * energy._BUMP_BLOCK).reshape(3, -1)
+    assert (wide < 1.2).sum() > 2 * energy._BUMP_BLOCK
+    for d in (edge, wide):
+        inside = d < 1.2
+        got = A.bump(d)
+        want = _unrestricted_bump(A, d)
+        for g, w in zip(got, want):
+            assert g.shape == d.shape
+            assert np.array_equal(g[inside], w[inside])
+            assert np.all(g[~inside] == 0.0)
+            assert np.all(w[~inside] == 0.0)
+    got = A.bump(edge)
+    assert all(np.array_equal(a, b) for a, b in zip(A.bump(edge, 1), got))
+    assert len(A.bump(edge, 1)) == 2 and len(A.bump(edge, 0)) == 1
     # scalar distances on both sides of the cutoff
     assert A.bump(0.3) == tuple(g[0] for g in A.bump(np.array([0.3])))
     assert A.bump(1.5) == (0.0, 0.0, 0.0)
     assert all(np.ndim(g) == 0 for g in A.bump(0.3))
-
-
-@pytest.mark.parametrize("corrected", [False, True])
-def test_bump_blocks_equal_one_pass(corrected, state):
-    # a support of more than two blocks, as a 2-D array: each value is the
-    # one-pass formula's, bit for bit
-    gs, cp, dc = state
-    A = build_Y(S3, _one_peak(0.05), gs, profiles=cp if corrected else None, dc=dc)
-    d = np.linspace(0.0, 2.0, 6 * energy._BUMP_BLOCK).reshape(3, -1)
-    inside = d < 1.2
-    assert inside.sum() > 2 * energy._BUMP_BLOCK
-    got = A.bump(d)
-    for g, w in zip(got, _unrestricted_bump(A, d)):
-        assert g.shape == d.shape
-        assert np.array_equal(g[inside], w[inside])
-        assert np.all(g[~inside] == 0.0)
 
 
 def test_ansatz_vanishes_outside_every_support(state):
@@ -184,15 +175,34 @@ def test_two_peak_values_pinned(state):
     assert residual_norm(S3, Y) == pytest.approx(1.163632900912379, rel=1e-14)
 
 
+@pytest.mark.parametrize("model,cutoff,values", [
+    (S3, 1.2, (43.644327105421986, 261.73480542128976, 0.04433534404068904,
+               43.644197706961855, 261.8653368986925, 0.00025970629753788914)),
+    (FLAT3, np.inf, (43.66023671624679, 261.96142029748114, 1.309148684053754e-13,
+                     43.66023671624679, 261.96142029748114, 1.309148684053754e-13)),
+], ids=["S3", "R3"])
+def test_one_peak_values_pinned(model, cutoff, values, state):
+    # J, the norm and the residual of W and Y for one peak at eps = 0.05;
+    # abs=0 drops approx's default absolute 1e-12, which would pass any
+    # residual below it (on R^3 the residual is at the interpolation floor)
+    gs, cp, dc = state
+    center = S3.point(0.6) if model is S3 else np.zeros(3)
+    cfg = PeakConfig(0.05, [center], cutoff)
+    W = build_W(model, cfg, gs, c_bold=dc.c_bold)
+    Y = build_Y(model, cfg, gs, profiles=cp, dc=dc)
+    got = [fn(model, A) for A in (W, Y) for fn in (energy_J, norm_eps, residual_norm)]
+    assert got == pytest.approx(list(values), rel=1e-14, abs=0)
+
+
 def _rotation(seed):
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
     return q * np.sign(np.diag(r))
 
 
-def _full_grid(ansatz, step_factor=0.34):
+def _full_grid(ansatz):
     """(theta, phi, measure, dists) on the whole (theta, phi) grid, 2-D."""
     n, R, eps = S3.n, S3.radius, ansatz.epsilon
-    ang_step = min(step_factor * eps / R, np.pi / 24.0)
+    ang_step = min(energy._STEP_FACTOR * eps / R, np.pi / 24.0)
     th, wth = energy._gl_panels(0.0, np.pi, ang_step)
     ph, wph = energy._gl_panels(0.0, np.pi, ang_step)
     e_a, e_b = energy._great_circle_basis(ansatz.config.centers)
@@ -225,9 +235,9 @@ _GRID_CASES = [
 def test_support_grid_restricts_the_full_grid(eps, centers, state):
     gs, _, _ = state
     W = build_W(S3, PeakConfig(eps, centers, 1.2), gs)
-    grid = energy._great_circle(S3, W, 0.34)
+    grid = energy._great_circle(S3, W)
     th, ph, measure, dists = _full_grid(W)
-    rows, cols = grid.indices()
+    rows, cols = energy._kept_indices(grid.prefix, grid.suffix, grid.phi.size)
     # kept nodes: nodes, weights and distances are the full grid's, bit for bit
     assert np.array_equal(grid.theta, th) and np.array_equal(grid.phi, ph)
     assert np.array_equal(grid.measure, measure[rows, cols])
@@ -308,7 +318,7 @@ def test_field_pass_equals_whole_array_formulas(eps, centers, state, monkeypatch
     # blocks of 1001 put block edges inside every support
     gs, cp, dc = state
     Y = build_Y(S3, PeakConfig(eps, centers, 1.2), gs, profiles=cp, dc=dc)
-    grid = energy._great_circle(S3, Y, 0.34)
+    grid = energy._great_circle(S3, Y)
     want = _whole_array_integrals(Y, grid)
     for block in (energy._BUMP_BLOCK, 1001):
         monkeypatch.setattr(energy, "_BUMP_BLOCK", block)
@@ -367,12 +377,10 @@ def test_field_pass_memo_keys(state, field_passes):
     Z = _PsiCorrectedAnsatz(S3, Y.config, gs, c_bold=dc.c_bold, profiles=cp)
     residual_norm(S3, Z)
     assert field_passes[-1] is Z
-    # a new angular step or eps builds a new grid and measures again
-    residual_norm(S3, Y, step_factor=0.3)
-    assert field_passes[-1] is Y and len(field_passes) == 4
+    # a new eps builds a new grid and measures again
     Y2, _ = _rung(state, eps=0.09)
     residual_norm(S3, Y2)
-    assert field_passes[-1] is Y2 and len(field_passes) == 5
+    assert field_passes[-1] is Y2 and len(field_passes) == 4
 
 
 # ---------------------------------------------------------- admissibility
@@ -457,15 +465,21 @@ def test_energy_quadrature_step_insensitive(state):
     assert abs(J1 - J2) < 1e-10
 
 
+def _correction(ansatz, rho):
+    """V = ric_factor chi + c s v2base at rho, from the profiles' own calls."""
+    cp = ansatz.profiles
+    return ansatz._ric_factor * cp.chi(rho) + ansatz.c_bold * ansatz.s_center * cp.v2base(rho)
+
+
 def test_correction_derivatives_consistent(state):
     gs, cp, dc = state
     Y = build_Y(S3, _one_peak(0.05), gs, profiles=cp, dc=dc)
     rho = np.linspace(0.3, 9.0, 37)
-    v0, v1, v2 = Y._correction_derivs(rho)
-    assert np.allclose(v0, Y.correction(rho), rtol=0, atol=1e-12)
+    v0, v1, v2 = Y._correction_derivs(gs.grid.locate(rho), 2)
+    assert np.allclose(v0, _correction(Y, rho), rtol=0, atol=1e-12)
     h = 1e-5
-    fd1 = (Y.correction(rho + h) - Y.correction(rho - h)) / (2 * h)
-    fd2 = (Y.correction(rho + h) - 2 * Y.correction(rho) + Y.correction(rho - h)) / h**2
+    fd1 = (_correction(Y, rho + h) - _correction(Y, rho - h)) / (2 * h)
+    fd2 = (_correction(Y, rho + h) - 2 * _correction(Y, rho) + _correction(Y, rho - h)) / h**2
     assert np.abs(v1 - fd1).max() < 1e-7
     assert np.abs(v2 - fd2).max() < 5e-4
 
@@ -498,7 +512,7 @@ def test_library_correction_cancels_curvature_residual_pointwise(state):
     r = rq[rq < 20.0]
     U, dU, _ = gs.eval(r)
     Y = build_Y(S3, _one_peak(0.05), gs, profiles=cp, dc=dc)
-    V, dV, d2V = Y._correction_derivs(r)
+    V, dV, d2V = Y._correction_derivs(gs.grid.locate(r), 2)
     L0V = -d2V - 2.0 / r * dV + V - 2.0 * U * V
     S = (2.0 / 3.0) * r * dU + CBOLD * SCAL * U
     assert np.abs(L0V + S).max() < 1e-6
@@ -561,10 +575,12 @@ class _PsiCorrectedAnsatz(PeakAnsatz):
 
     psi solves the degree-2 equation, so L0(psi r^2) = r U' - 2n psi and this
     corrector leaves the trace defect L0 V + S = (2/3) s psi.  Only the
-    derivatives the quadratures read are replaced.
+    derivatives the quadratures read are replaced; blownup_profile keeps the
+    first order + 1 of them.
     """
 
-    def _correction_derivs(self, rho):
+    def _correction_derivs(self, at, order):
+        rho = at.r
         psi, v2b = self.profiles.psi, self.profiles.v2base
         p0, p1, p2 = psi(rho), psi.deriv1(rho), psi.deriv2(rho)
         rf, cs = self._ric_factor, self.c_bold * self.s_center

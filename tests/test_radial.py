@@ -10,13 +10,14 @@ from multipeak.radial import (
     RadialFunction,
     RadialGrid,
     TailModel,
-    _fd_derivative,
     _hermite_coeffs,
     moment_reduce,
     moment_weight,
     surface_area,
     tail_power_integral,
 )
+
+from profile_oracles import fd_derivative
 
 
 def upper_gamma_tail(c: float, a: float, b: float, R: float) -> float:
@@ -36,9 +37,9 @@ def from_values(grid: RadialGrid, values, tail=None) -> RadialFunction:
     derivatives, with f'(0) = 0 as for smooth radial profiles."""
     x = grid.nodes
     f = np.asarray(values, dtype=float)
-    d1 = _fd_derivative(x, f)
+    d1 = fd_derivative(x, f)
     d1[0] = 0.0
-    d2 = _fd_derivative(x, d1)
+    d2 = fd_derivative(x, d1)
     return RadialFunction(grid, f, d1, d2, tail=tail)
 
 
