@@ -166,11 +166,11 @@ def compute_constants(gs: GroundState, cp: CorrectionProfiles, m: int) -> Dimens
     )
 
 
-def _angular_factor(r: np.ndarray, n: int, rel_tol: float = 1e-10) -> np.ndarray:
+def _angular_factor(r: np.ndarray, n: int) -> np.ndarray:
     """A(r) = int_0^pi exp(r cos t) sin^(n-2) t dt, panel-doubled Gauss.
 
     Vectorized over r; panels double until the pointwise relative change is
-    below rel_tol (the integrand sharpens near t=0 as r grows).
+    below 1e-10 (the integrand sharpens near t=0 as r grows).
     """
     gl_x, gl_w = leggauss(10)
     prev = None
@@ -182,13 +182,13 @@ def _angular_factor(r: np.ndarray, n: int, rel_tol: float = 1e-10) -> np.ndarray
         w = (half[:, None] * gl_w[None, :]).ravel()
         ws = w * np.sin(t) ** (n - 2)
         cur = np.exp(np.outer(r, np.cos(t))) @ ws
-        if prev is not None and np.max(np.abs(cur - prev) / np.abs(cur)) < rel_tol:
+        if prev is not None and np.max(np.abs(cur - prev) / np.abs(cur)) < 1e-10:
             return cur
         prev = cur
     return prev
 
 
-def gamma(gs: GroundState, b, rel_tol: float = 1e-10) -> GammaValue:
+def gamma(gs: GroundState, b) -> GammaValue:
     """Interaction constant int U^(p-1) exp(<b, z>) dz for a unit vector b.
 
     Reduced to a radial-angular product; the angular factor is adaptive and
@@ -203,9 +203,9 @@ def gamma(gs: GroundState, b, rel_tol: float = 1e-10) -> GammaValue:
     n, p = gs.n, gs.p
     R = gs.r_max
     grid = RadialGrid(np.linspace(0.0, R, 448 + 1))
-    quad = Quadrature(grid, order=8)
+    quad = Quadrature(grid)
     r = quad.points
-    vals = np.abs(gs.profile(r)) ** (p - 1.0) * r ** (n - 1.0) * _angular_factor(r, n, rel_tol)
+    vals = np.abs(gs.profile(r)) ** (p - 1.0) * r ** (n - 1.0) * _angular_factor(r, n)
     core = quad.integrate(vals)
     # asymptotics: U^(p-1) ~ c^(p-1) r^(-(p-1)nu) e^(-(p-1)r) and
     # A(r) ~ Gamma((n-1)/2) 2^((n-3)/2) r^(-(n-1)/2) e^r
@@ -223,7 +223,7 @@ def base_interaction(gs: GroundState) -> float:
     n, p = gs.n, gs.p
     R = gs.r_max
     grid = RadialGrid(np.linspace(0.0, R, 448 + 1))
-    quad = Quadrature(grid, order=8)
+    quad = Quadrature(grid)
     r = quad.points
     core = quad.integrate(np.abs(gs.profile(r)) ** (p - 1.0) * r ** (n - 1.0))
     nu = (n - 1.0) / 2.0

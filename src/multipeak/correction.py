@@ -22,9 +22,8 @@ feed the curvature corrections of a concentrating bump:
 
 The module also provides independent verification helpers: operator
 identities recomputed from node data through separate code paths,
-midpoint residuals of the psi and chi equations, a full-dimension
-finite-difference check of the psi equation, and the
-odd-moment kernel orthogonality integral.
+midpoint residuals of the psi and chi equations, and a full-dimension
+finite-difference check of the psi equation.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groundstate import GroundState
-from .radial import Quadrature, RadialFunction, TailModel, moment_reduce
+from .groundstate import GroundState, _dg
+from .radial import Quadrature, RadialFunction, TailModel
 
 
 class SingularSystem(RuntimeError):
@@ -180,10 +179,6 @@ def _assemble_and_solve(r, pot, rhs, n, ell):
     return vals, float(np.max(np.abs(res)))
 
 
-def _potential(U, p):
-    return 1.0 - (p - 1.0) * np.abs(U) ** (p - 2.0)
-
-
 def _psi_source(r, U, dU, p, n):
     """U'/r, with its r -> 0 limit U''(0) taken from the ground-state ODE."""
     src = np.empty_like(r)
@@ -221,12 +216,12 @@ def _solve_radial(gs: GroundState, name: str):
     r = gs.grid.nodes
     U = gs.profile.values
     dU = gs.profile.d1
-    vals_c, res_c = _assemble_and_solve(r, _potential(U, p), source(r, U, dU, p, n), n, ell)
+    vals_c, res_c = _assemble_and_solve(r, _dg(U, p), source(r, U, dU, p, n), n, ell)
 
     r_fine = np.sort(np.concatenate([r, 0.5 * (r[1:] + r[:-1])]))
     U_f = gs.profile(r_fine)
     vals_f, res_f = _assemble_and_solve(
-        r_fine, _potential(U_f, p), source(r_fine, U_f, gs.profile.deriv1(r_fine), p, n),
+        r_fine, _dg(U_f, p), source(r_fine, U_f, gs.profile.deriv1(r_fine), p, n),
         n, ell,
     )
     # cell-split refinement quarters the h^2 error pointwise
@@ -257,7 +252,7 @@ def _profile(gs: GroundState, name: str, vals, d1) -> RadialFunction:
     n, p = gs.n, gs.p
     r = gs.grid.nodes
     U = gs.profile.values
-    pot = _potential(U, p)
+    pot = _dg(U, p)
     src = source(r, U, gs.profile.d1, p, n)
     d2 = np.empty(r.size)
     d2[1:] = -(n - 1.0 + 2.0 * ell) * d1[1:] / r[1:] + pot[1:] * vals[1:] - src[1:]
@@ -271,9 +266,15 @@ def _profile(gs: GroundState, name: str, vals, d1) -> RadialFunction:
     return RadialFunction(gs.grid, vals, d1, d2, tail=TailModel(c_tail, tail_power, 1.0))
 
 
-def _certify(name: str, residual: float, residual_tol: float) -> None:
-    if residual > residual_tol:
-        raise SingularSystem(f"{name} discrete residual {residual:.2e} exceeds {residual_tol:.2e}")
+# bound on the discrete residuals of psi (absolute) and chi (relative)
+_RESIDUAL_TOL = 1e-8
+
+
+def _certify(name: str, residual: float) -> None:
+    if residual > _RESIDUAL_TOL:
+        raise SingularSystem(
+            f"{name} discrete residual {residual:.2e} exceeds {_RESIDUAL_TOL:.2e}"
+        )
 
 
 def _tail_slope(gs: GroundState, vals) -> float:
@@ -287,19 +288,19 @@ def _tail_slope(gs: GroundState, vals) -> float:
     return float(np.linalg.lstsq(A, np.log(np.abs(vals[win])), rcond=None)[0][1])
 
 
-def correction_profiles(gs: GroundState, residual_tol: float = 1e-8) -> CorrectionProfiles:
+def correction_profiles(gs: GroundState) -> CorrectionProfiles:
     """Solve psi and chi, build v2base, and bundle them with diagnostics.
 
     psi's discrete residual is certified in absolute terms.  chi reaches ~300
     at (n, m) = (6, 3), where rounding alone leaves an absolute discrete
     residual of 4e-8, so its residual is certified relative to max |chi|.
-    Raises SingularSystem when either exceeds residual_tol.
+    Raises SingularSystem when either exceeds _RESIDUAL_TOL.
     """
     psi_vals, psi_d1, resid = _solve_radial(gs, "psi")
-    _certify("psi", resid, residual_tol)
+    _certify("psi", resid)
     chi_vals, chi_d1, chi_res = _solve_radial(gs, "chi")
     chi_resid = float(chi_res / np.max(np.abs(chi_vals)))
-    _certify("chi", chi_resid, residual_tol)
+    _certify("chi", chi_resid)
     return CorrectionProfiles(
         gs=gs,
         psi=_profile(gs, "psi", psi_vals, psi_d1),
@@ -409,7 +410,7 @@ def _midpoint_residual(gs: GroundState, f: RadialFunction, name: str) -> float:
     r = 0.5 * (nodes[1:] + nodes[:-1])
     vals, dvals, d2vals = f(r), f.deriv1(r), f.deriv2(r)
     U, dU = gs.profile(r), gs.profile.deriv1(r)
-    res = (-d2vals - (n - 1.0 + 2.0 * ell) * dvals / r + _potential(U, p) * vals
+    res = (-d2vals - (n - 1.0 + 2.0 * ell) * dvals / r + _dg(U, p) * vals
            - source(r, U, dU, p, n))
     return float(np.max(np.abs(res)))
 
@@ -424,22 +425,17 @@ def chi_equation_residual(gs: GroundState, chi: RadialFunction) -> float:
     return _midpoint_residual(gs, chi, "chi")
 
 
-def operator_identity_check(
-    gs: GroundState,
-    psi: RadialFunction,
-    n_samples: int = 4000,
-    h: float = 0.005,
-    seed: int = 7,
-) -> float:
+def operator_identity_check(gs: GroundState, psi: RadialFunction) -> float:
     """Full-dimension check of L0(psi(|z|) z1 z2) = (U'/|z|) z1 z2.
 
-    Applies a (2n+1)-point second-order finite-difference Laplacian in all n
-    coordinates at scattered sample points (no radial reduction anywhere),
-    and returns the maximum relative deviation over samples where the target
-    is not vanishingly small.
+    Applies a (2n+1)-point second-order finite-difference Laplacian of step
+    0.005 in all n coordinates at 4000 seeded sample points with 0.4 <= |z|
+    <= 4 (no radial reduction anywhere), and returns the maximum relative
+    deviation over samples where the target is not vanishingly small.
     """
     n, p = gs.n, gs.p
-    rng = np.random.default_rng(seed)
+    n_samples, h = 4000, 0.005
+    rng = np.random.default_rng(7)
     pts = rng.normal(size=(n_samples, n))
     radii = rng.uniform(0.4, 4.0, size=n_samples)
     pts *= (radii / np.linalg.norm(pts, axis=1))[:, None]
@@ -462,18 +458,3 @@ def operator_identity_check(
     floor = 1e-2 * np.max(np.abs(target))
     mask = np.abs(target) > floor
     return float(np.max(np.abs(lhs[mask] - target[mask]) / np.abs(target[mask])))
-
-
-def kernel_orthogonality(gs: GroundState) -> float:
-    """Pairing of the representative quadratic-harmonic source with a
-    translation mode: int (U'/|z|) z1 z2 * d_1 U dz.
-
-    The integrand is (U'/|z|)^2 z1^2 z2, odd in z2, so the moment reduction
-    returns exactly zero; kept as an explicit operation for the ledger.
-    """
-    quad = Quadrature(gs.grid)
-
-    def profile(r):
-        return (gs.profile.deriv1(r) / r) ** 2
-
-    return moment_reduce(profile, "z1^2*z2", gs.n, quad=quad)

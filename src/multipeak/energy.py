@@ -394,7 +394,6 @@ def _great_circle_basis(centers):
     return e_a, e_b
 
 
-@lru_cache(maxsize=32)
 def _gl_panels(lo: float, hi: float, step: float):
     edges = np.linspace(lo, hi, max(2, int(np.ceil((hi - lo) / step)) + 1))
     x, w = _GL6
@@ -461,7 +460,7 @@ def _support_grid(n: int, R: float, centers: tuple, eps: float, cutoff_r: float,
     of 1e-12 for rounding.  Each row keeps the longest prefix and suffix.
     """
     th, wth = _gl_panels(0.0, np.pi, ang_step)
-    ph, wph = _gl_panels(0.0, np.pi, ang_step)
+    ph, wph = th, wth
     units = [np.array(c) for c in centers]
     e_a, e_b = _great_circle_basis(units)
     coords = [(float(c @ e_a), float(c @ e_b)) for c in units]

@@ -114,11 +114,17 @@ class FlatSpace:
         return float(np.linalg.norm(np.asarray(xi1, float) - np.asarray(xi2, float)))
 
 
+# samples of a callable warp on [0, pi]
+_SAMPLES = 161
+
+
 class WarpedSphere:
     """Rotationally symmetric metric dt^2 + f(t)^2 g_(S^(n-1)) on [0, L].
 
-    The warp must close smoothly at both poles: f(0)=f(L)=0, f'(0)=1,
-    f'(L)=-1.  Curvature reduces to the radial sectional curvature
+    The warp comes as samples (t, f_vals) with t running from 0 to L, or as
+    a vectorized callable f, sampled at _SAMPLES points of [0, pi] (L = pi).
+    It must close smoothly at both poles: f(0)=f(L)=0, f'(0)=1, f'(L)=-1.
+    Curvature reduces to the radial sectional curvature
     a = -f''/f and the spherical one b = (1 - f'^2)/f^2:
 
       s     = 2(n-1) a + (n-1)(n-2) b
@@ -127,15 +133,14 @@ class WarpedSphere:
       lap_s = s'' + (n-1)(f'/f) s'
 
     with s', s'' expanded analytically in f and its first four derivatives,
-    all read off one interpolating spline of the profile.  The default
-    sample spacing balances interpolation error against roundoff in the
-    fourth derivative; much finer grids make lap_s noisier, not better.
-    Evaluation is refused within pole_tol of either pole, where the
+    all read off one interpolating spline of the profile.  The spacing of
+    _SAMPLES balances interpolation error against roundoff in the fourth
+    derivative; much finer grids make lap_s noisier, not better.
+    Evaluation is refused within pole_tol = 1e-3 L of either pole, where the
     1 - f'^2 cancellation loses accuracy.
     """
 
-    def __init__(self, n: int, f=None, L: float = np.pi, samples: int = 161,
-                 pole_tol: float = None, t=None, f_vals=None):
+    def __init__(self, n: int, f=None, t=None, f_vals=None):
         if n < 2:
             raise ValueError("warped sphere needs n >= 2")
         self.n = int(n)
@@ -148,17 +153,12 @@ class WarpedSphere:
                 raise ValueError("samples must start at t = 0")
             self.L = float(t[-1])
         else:
-            if L <= 0:
-                raise ValueError("warped sphere needs L > 0")
-            self.L = float(L)
-            t = np.linspace(0.0, self.L, samples)
-            try:
-                vals = np.asarray(f(t), dtype=float)
-                if vals.shape != t.shape:
-                    raise TypeError
-            except Exception:
-                vals = np.array([f(x) for x in t], dtype=float)
-        self.pole_tol = float(pole_tol) if pole_tol is not None else 1e-3 * self.L
+            self.L = float(np.pi)
+            t = np.linspace(0.0, self.L, _SAMPLES)
+            vals = np.asarray(f(t), dtype=float)
+            if vals.shape != t.shape:
+                raise ValueError("warp f must map an array of t to an array of its shape")
+        self.pole_tol = 1e-3 * self.L
         from scipy.interpolate import make_interp_spline
 
         self._f = make_interp_spline(t, vals, k=7)
@@ -170,8 +170,8 @@ class WarpedSphere:
             raise ValueError("warp must close: f(0)=f(L)=0, f'(0)=1, f'(L)=-1")
 
     @classmethod
-    def from_samples(cls, n: int, t, f_vals, **kw) -> "WarpedSphere":
-        return cls(n, t=t, f_vals=f_vals, **kw)
+    def from_samples(cls, n: int, t, f_vals) -> "WarpedSphere":
+        return cls(n, t=t, f_vals=f_vals)
 
     @property
     def injectivity_radius(self) -> float:
@@ -243,8 +243,7 @@ class PhiScan:
     points: list = field(default_factory=list)
 
 
-def scan_phi(model, dc: DimensionalConstants, resolution: int = 2001,
-             bounds=None, require_critical: bool = True) -> PhiScan:
+def scan_phi(model, dc: DimensionalConstants, resolution: int = 2001) -> PhiScan:
     """Profile of phi along the model's parameter with classified extrema.
 
     Interior extrema are located by sign changes of the first differences,
@@ -258,16 +257,14 @@ def scan_phi(model, dc: DimensionalConstants, resolution: int = 2001,
     lo_full, hi_full = model.parameter_range
     span = hi_full - lo_full
     margin = max(2.0 * model.pole_tol, 0.02 * span)
-    lo, hi = bounds if bounds is not None else (lo_full + margin, hi_full - margin)
+    lo, hi = lo_full + margin, hi_full - margin
     ts = np.linspace(lo, hi, resolution)
     pv = np.array([phi(model.curvature_at(t), dc) for t in ts])
     scan = PhiScan(t=ts, phi=pv, points=[])
 
     spread = float(pv.max() - pv.min())
     if spread < 1e-12 * max(1.0, float(np.abs(pv).max())):
-        if require_critical:
-            raise NoInteriorCritical("phi is constant along the scan", scan)
-        return scan
+        raise NoInteriorCritical("phi is constant along the scan", scan)
 
     func = lambda t: phi(model.curvature_at(t), dc)
     d = np.diff(pv)
@@ -290,6 +287,6 @@ def scan_phi(model, dc: DimensionalConstants, resolution: int = 2001,
             kind = "degenerate"
         scan.points.append(CriticalPoint(t=t_star, phi=float(func(t_star)), kind=kind))
 
-    if require_critical and not scan.points:
+    if not scan.points:
         raise NoInteriorCritical("no interior extremum on the scan range", scan)
     return scan

@@ -110,6 +110,8 @@ def _series_start(a: float, n: int, p: float, r0: float):
 
 
 _R0 = 1e-6
+# end of a shot's window
+_R_END = 80.0
 # matching radius of the two-sided integration: past the turning region, and
 # before the forward pass's growing mode has amplified its errors much
 _R_MATCH = 6.0
@@ -130,7 +132,7 @@ def _radial_ode(n: int, p: float, r, y):
     return [du, u - math.copysign(abs(u) ** (p - 1.0), u) - (n - 1.0) * du / r]
 
 
-def _shoot(a: float, n: int, p: float, r_end: float = 80.0, rtol: float = 1e-12) -> str:
+def _shoot(a: float, n: int, p: float, rtol: float = 1e-12) -> str:
     """Integrate one shot from amplitude a and classify it: 'cross' when U
     crosses zero (a too large), 'turn' when U' turns positive (a too small)."""
 
@@ -148,7 +150,7 @@ def _shoot(a: float, n: int, p: float, r_end: float = 80.0, rtol: float = 1e-12)
 
     sol = solve_ivp(
         partial(_radial_ode, n, p),
-        (_R0, r_end),
+        (_R0, _R_END),
         _series_start(a, n, p, _R0),
         method="DOP853",
         rtol=rtol,
@@ -159,13 +161,13 @@ def _shoot(a: float, n: int, p: float, r_end: float = 80.0, rtol: float = 1e-12)
     return "cross" if sol.t_events[0].size else "turn"
 
 
-def bracket_amplitude(n: int, p: float, rel_width: float):
+def bracket_amplitude(n: int, p: float):
     """Bisect the central amplitude between undershoot and overshoot shots.
 
     Returns (lo, hi, shots): the shot from lo turns back, the one from hi
-    crosses zero, hi - lo <= rel_width * hi, and shots counts the
-    integrations made.  The bracket only has to seed the Newton matching, so
-    its shots use rtol 1e-10.
+    crosses zero, hi - lo <= SOLVER["bracket_rtol"] * hi, and shots counts
+    the integrations made.  The bracket only has to seed the Newton
+    matching, so its shots use rtol 1e-10.
     """
     lo = (p / 2.0) ** (1.0 / (p - 2.0))  # zero-energy start always turns back
     hi = None
@@ -180,7 +182,7 @@ def bracket_amplitude(n: int, p: float, rel_width: float):
         a *= 1.5
     if hi is None:
         raise NoBracket(f"no overshoot found up to amplitude {a:.3e} for n={n}, p={p}")
-    while hi - lo > rel_width * hi:
+    while hi - lo > SOLVER["bracket_rtol"] * hi:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -293,43 +295,34 @@ def _node_profile(grid: RadialGrid, values, d1, n: int, p: float,
     """The profile through node values and first derivatives: d2, d3 and d4
     from the ODE, and the tail decay_c r^(-(n-1)/2) e^(-r) past the grid.
     """
-    d2 = _ode_second_derivative(grid.nodes, values, d1, n, p)
-    d3 = _ode_third_derivative(grid.nodes, values, d1, d2, n, p)
-    d4 = _ode_fourth_derivative(grid.nodes, values, d1, d2, d3, n, p)
+    d2, d3, d4 = _ode_derivatives(grid.nodes, values, d1, n, p)
     tail = TailModel(decay_c, -(n - 1.0) / 2.0, 1.0)
     return RadialFunction(grid, values, d1, d2, tail=tail, d3=d3, d4=d4)
 
 
-def _ode_second_derivative(r, u, du, n, p):
-    d2 = np.empty_like(u)
-    d2[1:] = _g(u[1:], p) - (n - 1.0) * du[1:] / r[1:]
-    d2[0] = _g(u[0], p) / n
-    return d2
+def _ode_derivatives(r, u, du, n, p):
+    """(U'', U''', U'''') at the nodes: the ODE, differentiated once and
+    twice.
 
-
-def _ode_third_derivative(r, u, du, d2, n, p):
-    """Differentiated ODE at the nodes; zero at r = 0 by radial symmetry."""
-    d3 = np.empty_like(u)
-    d3[1:] = _dg(u[1:], p) * du[1:] - (n - 1.0) * (d2[1:] / r[1:] - du[1:] / r[1:] ** 2)
-    d3[0] = 0.0
-    return d3
-
-
-def _ode_fourth_derivative(r, u, du, d2, d3, n, p):
-    """Twice-differentiated ODE at the nodes.
-
-    At r = 0 the radial Taylor expansion gives U'''' = 3 g'(u0) U''/(n+2).
+    At r = 0, U'' = g(u0)/n, U''' = 0 by radial symmetry, and the radial
+    Taylor expansion gives U'''' = 3 g'(u0) U''/(n+2).
     """
+    ri = r[1:]
+    d2 = np.empty_like(u)
+    d2[1:] = _g(u[1:], p) - (n - 1.0) * du[1:] / ri
+    d2[0] = _g(u[0], p) / n
+    d3 = np.empty_like(u)
+    d3[1:] = _dg(u[1:], p) * du[1:] - (n - 1.0) * (d2[1:] / ri - du[1:] / ri ** 2)
+    d3[0] = 0.0
     ddg = -(p - 1.0) * (p - 2.0) * np.abs(u[1:]) ** (p - 3.0) * np.sign(u[1:])
     d4 = np.empty_like(u)
-    ri = r[1:]
     d4[1:] = (
         ddg * du[1:] ** 2
         + _dg(u[1:], p) * d2[1:]
         - (n - 1.0) * (d3[1:] / ri - 2.0 * d2[1:] / ri ** 2 + 2.0 * du[1:] / ri ** 3)
     )
     d4[0] = 3.0 * _dg(u[0], p) * d2[0] / (n + 2.0)
-    return d4
+    return d2, d3, d4
 
 
 def _tail_series_coeffs(n: int, K: int = 10) -> np.ndarray:
@@ -524,7 +517,7 @@ def solve_ground_state(n: int, p: float) -> GroundState:
     mutated.  Failures raise and are not memoised.
     """
     _check_exponent(n, p)
-    lo, hi, bracket_shots = bracket_amplitude(n, p, SOLVER["bracket_rtol"])
+    lo, hi, bracket_shots = bracket_amplitude(n, p)
     a_fit, c_star, sf, sb, newton_steps, mismatch = _match_two_sided(n, p, 0.5 * (lo + hi))
     half = SOLVER["certify_delta"] * a_fit
     if not lo <= a_fit <= hi:
@@ -613,17 +606,14 @@ def identity_report(gs: GroundState) -> dict:
     }
 
 
-def ode_residual(gs: GroundState, where: str = "midpoints") -> float:
-    """Max absolute ODE residual of the stored interpolant.
+def ode_residual(gs: GroundState) -> float:
+    """Max absolute ODE residual of the stored interpolant at cell midpoints.
 
     At nodes the second derivative is defined through the ODE, so the honest
-    consistency measure is taken at cell midpoints by default.
+    consistency measure is taken between them.
     """
     nodes = gs.grid.nodes
-    if where == "nodes":
-        r = nodes[1:]
-    else:
-        r = 0.5 * (nodes[1:] + nodes[:-1])
+    r = 0.5 * (nodes[1:] + nodes[:-1])
     u = gs.profile(r)
     du = gs.profile.deriv1(r)
     d2 = gs.profile.deriv2(r)

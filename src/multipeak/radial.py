@@ -58,6 +58,10 @@ class GridError(ValueError):
     pass
 
 
+# end of the dense inner zone of RadialGrid.graded
+_KNEE = 10.0
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Strictly increasing nodes starting at 0; widths are the cell widths."""
@@ -85,14 +89,15 @@ class RadialGrid:
         return int(self.nodes.size)
 
     @staticmethod
-    def graded(r_max: float, n_nodes: int = 4000, knee: float = 10.0) -> "RadialGrid":
-        """Two-zone grid: dense on [0, knee], coarser on [knee, r_max].
+    def graded(r_max: float, n_nodes: int = 4000) -> "RadialGrid":
+        """Two-zone grid: dense on [0, knee], coarser on [knee, r_max], with
+        knee = min(_KNEE, r_max / 2).
 
         Roughly 60% of the nodes resolve the core and turning region.
         """
         if r_max <= 0:
             raise GridError("r_max must be positive")
-        knee = min(knee, 0.5 * r_max)
+        knee = min(_KNEE, 0.5 * r_max)
         n_in = max(int(0.6 * n_nodes), 8)
         n_out = max(n_nodes - n_in, 8)
         inner = np.linspace(0.0, knee, n_in + 1)
@@ -286,10 +291,10 @@ def _horner(coeffs, idx, tau, deriv: int = 0):
 
 
 class Quadrature:
-    """Composite Gauss-Legendre rule over the cells of a RadialGrid."""
+    """Composite 8-point Gauss-Legendre rule over the cells of a RadialGrid."""
 
-    def __init__(self, grid: RadialGrid, order: int = 8):
-        gl_x, gl_w = leggauss(order)
+    def __init__(self, grid: RadialGrid):
+        gl_x, gl_w = leggauss(8)
         x = grid.nodes
         h = np.diff(x)
         # nodes[i, q] = cell i mapped GL point q
@@ -299,12 +304,6 @@ class Quadrature:
 
     def integrate(self, values) -> float:
         return float(np.dot(self.weights, values))
-
-    def integrate_fn(self, fn: Callable, power: float = 0.0) -> float:
-        vals = fn(self.points)
-        if power:
-            vals = vals * self.points ** power
-        return self.integrate(vals)
 
 
 # Moment reduction over R^n: int f(|z|) w(z) dz = kappa * omega_{n-1} * int f r^(n-1+k) dr
@@ -316,13 +315,9 @@ _WEIGHTS = {
     "|z|^4": (lambda n: 1.0, 4),
 }
 
-_ODD_WEIGHTS = {"z1", "z1*z2", "z1^2*z2", "z1^3", "z1*z2*z3"}
-
 
 def moment_weight(weight: str, n: int) -> tuple[float, int]:
     """(kappa, k) such that int f(|z|) w dz = kappa * omega * int f r^(n-1+k) dr."""
-    if weight in _ODD_WEIGHTS:
-        return 0.0, 0
     try:
         kappa, k = _WEIGHTS[weight]
     except KeyError:
@@ -330,25 +325,18 @@ def moment_weight(weight: str, n: int) -> tuple[float, int]:
     return kappa(n), k
 
 
-def moment_reduce(profile, weight: str, n: int, quad: Optional[Quadrature] = None,
+def moment_reduce(profile: Callable, weight: str, n: int, quad: Quadrature,
                   tail: Optional[TailModel] = None) -> float:
     """Integral of profile(|z|) * weight(z) over R^n by radial reduction.
 
-    profile may be a RadialFunction (its grid and tail are used) or a plain
-    callable combined with an explicit Quadrature.  Odd monomial weights
-    vanish by parity and return exactly 0.0.
+    profile is integrated over the grid of quad; tail, when given, completes
+    the integral past the grid's r_max in closed form.
     """
     kappa, k = moment_weight(weight, n)
-    if kappa == 0.0:
-        return 0.0
-    if isinstance(profile, RadialFunction):
-        quad = quad or Quadrature(profile.grid)
-        tail = tail if tail is not None else profile.tail
-    elif quad is None:
-        raise ValueError("callable profiles need an explicit Quadrature")
     omega = surface_area(n)
-    core = quad.integrate_fn(profile, power=n - 1 + k)
+    power = n - 1 + k
+    core = quad.integrate(profile(quad.points) * quad.points ** power)
     extra = 0.0
     if tail is not None:
-        extra = tail.integral(quad.grid.r_max, k=n - 1 + k)
+        extra = tail.integral(quad.grid.r_max, k=power)
     return kappa * omega * (core + extra)

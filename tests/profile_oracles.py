@@ -21,9 +21,7 @@ from multipeak.groundstate import (
     _check_exponent,
     _energy_ledger,
     _fit_decay,
-    _ode_fourth_derivative,
-    _ode_second_derivative,
-    _ode_third_derivative,
+    _ode_derivatives,
     _radial_ode,
     _series_start,
 )
@@ -52,9 +50,7 @@ def shoot_profile(n: int, p: float, u0: float, r_max: float = 20.0) -> GroundSta
     yv = sol.sol(np.clip(grid.nodes, _R0, r_end))
     values, d1 = yv[0], yv[1]
     d1[0] = 0.0
-    d2 = _ode_second_derivative(grid.nodes, values, d1, n, p)
-    d3 = _ode_third_derivative(grid.nodes, values, d1, d2, n, p)
-    d4 = _ode_fourth_derivative(grid.nodes, values, d1, d2, d3, n, p)
+    d2, d3, d4 = _ode_derivatives(grid.nodes, values, d1, n, p)
     profile = RadialFunction(grid, values, d1, d2, tail=None, d3=d3, d4=d4)
     I1, I2, Ip = _energy_ledger(profile, n, p, decay_c=0.0)
     return GroundState(

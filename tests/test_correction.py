@@ -7,7 +7,6 @@ from multipeak.correction import (
     build_v2base,
     chi_equation_residual,
     correction_profiles,
-    kernel_orthogonality,
     operator_identity_check,
     psi_equation_residual,
     v2base_identity_residual,
@@ -141,11 +140,6 @@ def test_corrupted_profile_negative_control():
     bad = GroundState.from_dict(d)
     ids = verify_L0_identities(bad)
     assert ids["e2"] > 1e-3
-
-
-@pytest.mark.parametrize("n,p", [(3, 3.0), (6, 2.4)])
-def test_kernel_orthogonality(n, p):
-    assert abs(kernel_orthogonality(solve_ground_state(n, p))) < 1e-10
 
 
 def test_profiles_serialize(corrections):

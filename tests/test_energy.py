@@ -176,15 +176,17 @@ def test_ansatz_vanishes_outside_every_support(state):
 
 def test_two_peak_values_pinned(state):
     # two overlapping peaks: skipping the exact zeros outside the supports
-    # must leave J, the norm and both residuals where the full grid puts them
+    # must leave J, the norm and both residuals where the full grid puts them;
+    # abs=0 keeps approx's default absolute 1e-12 from widening the residual
+    # pins to ~8e-13 relative
     gs, cp, dc = state
     cfg = PeakConfig(0.1, [S3.point(0.8), S3.point(1.4)], 1.2)
     Y = build_Y(S3, cfg, gs, profiles=cp, dc=dc)
     W = build_W(S3, cfg, gs, c_bold=dc.c_bold)
-    assert energy_J(S3, Y) == pytest.approx(85.77835838825267, rel=1e-14)
-    assert norm_eps(S3, Y) == pytest.approx(525.9539025193598, rel=1e-14)
-    assert residual_norm(S3, W) == pytest.approx(1.2046117467437527, rel=1e-14)
-    assert residual_norm(S3, Y) == pytest.approx(1.163632900912379, rel=1e-14)
+    assert energy_J(S3, Y) == pytest.approx(85.77835838825267, rel=1e-14, abs=0)
+    assert norm_eps(S3, Y) == pytest.approx(525.9539025193598, rel=1e-14, abs=0)
+    assert residual_norm(S3, W) == pytest.approx(1.2046117467437527, rel=1e-14, abs=0)
+    assert residual_norm(S3, Y) == pytest.approx(1.163632900912379, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("model,cutoff,values", [

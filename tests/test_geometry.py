@@ -157,6 +157,14 @@ def test_warp_closure_validation():
         WarpedSphere(3, lambda t: 0.5 * np.sin(t))  # f'(0) != 1
 
 
+def test_warp_must_be_vectorized():
+    # f is called once on the whole sample array, never point by point
+    with pytest.raises(ValueError, match="array of its shape"):
+        WarpedSphere(3, lambda t: 1.0)
+    with pytest.raises(ValueError, match="array of its shape"):
+        WarpedSphere(3, lambda t: np.sin(t)[:-1])
+
+
 def test_pole_singularity_guard():
     M = WarpedSphere(3, np.sin)
     with pytest.raises(PoleSingularity):
@@ -217,8 +225,7 @@ def test_scan_round_sphere_is_constant_and_raises(dimensional_constants):
     scan = exc.value.scan
     assert scan is not None
     assert float(scan.phi.max() - scan.phi.min()) < 1e-12
-    quiet = scan_phi(RoundSphere(3, 1.0), dc, require_critical=False)
-    assert quiet.points == []
+    assert scan.points == []
 
 
 def test_scan_dimension_mismatch_rejected(dimensional_constants):

@@ -133,8 +133,11 @@ def test_r_max_keeps_tail_contract(n, m):
 
 def test_profile_shape_and_residual():
     gs = solve_ground_state(3, 3.0)
-    assert ode_residual(gs, where="nodes") < 1e-12
-    assert ode_residual(gs, where="midpoints") < 1e-6
+    # at the nodes U'' comes from the ODE itself, so the defect is rounding
+    r = gs.grid.nodes[1:]
+    at_nodes = gs.deriv2(r) + (gs.n - 1.0) * gs.deriv1(r) / r - groundstate._g(gs(r), gs.p)
+    assert np.max(np.abs(at_nodes)) < 1e-12
+    assert ode_residual(gs) < 1e-6
     assert gs(0.0) == pytest.approx(gs.u0, rel=1e-14)
 
 
