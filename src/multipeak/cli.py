@@ -8,9 +8,18 @@ under a content-addressed directory keyed by the solver inputs, so
 repeated commands skip the expensive solves; cached and fresh runs
 serialize to the same bytes.
 
-Failures exit nonzero with a single JSON object {"error": <class>,
-"detail": <message>} on stdout.  A scan without interior critical points
-is reported as a warning, not an error.
+Each subcommand takes only the flags it reads.  `--config FILE` holds
+`key = value` lines, and each line is read as the flag `--key=value`
+(`_` becomes `-`), placed before the command line's flags, which
+therefore win.
+
+Failures take one of two channels.  A flag or config key that the
+subcommand does not have, or a value of the wrong type, is argparse's
+usage error: exit 2, message on stderr.  Every other failure, an
+unreadable config file or a config line without '=' included, exits 1
+with a single JSON object {"error": <class>, "detail": <message>} on
+stdout.  A scan without interior critical points is reported as a
+warning, not an error.
 """
 
 from __future__ import annotations
@@ -78,7 +87,7 @@ def _provenance(args, **grid) -> dict:
     return {
         "version": __version__,
         "grid": {**SOLVER, **grid},
-        "seed": getattr(args, "seed", 0),
+        "seed": args.seed,
     }
 
 
@@ -99,16 +108,15 @@ def _emit(text: str, out):
 
 def _resolve_exponent(args) -> tuple:
     """(n, p, m) from --n with either --m or --p."""
-    if args.n is None:
+    n, m, p = args.n, args.m, args.p
+    if n is None:
         raise ValueError("--n is required")
-    n = int(args.n)
-    if args.m is not None and args.p is not None:
+    if m is not None and p is not None:
         raise ValueError("give either --m or --p, not both")
-    if args.m is not None:
-        m = int(args.m)
+    if m is not None:
         return n, product_exponent(n, m), m
-    if args.p is not None:
-        return n, float(args.p), None
+    if p is not None:
+        return n, p, None
     raise ValueError("give --m or --p")
 
 
@@ -224,7 +232,7 @@ def cmd_psi(args) -> int:
 def cmd_constants(args) -> int:
     if args.n is None or args.m is None:
         raise ValueError("constants needs --n and --m")
-    n, m = int(args.n), int(args.m)
+    n, m = args.n, args.m
     gs, _, dc = _constants(n, m, _cache_dir(args))
     # gamma's radial-angular quadrature reads the direction only to check
     # that it is a unit vector, so one seeded direction gives the value
@@ -241,7 +249,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_beta_table(args) -> int:
-    max_N = int(args.max_N)
+    max_N = args.max_N
     if max_N < 6:
         raise ValueError("--max-N must be at least 6")
     cache = _cache_dir(args)
@@ -261,12 +269,11 @@ def _model(args, other: str, aliases: tuple, build):
     """The unit sphere (the default), or the other model build(n), as
     --model names it.
     """
-    name = (args.model or "sphere").lower()
-    n = int(args.n)
+    name = args.model.lower()
     if name in ("sphere", "round", "roundsphere"):
-        return RoundSphere(n, 1.0)
+        return RoundSphere(args.n, 1.0)
     if name in aliases:
-        return build(n)
+        return build(args.n)
     raise ValueError(f"unknown model {args.model!r}; use sphere or {other}")
 
 
@@ -280,7 +287,7 @@ def _warped_model(args, n: int):
 def cmd_phi_scan(args) -> int:
     if args.n is None or args.m is None:
         raise ValueError("phi-scan needs --n and --m")
-    n, m = int(args.n), int(args.m)
+    n, m = args.n, args.m
     model = _model(args, "warped", ("warped", "warpedsphere"),
                    lambda n: _warped_model(args, n))
     dc = _constants(n, m, _cache_dir(args))[2]
@@ -297,8 +304,7 @@ def cmd_phi_scan(args) -> int:
         lines.append(f"# {key}: {prov[key]}")
     lines.append("t,s,lap_s,ric2,riem2,phi")
     for t, pv in zip(scan.t, scan.phi):
-        cp = model.curvature_at(t) if not isinstance(model, RoundSphere) \
-            else model.curvature_at()
+        cp = model.curvature_at(t)
         cells = (t, cp.s, cp.lap_s, cp.ric2, cp.riem2, pv)
         lines.append(",".join(repr(float(c)) for c in cells))
     csv_text = "\n".join(lines) + "\n"
@@ -335,8 +341,7 @@ def _default_centers(model, K: int):
 def cmd_energy_check(args) -> int:
     if args.n is None or args.m is None:
         raise ValueError("energy-check needs --n and --m")
-    n, m = int(args.n), int(args.m)
-    K = int(args.K)
+    n, m, K = args.n, args.m, args.K
     if K not in (1, 2):
         raise ValueError("--K must be 1 or 2")
     eps_ladder = tuple(float(e) for e in args.eps.split(","))
@@ -408,29 +413,6 @@ def cmd_energy_check(args) -> int:
 # ------------------------------------------------------------- dispatcher
 
 
-def _add_common(sp, func):
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out")
-    sp.add_argument("--cache-dir", dest="cache_dir")
-    sp.add_argument("--config")
-    # parser: _apply_config converts config values with its flags' types
-    sp.set_defaults(func=func, parser=sp)
-
-
-# flags left unset by both the command line and the config file
-_FALLBACKS = {"seed": 0, "eps": _DEF_EPS, "model": "sphere", "K": 1, "max_N": 9}
-
-
-def _finalize(args):
-    for key, value in _FALLBACKS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-    return args
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="multipeak",
@@ -438,61 +420,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("ground-state", help="solve and serialize one ground state")
-    _add_common(sp, cmd_ground_state)
+    def command(name, func, help, dims=True):
+        # no abbreviations: a flag or config key is a whole flag name
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        sp.set_defaults(func=func)
+        if dims:
+            sp.add_argument("--n", type=int)
+            sp.add_argument("--m", type=int)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--out")
+        sp.add_argument("--cache-dir")
+        sp.add_argument("--config")
+        return sp
 
-    sp = sub.add_parser("psi", help="second-order correction profiles")
-    _add_common(sp, cmd_psi)
+    sp = command("ground-state", cmd_ground_state, "solve and serialize one ground state")
+    sp.add_argument("--p", type=float)
 
-    sp = sub.add_parser("constants", help="dimensional constants for one (n, m)")
-    _add_common(sp, cmd_constants)
+    sp = command("psi", cmd_psi, "second-order correction profiles")
+    sp.add_argument("--p", type=float)
 
-    sp = sub.add_parser("beta-table", help="constants table over n+m <= max-N")
-    _add_common(sp, cmd_beta_table)
-    sp.add_argument("--max-N", dest="max_N", type=int)
+    command("constants", cmd_constants, "dimensional constants for one (n, m)")
 
-    sp = sub.add_parser("phi-scan", help="concentration functional along a model")
-    _add_common(sp, cmd_phi_scan)
-    sp.add_argument("--model")
+    sp = command("beta-table", cmd_beta_table, "constants table over n+m <= max-N", dims=False)
+    sp.add_argument("--max-N", type=int, default=9)
+
+    sp = command("phi-scan", cmd_phi_scan, "concentration functional along a model")
+    sp.add_argument("--model", default="sphere")
     sp.add_argument("--profile", help="warp profile csv (t, f)")
 
-    sp = sub.add_parser("energy-check", help="energy expansion and residual report")
-    _add_common(sp, cmd_energy_check)
-    sp.add_argument("--model")
-    sp.add_argument("--eps")
-    sp.add_argument("--K", dest="K", type=int)
-    sp.add_argument("--rho", type=float, default=None,
-                    help="placement radius for the admissibility check")
+    sp = command("energy-check", cmd_energy_check, "energy expansion and residual report")
+    sp.add_argument("--model", default="sphere")
+    sp.add_argument("--eps", default=_DEF_EPS)
+    sp.add_argument("--K", type=int, default=1)
+    sp.add_argument("--rho", type=float, help="placement radius for the admissibility check")
     return ap
 
 
-def _apply_config(args):
-    """Fill unset flags from a key=value file; flags always win.
-
-    Each value is converted by its flag's type, as on the command line.
-    """
-    if not getattr(args, "config", None):
-        return args
-    types = {action.dest: action.type for action in args.parser._actions}
-    pairs = {}
-    for raw in Path(args.config).read_text().splitlines():
+def _config_flags(path: str) -> list:
+    """The lines `key = value` of a config file as flags `--key=value`."""
+    flags = []
+    for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"config line without '=': {raw!r}")
         k, v = line.split("=", 1)
-        pairs[k.strip().replace("-", "_")] = v.strip()
-    for key, value in pairs.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, (types.get(key) or str)(value))
+        flags.append(f"--{k.strip().replace('_', '-')}={v.strip()}")
+    return flags
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """The namespace of argv.  Given --config, argv is parsed again with the
+    file's flags between the subcommand (argv[0]) and the command line's own.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.config:
+        args = ap.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
     return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        args = _finalize(_apply_config(args))
+        args = parse_args(argv)
         return args.func(args)
     except Exception as e:  # noqa: BLE001 - every failure becomes one json object
         sys.stdout.write(_dump({"error": type(e).__name__, "detail": str(e)}))

@@ -182,9 +182,6 @@ class WarpedSphere:
     def parameter_range(self):
         return (0.0, self.L)
 
-    def warp(self, t):
-        return self._f(t)
-
     def _check_interior(self, t: float):
         if not (self.pole_tol <= t <= self.L - self.pole_tol):
             raise PoleSingularity(
@@ -254,6 +251,8 @@ def scan_phi(model, dc: DimensionalConstants, resolution: int = 2001) -> PhiScan
     n_model = getattr(model, "n", dc.n)
     if n_model != dc.n:
         raise ValueError(f"model dimension {n_model} != constants dimension {dc.n}")
+    if not hasattr(model, "parameter_range"):
+        raise ValueError(f"{type(model).__name__} has no parameter range to scan")
     lo_full, hi_full = model.parameter_range
     span = hi_full - lo_full
     margin = max(2.0 * model.pole_tol, 0.02 * span)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import checkout_env
-from multipeak.cli import _apply_config, _finalize, build_parser
+from multipeak.cli import parse_args
 from multipeak.constants import CSV_COLUMNS
 from multipeak.groundstate import GroundState
 
@@ -178,6 +178,16 @@ def test_energy_check_flags_inadmissible_pair(cache_dir, tmp_path):
     assert pe["breakdown"]["term_interaction"] < 0
 
 
+def test_energy_check_flat_control(cache_dir):
+    proc = run_cli("energy-check", "--n", "3", "--m", "3", "--model", "flat",
+                   "--K", "1", "--eps", "0.1,0.07", "--cache-dir", cache_dir)
+    assert json.loads(proc.stdout)["model"] == "FlatSpace"
+    proc = run_cli("energy-check", "--n", "3", "--m", "3", "--model", "flat",
+                   "--K", "2", "--cache-dir", cache_dir, expect=1)
+    assert json.loads(proc.stdout) == {"error": "ValueError",
+                                       "detail": "flat runs support K=1 only"}
+
+
 def test_energy_check_validates_K(cache_dir):
     proc = run_cli("energy-check", "--n", "3", "--m", "3", "--K", "3",
                    "--cache-dir", cache_dir, expect=1)
@@ -194,11 +204,50 @@ def test_config_file_supplies_flags(cache_dir, tmp_path):
     assert doc["provenance"]["grid"]["eps_ladder"] == [0.1, 0.07]
 
 
+def test_command_line_beats_config_file(cache_dir, tmp_path):
+    cfg = tmp_path / "ladder.cfg"
+    cfg.write_text("n = 3\nm = 3\neps = 0.1,0.07\n")
+    proc = run_cli("energy-check", "--config", str(cfg), "--eps", "0.1",
+                   "--cache-dir", cache_dir)
+    assert json.loads(proc.stdout)["provenance"]["grid"]["eps_ladder"] == [0.1]
+
+
+@pytest.mark.parametrize("line", ["epsilon = 0.05", "k = 2", "max_N = 7", "K = two"])
+def test_config_key_must_be_a_flag_of_its_command(cache_dir, tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n = 3\nm = 3\n{line}\n")
+    proc = run_cli("energy-check", "--config", str(cfg), "--cache-dir", cache_dir,
+                   expect=2)
+    assert proc.stdout == ""
+    assert "usage:" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("beta-table", "--n", "3"),
+        ("constants", "--n", "3", "--m", "3", "--p", "4.0"),
+        ("phi-scan", "--n", "3", "--m", "3", "--p", "4.0"),  # not --profile
+    ],
+    ids=["beta-table", "constants", "phi-scan"],
+)
+def test_commands_reject_flags_they_do_not_read(cache_dir, argv):
+    proc = run_cli(*argv, "--cache-dir", cache_dir, expect=2)
+    assert proc.stdout == ""
+
+
+def test_unreadable_config_is_a_json_error(tmp_path):
+    cfg = tmp_path / "noeq.cfg"
+    cfg.write_text("n = 3\nm 3\n")
+    for path, error in ((cfg, "ValueError"), (tmp_path / "missing.cfg", "FileNotFoundError")):
+        proc = run_cli("constants", "--config", str(path), expect=1)
+        assert json.loads(proc.stdout)["error"] == error
+
+
 def test_config_values_take_their_flag_type(tmp_path):
     cfg = tmp_path / "typed.cfg"
     cfg.write_text("n = 3\nm = 3\nK = 2\nrho = 0.9\nseed = 4\neps = 0.1\n")
-    args = build_parser().parse_args(["energy-check", "--config", str(cfg)])
-    args = _finalize(_apply_config(args))
+    args = parse_args(["energy-check", "--config", str(cfg)])
     assert (args.n, args.m, args.K, args.seed) == (3, 3, 2, 4)
     assert args.rho == 0.9
     assert args.eps == "0.1"
@@ -265,7 +314,8 @@ def test_cache_is_content_addressed(cache_dir, tmp_path):
     assert doc["n"] == 3
 
 
-@pytest.mark.parametrize(
+# the six invocations of criterion 10
+CRITERION_10 = pytest.mark.parametrize(
     "argv",
     [
         ("ground-state", "--n", "3", "--m", "3"),
@@ -277,8 +327,21 @@ def test_cache_is_content_addressed(cache_dir, tmp_path):
     ],
     ids=["ground-state", "psi", "constants", "beta-table", "phi-scan", "energy"],
 )
+
+
+@CRITERION_10
 def test_reruns_are_byte_identical(cache_dir, tmp_path, argv):
     a, b = tmp_path / "a.out", tmp_path / "b.out"
     run_cli(*argv, "--cache-dir", cache_dir, "--out", str(a))
     run_cli(*argv, "--cache-dir", cache_dir, "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+@CRITERION_10
+def test_config_file_equals_command_line(cache_dir, tmp_path, argv):
+    command, flags = argv[0], argv[1:]
+    cfg = tmp_path / "same.cfg"
+    cfg.write_text("".join(f"{k[2:].replace('-', '_')} = {v}\n"
+                           for k, v in zip(flags[::2], flags[1::2])))
+    direct = run_cli(*argv, "--cache-dir", cache_dir).stdout
+    assert run_cli(command, "--config", str(cfg), "--cache-dir", cache_dir).stdout == direct

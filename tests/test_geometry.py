@@ -234,6 +234,12 @@ def test_scan_dimension_mismatch_rejected(dimensional_constants):
         scan_phi(RoundSphere(4, 1.0), dc)
 
 
+def test_scan_rejects_model_without_parameter_range(dimensional_constants):
+    dc = dimensional_constants(3, 3)
+    with pytest.raises(ValueError, match="FlatSpace"):
+        scan_phi(FlatSpace(3), dc)
+
+
 def test_scan_finds_symmetric_extrema(dimensional_constants):
     dc = dimensional_constants(3, 3)
     M = WarpedSphere(3, lambda t: np.sin(t) + 0.05 * np.sin(t) ** 2)
