@@ -43,6 +43,7 @@ from .constants import (
 )
 from .correction import CorrectionProfiles, correction_profiles, verify_L0_identities
 from .energy import (
+    LadderTooShort,
     PeakConfig,
     admissible,
     build_W,
@@ -380,7 +381,12 @@ def cmd_energy_check(args) -> int:
     slopes = residual_slopes(
         model, gs, cp, dc, center=centers[0], eps_ladder=eps_ladder
     )
-    rem_slope, rem_r2 = loglog_slope(eps_ladder, rem_abs)
+    notes = []
+    try:
+        rem_slope, rem_r2 = loglog_slope(eps_ladder, rem_abs)
+    except LadderTooShort:
+        rem_slope = rem_r2 = None
+        notes.append("slopes skipped: needs >= 2 distinct epsilon values")
     payload = {
         "provenance": _provenance(args, eps_ladder=list(eps_ladder)),
         "model": type(model).__name__,
@@ -405,12 +411,25 @@ def cmd_energy_check(args) -> int:
                 "eps4_phi": phi(model.curvature_at(centers[0]), dc),
             }
         else:
-            payload["note"] = "coefficient fit skipped: needs >= 4 epsilon values"
+            notes.append("coefficient fit skipped: needs >= 4 epsilon values")
+    if notes:
+        payload["note"] = "; ".join(notes)
     _emit(_dump(payload), args.out)
     return 0
 
 
 # ------------------------------------------------------------- dispatcher
+
+
+def _dimension(text: str) -> int:
+    """--n or --m: the paper's product needs both factors of dimension >= 3."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 3:
+        raise argparse.ArgumentTypeError(f"must be at least 3, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help, allow_abbrev=False)
         sp.set_defaults(func=func)
         if dims:
-            sp.add_argument("--n", type=int)
-            sp.add_argument("--m", type=int)
+            sp.add_argument("--n", type=_dimension)
+            sp.add_argument("--m", type=_dimension)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out")
         sp.add_argument("--cache-dir")

@@ -23,13 +23,17 @@ great-circle grid that lie within cutoff_r of some center, with the
 distance to every center and the measure on those nodes only.  Every
 integrand is exactly 0 on the nodes it drops.  The grid is built once per
 (sphere, centers, eps, cutoff) and kept in a one-entry cache.  _field_pass
-walks its nodes in blocks of _BUMP_BLOCK, whose temporaries stay in cache,
+cuts its nodes into blocks of _BUMP_BLOCK, whose temporaries stay in cache,
 evaluates each bump there once as (G, G', Lap G), and fills the densities
 of J's cross terms, the norm's cross terms and the residual of the whole
-sum, which does not split into single-peak terms.  The three integrals are
-kept in the grid's memo under what the fields read beyond the grid, so one
-rung of J, the norm and both residuals builds the grid once and runs one
-pass per distinct ansatz, even when an equal ansatz is built again.
+sum, which does not split into single-peak terms.  The blocks are shared
+in a fixed stride between the calling thread and one helper thread per
+further usable core; each block writes only its own slice of the density
+arrays, which are then reduced whole, so the integrals are the same to the
+last bit on any number of cores.  The three integrals are kept in the
+grid's memo under what the fields read beyond the grid, so one rung of J,
+the norm and both residuals builds the grid once and runs one pass per
+distinct ansatz, even when an equal ansatz is built again.
 
 A bump is evaluated on its support d < cutoff_r only and beyond it holds
 the exact zeros the cutoff gives; a pair term only where both supports
@@ -49,6 +53,8 @@ geodesic solver off the meridian, which is out of scope here.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
@@ -75,13 +81,26 @@ class UnsupportedModel(TypeError):
     """Energy quadrature is implemented for round spheres and flat space."""
 
 
+class LadderTooShort(ValueError):
+    """A log-log slope needs at least two distinct eps."""
+
+
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL6 = np.polynomial.legendre.leggauss(6)
 
 # Support-grid nodes per block of _field_pass.  On a million points the
 # profile lookups (take, Horner) are bound by memory bandwidth; a block of
-# 2^16 keeps their temporaries in cache.
-_BUMP_BLOCK = 1 << 16
+# 2^15 keeps their temporaries in cache.  Each thread holds one block's
+# temporaries at a time (about 5 MB for a corrected pair), so two threads
+# hold less than one block of 2^16 would.  Smaller blocks lose more to
+# per-call Python overhead, under the GIL, than they save.
+_BUMP_BLOCK = 1 << 15
+
+# Helper threads of _field_pass besides the calling one: one per further
+# core this process may run on.  numpy's take, searchsorted, boolean
+# indexing and ufuncs release the GIL, so the blocks run side by side.
+_HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1) - 1
 
 # The support grid's angular step is at most _STEP_FACTOR eps / R (and
 # pi/24); with six Gauss nodes per step that is 6 / 0.34 = 17.6 per eps.
@@ -509,9 +528,10 @@ def _bump_fields(model, ansatz: PeakAnsatz, d):
     """
     R = model.radius
     support = ansatz.support(d)
-    G, dG, lap = (np.zeros_like(d) for _ in range(3))
     ds = d[support]
     g0, g1, g2 = ansatz._bump_inside(ds, 2)
+    # allocated after the evaluation, whose temporaries are the block's peak
+    G, dG, lap = (np.zeros_like(d) for _ in range(3))
     G[support], dG[support] = g0, g1
     with np.errstate(divide="ignore", invalid="ignore"):
         cot = np.where(ds > 0, 1.0 / np.tan(ds / R), 0.0) / R
@@ -520,16 +540,52 @@ def _bump_fields(model, ansatz: PeakAnsatz, d):
     return support, G, dG, lap
 
 
+def _strided(work, items) -> None:
+    """work(item) for every item, shared in a fixed stride: with T threads,
+    thread k takes items[k::T].
+
+    T counts the calling thread, which is thread 0, and up to _HELPERS
+    helper threads, no more than there are items; with T = 1 no thread is
+    started.  Every helper is joined before this returns, and the first
+    exception of any thread is raised here.
+    """
+    T = max(1, min(1 + _HELPERS, len(items)))
+    errors = []
+
+    def run(k):
+        try:
+            for item in items[k::T]:
+                if errors:
+                    return
+                work(item)
+        except Exception as e:  # noqa: BLE001 - raised again on the caller
+            errors.append(e)
+
+    helpers = [threading.Thread(target=run, args=(k,)) for k in range(1, T)]
+    for t in helpers:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
 def _field_pass(model, ansatz: PeakAnsatz, grid: SupportGrid) -> _Integrals:
     """The three support-grid integrals from one evaluation of each bump.
 
-    The kept nodes are walked in blocks of _BUMP_BLOCK.  Per block each bump
-    gives (G, G', Lap G) once, and the densities of J, the norm and the
-    residual are written into full-length arrays, which grid.integral
-    reduces whole.  The cross part of the quadratic form, summed over pairs
-    i < j, is eps^2 G_i' G_j' cos A + mass G_i G_j with A the angle between
-    the geodesics to centers i and j; J weighs it by 1 and the norm by 2.
-    A pair is evaluated only where both supports meet and adds exact zeros
+    The kept nodes are cut into blocks of _BUMP_BLOCK, which _strided shares
+    among the usable cores.  Per block each bump gives (G, G', Lap G) once,
+    and the densities of J, the norm and the residual are written into the
+    block's own slice of full-length arrays, which grid.integral reduces
+    whole, so the integrals do not depend on the number of threads.  A
+    block's temporaries are freed before the thread takes its next block.
+    The cross part of the quadratic form, summed over pairs i < j, is
+    eps^2 G_i' G_j' cos A + mass G_i G_j with A the angle between the
+    geodesics to centers i and j; J weighs it by 1 and the norm by 2.  A
+    pair is evaluated only where both supports meet and adds exact zeros
     elsewhere.
     """
     eps, p, mass = ansatz.epsilon, ansatz.gs.p, ansatz.mass
@@ -538,7 +594,8 @@ def _field_pass(model, ansatz: PeakAnsatz, grid: SupportGrid) -> _Integrals:
     pairs = [(i, j, model.distance(centers[i], centers[j]))
              for i, j in combinations(range(len(centers)), 2)]
     dens_J, dens_norm, dens_res = (np.empty_like(grid.measure) for _ in range(3))
-    for start in range(0, grid.measure.size, _BUMP_BLOCK):
+
+    def fill(start):
         block = slice(start, start + _BUMP_BLOCK)
         dists = [d[block] for d in grid.dists]
         supports, g0s, g1s, laps = zip(*(_bump_fields(model, ansatz, d) for d in dists))
@@ -556,6 +613,8 @@ def _field_pass(model, ansatz: PeakAnsatz, grid: SupportGrid) -> _Integrals:
         dens_norm[block] = 2.0 * pair
         r = -eps ** 2 * sum(laps) + mass * u - np.maximum(u, 0.0) ** (p - 1.0)
         dens_res[block] = np.abs(r) ** pp
+
+    _strided(fill, range(0, grid.measure.size, _BUMP_BLOCK))
     return _Integrals(grid.integral(dens_J), grid.integral(dens_norm),
                       grid.integral(dens_res))
 
@@ -707,8 +766,14 @@ def energy_coefficient_fit(model, gs: GroundState, profiles: CorrectionProfiles,
 
 
 def loglog_slope(eps_ladder, values) -> tuple:
-    """(slope, r2) of log|value| against log eps."""
+    """(slope, r2) of log|value| against log eps.
+
+    A ladder with fewer than two distinct eps has no slope and raises
+    LadderTooShort.
+    """
     x = np.log(np.asarray(eps_ladder, dtype=float))
+    if np.unique(x).size < 2:
+        raise LadderTooShort("a log-log slope needs at least 2 distinct epsilon values")
     y = np.log(np.abs(np.asarray(values, dtype=float)))
     A = np.stack([x, np.ones_like(x)], axis=1)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -722,7 +787,11 @@ def loglog_slope(eps_ladder, values) -> tuple:
 def residual_slopes(model, gs: GroundState, profiles: CorrectionProfiles,
                     dc: DimensionalConstants, center, cutoff_r: float = 1.2,
                     eps_ladder=SLOPE_LADDER) -> dict:
-    """Log-log residual decay rates of the plain and corrected ansatz."""
+    """Log-log residual decay rates of the plain and corrected ansatz.
+
+    On a ladder with fewer than two distinct eps the slopes and their r2
+    are None.
+    """
     eps_ladder = tuple(float(e) for e in eps_ladder)
     vals = {"W": [], "Y": []}
     for eps in eps_ladder:
@@ -732,6 +801,9 @@ def residual_slopes(model, gs: GroundState, profiles: CorrectionProfiles,
         vals["W"].append(residual_norm(model, W))
         vals["Y"].append(residual_norm(model, Y))
     out = {"eps_ladder": eps_ladder, "W_values": vals["W"], "Y_values": vals["Y"]}
-    out["W_slope"], out["W_r2"] = loglog_slope(eps_ladder, vals["W"])
-    out["Y_slope"], out["Y_r2"] = loglog_slope(eps_ladder, vals["Y"])
+    for key in ("W", "Y"):
+        try:
+            out[f"{key}_slope"], out[f"{key}_r2"] = loglog_slope(eps_ladder, vals[key])
+        except LadderTooShort:
+            out[f"{key}_slope"] = out[f"{key}_r2"] = None
     return out

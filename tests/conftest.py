@@ -1,4 +1,5 @@
 import os
+import threading
 from functools import cache
 from pathlib import Path
 
@@ -17,6 +18,16 @@ def checkout_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return env
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves more threads alive than it started with."""
+    before = threading.active_count()
+    yield
+    left = threading.active_count() - before
+    if left > 0:
+        pytest.fail(f"{left} thread(s) left running: {threading.enumerate()}")
 
 
 @pytest.fixture(scope="module")

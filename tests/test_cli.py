@@ -167,6 +167,20 @@ def test_energy_check_short_ladder_skips_fit(cache_dir, tmp_path):
     assert len(doc["per_eps"]) == 2
 
 
+def test_energy_check_one_distinct_eps_has_no_slopes(cache_dir, tmp_path):
+    out = tmp_path / "energy_flat_ladder.json"
+    run_cli("energy-check", "--n", "3", "--m", "3", "--K", "1",
+            "--eps", "0.1,0.1", "--cache-dir", cache_dir, "--out", str(out))
+    doc = json.loads(out.read_text())
+    slopes = doc["residual_slopes"]
+    for key in ("W_slope", "W_r2", "Y_slope", "Y_r2"):
+        assert slopes[key] is None, key
+    assert len(slopes["W_values"]) == len(slopes["Y_values"]) == 2
+    assert doc["remainder_slope"] is None and doc["remainder_r2"] is None
+    assert "2 distinct epsilon" in doc["note"]
+    assert "4 epsilon" in doc["note"]
+
+
 def test_energy_check_flags_inadmissible_pair(cache_dir, tmp_path):
     out = tmp_path / "energy2.json"
     run_cli("energy-check", "--n", "3", "--m", "3", "--K", "2",
@@ -234,6 +248,18 @@ def test_config_key_must_be_a_flag_of_its_command(cache_dir, tmp_path, line):
 def test_commands_reject_flags_they_do_not_read(cache_dir, argv):
     proc = run_cli(*argv, "--cache-dir", cache_dir, expect=2)
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("ground-state", "--n", "3", "--m", "2"), ("constants", "--n", "2", "--m", "3")],
+    ids=["m=2", "n=2"],
+)
+def test_dimensions_below_three_are_usage_errors(cache_dir, argv):
+    # the paper's product needs n, m >= 3, as table_pairs does
+    proc = run_cli(*argv, "--cache-dir", cache_dir, expect=2)
+    assert proc.stdout == ""
+    assert "must be at least 3" in proc.stderr
 
 
 def test_unreadable_config_is_a_json_error(tmp_path):

@@ -1,3 +1,5 @@
+import sys
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -8,6 +10,7 @@ from multipeak.constants import gamma
 from multipeak.energy import (
     COEFF_LADDER,
     InjectivityViolation,
+    LadderTooShort,
     PeakAnsatz,
     PeakConfig,
     ResolutionTooCoarse,
@@ -329,14 +332,62 @@ def _whole_array_integrals(ansatz, grid):
 @pytest.mark.parametrize("eps,centers", [c[1:] for c in _GRID_CASES],
                          ids=[c[0] for c in _GRID_CASES])
 def test_field_pass_equals_whole_array_formulas(eps, centers, state, monkeypatch):
-    # blocks of 1001 put block edges inside every support
+    # blocks of 1001 put block edges inside every support; on any number of
+    # threads each block writes only its own slice of the densities
     gs, cp, dc = state
     Y = build_Y(S3, PeakConfig(eps, centers, 1.2), gs, profiles=cp, dc=dc)
     grid = energy._great_circle(S3, Y)
     want = _whole_array_integrals(Y, grid)
-    for block in (energy._BUMP_BLOCK, 1001):
-        monkeypatch.setattr(energy, "_BUMP_BLOCK", block)
-        assert tuple(energy._field_pass(S3, Y, grid)) == want, block
+    threads, default = threading.active_count(), energy._BUMP_BLOCK
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)  # threads interleave within a block
+        for helpers in (0, 3):
+            monkeypatch.setattr(energy, "_HELPERS", helpers)
+            for block in (default, 1001):
+                monkeypatch.setattr(energy, "_BUMP_BLOCK", block)
+                assert tuple(energy._field_pass(S3, Y, grid)) == want, (helpers, block)
+    finally:
+        sys.setswitchinterval(switch)
+    assert threading.active_count() == threads
+
+
+def _threads_of_field_pass(state, monkeypatch, helpers, fail_off_main=False):
+    """The threads that evaluate bumps in one _field_pass in blocks of 1001;
+    with fail_off_main, a bump evaluated off the calling thread raises."""
+    gs, cp, dc = state
+    Y = build_Y(S3, PeakConfig(0.1, [S3.point(0.8), S3.point(1.4)], 1.2), gs,
+                profiles=cp, dc=dc)
+    grid = energy._great_circle(S3, Y)
+    seen = set()
+    run = energy._bump_fields
+
+    def recorded(model, ansatz, d):
+        seen.add(threading.current_thread())
+        if fail_off_main and threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper block failed")
+        return run(model, ansatz, d)
+
+    monkeypatch.setattr(energy, "_bump_fields", recorded)
+    monkeypatch.setattr(energy, "_BUMP_BLOCK", 1001)
+    monkeypatch.setattr(energy, "_HELPERS", helpers)
+    energy._field_pass(S3, Y, grid)
+    return seen
+
+
+def test_field_pass_threads(state, monkeypatch):
+    # one usable core: the calling thread walks every block, no thread starts
+    threads = threading.active_count()
+    assert _threads_of_field_pass(state, monkeypatch, 0) == {threading.main_thread()}
+    assert len(_threads_of_field_pass(state, monkeypatch, 3)) == 4
+    assert threading.active_count() == threads
+
+
+def test_field_pass_raises_a_helper_exception(state, monkeypatch):
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper block failed"):
+        _threads_of_field_pass(state, monkeypatch, 1, fail_off_main=True)
+    assert threading.active_count() == threads
 
 
 @pytest.fixture
@@ -639,6 +690,12 @@ def test_loglog_slope_recovers_power():
     slope, r2 = loglog_slope(eps, vals)
     assert slope == pytest.approx(2.4, abs=1e-12)
     assert r2 == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [(0.1,), (0.1, 0.1), ()])
+def test_loglog_slope_needs_two_distinct_eps(eps):
+    with pytest.raises(LadderTooShort):
+        loglog_slope(eps, [1.0] * len(eps))
 
 
 # ------------------------------------------------------------- sphere K=2
