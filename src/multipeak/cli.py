@@ -362,9 +362,10 @@ def cmd_energy_check(args) -> int:
     for eps in eps_ladder:
         config = PeakConfig(epsilon=eps, centers=list(centers), cutoff_r=1.2)
         ok, margin = admissible(model, config, gs, rho=args.rho)
-        bd = expansion_compare(model, config, gs, cp, dc, gamma_value=gamma_value)
+        Y = build_Y(model, config, gs, profiles=cp, dc=dc)
+        bd = expansion_compare(model, Y, dc, gamma_value=gamma_value)
         res_w = residual_norm(model, build_W(model, config, gs, c_bold=dc.c_bold))
-        res_y = residual_norm(model, build_Y(model, config, gs, profiles=cp, dc=dc))
+        res_y = residual_norm(model, Y)
         rem_abs.append(abs(bd.remainder))
         per_eps.append(
             {
@@ -399,19 +400,19 @@ def cmd_energy_check(args) -> int:
         "remainder_r2": rem_r2,
     }
     if K == 1:
-        # three basis terms; fewer than 4 rungs makes the fit meaningless
-        if len(eps_ladder) >= 4:
+        try:
             fit = energy_coefficient_fit(
                 model, gs, cp, dc, center=centers[0], eps_ladder=eps_ladder
             )
+        except LadderTooShort:
+            notes.append("coefficient fit skipped: needs >= 4 distinct epsilon values")
+        else:
             s_val = model.curvature_at(centers[0]).s
             payload["coefficient_fit"] = fit
             payload["predicted"] = {
                 "eps2_coeff": 0.5 * dc.beta * s_val,
                 "eps4_phi": phi(model.curvature_at(centers[0]), dc),
             }
-        else:
-            notes.append("coefficient fit skipped: needs >= 4 epsilon values")
     if notes:
         payload["note"] = "; ".join(notes)
     _emit(_dump(payload), args.out)

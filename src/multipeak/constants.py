@@ -36,6 +36,7 @@ from .radial import (
     Quadrature,
     RadialGrid,
     TailModel,
+    gauss_panels,
     moment_reduce,
     surface_area,
     tail_power_integral,
@@ -172,14 +173,10 @@ def _angular_factor(r: np.ndarray, n: int) -> np.ndarray:
     Vectorized over r; panels double until the pointwise relative change is
     below 1e-10 (the integrand sharpens near t=0 as r grows).
     """
-    gl_x, gl_w = leggauss(10)
+    rule = leggauss(10)
     prev = None
     for panels in (16, 32, 64, 128, 256):
-        edges = np.linspace(0.0, np.pi, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        t = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-        w = (half[:, None] * gl_w[None, :]).ravel()
+        t, w = gauss_panels(np.linspace(0.0, np.pi, panels + 1), rule)
         ws = w * np.sin(t) ** (n - 2)
         cur = np.exp(np.outer(r, np.cos(t))) @ ws
         if prev is not None and np.max(np.abs(cur - prev) / np.abs(cur)) < 1e-10:

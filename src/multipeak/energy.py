@@ -30,10 +30,10 @@ sum, which does not split into single-peak terms.  The blocks are shared
 in a fixed stride between the calling thread and one helper thread per
 further usable core; each block writes only its own slice of the density
 arrays, which are then reduced whole, so the integrals are the same to the
-last bit on any number of cores.  The three integrals are kept in the
-grid's memo under what the fields read beyond the grid, so one rung of J,
-the norm and both residuals builds the grid once and runs one pass per
-distinct ansatz, even when an equal ansatz is built again.
+last bit on any number of cores.  The first measurement of an ansatz keeps
+the three integrals on the ansatz itself, so one rung of J, the norm and
+both residuals builds the grid once and runs one pass per ansatz.  An
+ansatz answers only for the model it was built on.
 
 A bump is evaluated on its support d < cutoff_r only and beyond it holds
 the exact zeros the cutoff gives; a pair term only where both supports
@@ -66,7 +66,7 @@ from .constants import DimensionalConstants, gamma
 from .correction import CorrectionProfiles
 from .geometry import FlatSpace, RoundSphere, phi
 from .groundstate import GroundState
-from .radial import surface_area
+from .radial import gauss_panels, surface_area
 
 
 class InjectivityViolation(ValueError):
@@ -82,7 +82,7 @@ class UnsupportedModel(TypeError):
 
 
 class LadderTooShort(ValueError):
-    """A log-log slope needs at least two distinct eps."""
+    """Too few distinct eps: a log-log slope needs 2, a coefficient fit 4."""
 
 
 _GL8 = np.polynomial.legendre.leggauss(8)
@@ -108,37 +108,19 @@ _STEP_FACTOR = 0.34
 
 
 def smoothstep_cutoff(r, cutoff_r: float):
-    """C^2 cutoff: 1 on [0, rc/2], quintic smoothstep down to 0 at rc."""
+    """(eta, eta', eta'') of the C^2 cutoff: 1 on [0, rc/2], quintic
+    smoothstep down to 0 at rc.  eta' and eta'' need no mask past the ramp:
+    their clipped polynomials are exactly 0 at both of its ends.
+    """
     r = np.asarray(r, dtype=float)
     if np.isinf(cutoff_r):
-        return np.ones_like(r)
-    x = np.clip((r - 0.5 * cutoff_r) / (0.5 * cutoff_r), 0.0, 1.0)
+        return np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
+    half = 0.5 * cutoff_r
+    x = np.clip((r - half) / half, 0.0, 1.0)
     s = x * x * x * (x * (6.0 * x - 15.0) + 10.0)
-    return 1.0 - s
-
-
-def smoothstep_cutoff_d1(r, cutoff_r: float):
-    r = np.asarray(r, dtype=float)
-    if np.isinf(cutoff_r):
-        return np.zeros_like(r)
-    half = 0.5 * cutoff_r
-    x = (r - half) / half
-    inside = (x > 0.0) & (x < 1.0)
-    x = np.clip(x, 0.0, 1.0)
     ds = 30.0 * x * x * (x - 1.0) * (x - 1.0)
-    return np.where(inside, -ds / half, 0.0)
-
-
-def smoothstep_cutoff_d2(r, cutoff_r: float):
-    r = np.asarray(r, dtype=float)
-    if np.isinf(cutoff_r):
-        return np.zeros_like(r)
-    half = 0.5 * cutoff_r
-    x = (r - half) / half
-    inside = (x > 0.0) & (x < 1.0)
-    x = np.clip(x, 0.0, 1.0)
     d2s = 60.0 * x * (x - 1.0) * (2.0 * x - 1.0)
-    return np.where(inside, -d2s / (half * half), 0.0)
+    return 1.0 - s, -ds / half, -d2s / (half * half)
 
 
 @dataclass
@@ -192,6 +174,9 @@ class PeakAnsatz:
     i-th center.  On a round sphere L0 V = -S, where S = -ric_factor r U'
     + c s U is the second-order residual of the plain bump.  All evaluation
     is through the blown-up radial profile and the model's distance function.
+
+    The first measurement of several peaks keeps their support-grid
+    integrals in _cross, so an ansatz is not mutated after it is measured.
     """
 
     def __init__(self, model, config: PeakConfig, gs: GroundState,
@@ -222,6 +207,7 @@ class PeakAnsatz:
             self._ric_factor = -(model.n - 1) / (3.0 * model.radius ** 2)
         else:
             self._ric_factor = 0.0
+        self._cross = None  # _field_pass of the ansatz, filled by _measure
 
     @property
     def include_v(self) -> bool:
@@ -283,13 +269,11 @@ class PeakAnsatz:
         """(G, G', ...) at distances ds that all lie inside the support."""
         eps, rc = self.epsilon, self.config.cutoff_r
         h = self.blownup_profile(ds / eps, order)
-        c0 = smoothstep_cutoff(ds, rc)
+        c0, c1, c2 = smoothstep_cutoff(ds, rc)
         g = [h[0] * c0]
         if order >= 1:
-            c1 = smoothstep_cutoff_d1(ds, rc)
             g.append(h[1] / eps * c0 + h[0] * c1)
         if order >= 2:
-            c2 = smoothstep_cutoff_d2(ds, rc)
             g.append(h[2] / eps ** 2 * c0 + 2.0 * h[1] / eps * c1 + h[0] * c2)
         return g
 
@@ -306,14 +290,12 @@ def build_W(model, config: PeakConfig, gs: GroundState, c_bold: float = 0.0) -> 
 
 
 def build_Y(model, config: PeakConfig, gs: GroundState,
-            profiles: CorrectionProfiles = None, dc: DimensionalConstants = None) -> PeakAnsatz:
+            profiles: CorrectionProfiles, dc: DimensionalConstants) -> PeakAnsatz:
     """Bumps with the second-order curvature correction per peak.
 
-    Passing profiles=None suppresses the correction, which reduces to
-    build_W.  dc supplies the conformal constant of the product pair.
+    dc supplies the conformal constant of the product pair.
     """
-    c_bold = dc.c_bold if dc is not None else 0.0
-    return PeakAnsatz(model, config, gs, c_bold=c_bold, profiles=profiles)
+    return PeakAnsatz(model, config, gs, c_bold=dc.c_bold, profiles=profiles)
 
 
 def _polar_sinc(model, d):
@@ -331,13 +313,7 @@ def _panel_nodes(rho_max: float, rho_step: float, kinks=()):
     edges = set(np.arange(0.0, rho_max, rho_step))
     edges.add(rho_max)
     edges.update(k for k in kinks if 0.0 < k < rho_max)
-    edges = np.array(sorted(edges))
-    x, w = _GL8
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return gauss_panels(np.array(sorted(edges)), _GL8)
 
 
 def _rho_max(model, ansatz: PeakAnsatz) -> float:
@@ -352,7 +328,7 @@ def _rho_max(model, ansatz: PeakAnsatz) -> float:
 class _Integrals(NamedTuple):
     """J, the squared norm and the integral of |r|^p' of an ansatz's field.
 
-    From _polar_pass they are one peak's; from _grid_integrals J and norm
+    From _polar_pass they are one peak's; from _field_pass J and norm
     are the cross parts J(sum u_i) - sum J(u_i) and the like, and residual
     is taken for the whole sum.
     """
@@ -415,12 +391,7 @@ def _great_circle_basis(centers):
 
 def _gl_panels(lo: float, hi: float, step: float):
     edges = np.linspace(lo, hi, max(2, int(np.ceil((hi - lo) / step)) + 1))
-    x, w = _GL6
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return gauss_panels(edges, _GL6)
 
 
 class SupportGrid(NamedTuple):
@@ -429,8 +400,7 @@ class SupportGrid(NamedTuple):
     Row i keeps the phi nodes phi[:prefix[i]] and phi[suffix[i]:], which
     hold every node within cutoff_r of a center; every other node carries
     exact zeros in each integrand.  dists and measure are on the kept nodes
-    in row-major order, each value bit-identical to the full grid's.  memo
-    holds the _grid_integrals of the ansatze measured on this grid.
+    in row-major order, each value bit-identical to the full grid's.
     """
 
     theta: np.ndarray
@@ -439,7 +409,6 @@ class SupportGrid(NamedTuple):
     suffix: np.ndarray
     dists: tuple
     measure: np.ndarray
-    memo: dict
 
     def integral(self, dens) -> float:
         """The eps-normalized sphere integral of dens given on the kept nodes."""
@@ -508,7 +477,7 @@ def _support_grid(n: int, R: float, centers: tuple, eps: float, cutoff_r: float,
     area = (np.sin(th) ** (n - 1))[rows] * (np.sin(ph) ** (n - 2))[cols]
     wt = wth[rows] * wph[cols]
     measure = (R ** n / eps ** n) * surface_area(n - 1) * area * wt
-    grid = SupportGrid(th, ph, prefix, suffix, tuple(dists), measure, {})
+    grid = SupportGrid(th, ph, prefix, suffix, tuple(dists), measure)
     for arr in (th, ph, prefix, suffix, measure, *dists):
         arr.flags.writeable = False  # shared by every caller of the cache
     return grid
@@ -619,39 +588,28 @@ def _field_pass(model, ansatz: PeakAnsatz, grid: SupportGrid) -> _Integrals:
                       grid.integral(dens_res))
 
 
-def _grid_integrals(model, ansatz: PeakAnsatz) -> _Integrals:
-    """_field_pass of the ansatz, once per ansatz and support grid.
-
-    The result is kept in the grid's memo and dropped with it.  Its key is
-    what the fields read beyond the grid, so equal ansatze share one entry;
-    gs and profiles enter by identity, and the entry holds them so that
-    their ids stay taken.
-    """
-    grid = _great_circle(model, ansatz)
-    key = (type(ansatz), id(ansatz.gs), id(ansatz.profiles), ansatz.c_bold,
-           ansatz.s_center, ansatz._ric_factor)
-    if key not in grid.memo:
-        grid.memo[key] = (ansatz.gs, ansatz.profiles, _field_pass(model, ansatz, grid))
-    return grid.memo[key][2]
-
-
 def _measure(model, ansatz: PeakAnsatz, rho_step: float) -> _Integrals:
     """J, the squared norm and the residual norm of the ansatz.
 
     The single-peak terms come from one polar pass and are counted K
     times; for K >= 2 the cross terms of J and the norm, and the residual
-    of the whole sum, which does not separate, come from the support grid.
+    of the whole sum, which does not separate, come from the support grid;
+    the first measurement runs that pass and keeps it in ansatz._cross.  The
+    polar pass is cheap and depends on rho_step, so it runs every time.
     Several peaks are only quadrated on the sphere.
     """
-    K = 0 if ansatz is None else ansatz.K
+    if model != ansatz.model:
+        raise ValueError(f"ansatz is built on {ansatz.model!r}, not on {model!r}")
+    K = ansatz.K
     if K == 0:
         return _Integrals(0.0, 0.0, 0.0)
     if K >= 2 and isinstance(model, FlatSpace):
         raise UnsupportedModel("several peaks are only quadrated on the sphere")
-    one = _polar_pass(model, ansatz, rho_step)
-    J, norm, residual = one
+    J, norm, residual = _polar_pass(model, ansatz, rho_step)
     if K >= 2:
-        cross = _grid_integrals(model, ansatz)
+        if ansatz._cross is None:
+            ansatz._cross = _field_pass(model, ansatz, _great_circle(model, ansatz))
+        cross = ansatz._cross
         J, norm, residual = K * J + cross.J, K * norm + cross.norm, cross.residual
     pp = ansatz.gs.p / (ansatz.gs.p - 1.0)
     return _Integrals(J, norm, residual ** (1.0 / pp))
@@ -696,15 +654,14 @@ class EnergyBreakdown:
         }
 
 
-def expansion_compare(model, config: PeakConfig, gs: GroundState,
-                      profiles: CorrectionProfiles, dc: DimensionalConstants,
+def expansion_compare(model, ansatz: PeakAnsatz, dc: DimensionalConstants,
                       gamma_value: float = None) -> EnergyBreakdown:
-    """Measured energy against the explicit expansion terms.
+    """Measured energy of the ansatz against the explicit expansion terms.
 
     remainder = J_measured - alpha - beta - phi - interaction, exactly.
     """
-    ansatz = build_Y(model, config, gs, profiles=profiles, dc=dc)
     J = energy_J(model, ansatz)
+    config, gs = ansatz.config, ansatz.gs
     eps = config.epsilon
     term_alpha = config.K * dc.alpha
     term_beta = 0.0
@@ -742,9 +699,12 @@ def energy_coefficient_fit(model, gs: GroundState, profiles: CorrectionProfiles,
     """Fit (J(eps) - alpha)/eps^2 to a quadratic in eps^2 for one peak.
 
     Returns the extracted eps^2 and eps^4 energy coefficients together with
-    the raw ladder, so callers can judge the fit themselves.
+    the raw ladder, so callers can judge the fit themselves.  Three basis
+    terms need 4 distinct eps; with fewer it raises LadderTooShort.
     """
     eps_ladder = tuple(float(e) for e in eps_ladder)
+    if np.unique(eps_ladder).size < 4:
+        raise LadderTooShort("a coefficient fit needs at least 4 distinct epsilon values")
     ys = []
     for eps in eps_ladder:
         config = PeakConfig(epsilon=eps, centers=[center], cutoff_r=cutoff_r)

@@ -290,6 +290,18 @@ def _horner(coeffs, idx, tau, deriv: int = 0):
     return out
 
 
+def gauss_panels(edges, rule):
+    """(nodes, weights) of the Gauss rule (x, w) on [-1, 1] mapped onto each
+    panel between consecutive edges, panel by panel.
+    """
+    x, w = rule
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * np.diff(edges)
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
+
+
 class Quadrature:
     """Composite 8-point Gauss-Legendre rule over the cells of a RadialGrid."""
 

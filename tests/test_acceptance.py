@@ -20,6 +20,7 @@ from multipeak.constants import base_interaction, beta_table, gamma, product_exp
 from multipeak.correction import operator_identity_check, verify_L0_identities
 from multipeak.energy import (
     PeakConfig,
+    build_Y,
     energy_coefficient_fit,
     expansion_compare,
     residual_slopes,
@@ -107,7 +108,7 @@ def test_criterion_07_energy_expansion_single_peak(corrections, dimensional_cons
     ratios = []
     for eps in (0.1, 0.07, 0.05, 0.035):
         config = PeakConfig(epsilon=eps, centers=center[None], cutoff_r=1.2)
-        bd = expansion_compare(model, config, gs, cp, dc)
+        bd = expansion_compare(model, build_Y(model, config, gs, profiles=cp, dc=dc), dc)
         ratios.append(abs(bd.remainder) / eps ** 4)
     ok_c = all(b < a for a, b in zip(ratios, ratios[1:]))
 

@@ -163,8 +163,20 @@ def test_energy_check_short_ladder_skips_fit(cache_dir, tmp_path):
     doc = json.loads(out.read_text())
     assert "coefficient_fit" not in doc
     assert "predicted" not in doc
-    assert "4 epsilon" in doc["note"]
+    assert "4 distinct epsilon" in doc["note"]
     assert len(doc["per_eps"]) == 2
+
+
+def test_energy_check_repeated_eps_skips_fit(cache_dir, tmp_path):
+    # four rungs of one eps fit a quadratic exactly and mean nothing
+    out = tmp_path / "energy_repeated.json"
+    run_cli("energy-check", "--n", "3", "--m", "3", "--K", "1",
+            "--eps", "0.1,0.1,0.1,0.1", "--cache-dir", cache_dir, "--out", str(out))
+    doc = json.loads(out.read_text())
+    assert "coefficient_fit" not in doc
+    assert "predicted" not in doc
+    assert "4 distinct epsilon" in doc["note"]
+    assert len(doc["per_eps"]) == 4
 
 
 def test_energy_check_one_distinct_eps_has_no_slopes(cache_dir, tmp_path):
@@ -178,7 +190,7 @@ def test_energy_check_one_distinct_eps_has_no_slopes(cache_dir, tmp_path):
     assert len(slopes["W_values"]) == len(slopes["Y_values"]) == 2
     assert doc["remainder_slope"] is None and doc["remainder_r2"] is None
     assert "2 distinct epsilon" in doc["note"]
-    assert "4 epsilon" in doc["note"]
+    assert "4 distinct epsilon" in doc["note"]
 
 
 def test_energy_check_flags_inadmissible_pair(cache_dir, tmp_path):

@@ -26,8 +26,6 @@ from multipeak.energy import (
     residual_norm,
     residual_slopes,
     smoothstep_cutoff,
-    smoothstep_cutoff_d1,
-    smoothstep_cutoff_d2,
 )
 from multipeak.geometry import FlatSpace, RoundSphere, WarpedSphere
 from multipeak.groundstate import solve_ground_state
@@ -56,7 +54,7 @@ def _one_peak(eps, center=None, cutoff=1.2):
 def test_cutoff_plateau_ramp_support():
     rc = 1.2
     r = np.linspace(0.0, 2.0, 401)
-    chi = smoothstep_cutoff(r, rc)
+    chi = smoothstep_cutoff(r, rc)[0]
     assert np.all(chi[r <= rc / 2] == 1.0)
     assert np.all(chi[r >= rc] == 0.0)
     ramp = chi[(r > rc / 2) & (r < rc)]
@@ -68,19 +66,18 @@ def test_cutoff_derivatives_match_finite_differences():
     rc = 1.2
     r = np.linspace(0.05, 1.9, 173)
     h = 1e-6
-    fd1 = (smoothstep_cutoff(r + h, rc) - smoothstep_cutoff(r - h, rc)) / (2 * h)
-    fd2 = (
-        smoothstep_cutoff_d1(r + h, rc) - smoothstep_cutoff_d1(r - h, rc)
-    ) / (2 * h)
-    assert np.abs(smoothstep_cutoff_d1(r, rc) - fd1).max() < 1e-5
-    assert np.abs(smoothstep_cutoff_d2(r, rc) - fd2).max() < 1e-4
+    (c0p, c1p, _), (c0m, c1m, _) = smoothstep_cutoff(r + h, rc), smoothstep_cutoff(r - h, rc)
+    _, c1, c2 = smoothstep_cutoff(r, rc)
+    assert np.abs(c1 - (c0p - c0m) / (2 * h)).max() < 1e-5
+    assert np.abs(c2 - (c1p - c1m) / (2 * h)).max() < 1e-4
 
 
 def test_cutoff_infinite_radius_is_identity():
     r = np.linspace(0.0, 50.0, 11)
-    assert np.all(smoothstep_cutoff(r, np.inf) == 1.0)
-    assert np.all(smoothstep_cutoff_d1(r, np.inf) == 0.0)
-    assert np.all(smoothstep_cutoff_d2(r, np.inf) == 0.0)
+    c0, c1, c2 = smoothstep_cutoff(r, np.inf)
+    assert np.all(c0 == 1.0)
+    assert np.all(c1 == 0.0)
+    assert np.all(c2 == 0.0)
 
 
 # ---------------------------------------------------------------- config
@@ -124,8 +121,7 @@ def _unrestricted_bump(ansatz, d):
     """(G, G', G'') on every d, the cutoff supplying the zeros."""
     eps, rc = ansatz.epsilon, ansatz.config.cutoff_r
     h0, h1, h2 = ansatz.blownup_profile(d / eps)
-    c0, c1, c2 = (f(d, rc) for f in (smoothstep_cutoff, smoothstep_cutoff_d1,
-                                       smoothstep_cutoff_d2))
+    c0, c1, c2 = smoothstep_cutoff(d, rc)
     return (h0 * c0, h1 / eps * c0 + h0 * c1,
             h2 / eps**2 * c0 + 2.0 * h1 / eps * c1 + h0 * c2)
 
@@ -136,7 +132,8 @@ def test_bump_is_evaluated_on_its_support_only(corrected, state):
     # bit for bit
     gs, cp, dc = state
     cfg = _one_peak(0.05)
-    A = build_Y(S3, cfg, gs, profiles=cp if corrected else None, dc=dc)
+    A = (build_Y(S3, cfg, gs, profiles=cp, dc=dc) if corrected
+         else build_W(S3, cfg, gs, c_bold=dc.c_bold))
     edge = np.concatenate([np.linspace(0.0, 2.0, 801), [1.2, np.nextafter(1.2, 0.0), 3.0]])
     inside = edge < 1.2
     got = A.bump(edge)
@@ -159,7 +156,9 @@ def test_bump_blocks_equal_one_pass(corrected, state):
     # blocked field pass never hands it: each value is the one-pass
     # formula's, bit for bit
     gs, cp, dc = state
-    A = build_Y(S3, _one_peak(0.05), gs, profiles=cp if corrected else None, dc=dc)
+    cfg = _one_peak(0.05)
+    A = (build_Y(S3, cfg, gs, profiles=cp, dc=dc) if corrected
+         else build_W(S3, cfg, gs, c_bold=dc.c_bold))
     d = np.linspace(0.0, 2.0, 6 * energy._BUMP_BLOCK).reshape(3, -1)
     inside = d < 1.2
     assert inside.sum() > 2 * energy._BUMP_BLOCK
@@ -289,7 +288,8 @@ def test_one_rung_builds_the_support_grid_once(state):
     residual_norm(S3, W)
     residual_norm(S3, Y)
     info = energy._support_grid.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    # Y keeps its pass from energy_J on, so only W looks the grid up again
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def _whole_array_integrals(ansatz, grid):
@@ -421,8 +421,8 @@ def test_one_rung_runs_one_field_pass_per_ansatz(state, field_passes):
     assert field_passes == [Y, W]
 
 
-def test_energy_check_rung_shares_the_pass_of_an_equal_ansatz(field_passes, tmp_path):
-    # expansion_compare builds Y, and the residual of Y builds it again
+def test_energy_check_rung_measures_one_Y(field_passes, tmp_path):
+    # the rung builds Y once for the breakdown and its residual, then W
     from multipeak import cli
 
     out = tmp_path / "energy.json"
@@ -437,8 +437,8 @@ def test_field_pass_memo_keys(state, field_passes):
     Y, W = _rung(state)
     residual_norm(S3, W)
     residual_norm(S3, Y)
-    assert field_passes == [W, Y]  # W and Y never share an entry
-    # a subclass may change the fields, so it does not reuse its base's entry
+    assert field_passes == [W, Y]  # W and Y never share a pass
+    # a subclass may change the fields, so it does not reuse its base's pass
     Z = _PsiCorrectedAnsatz(S3, Y.config, gs, c_bold=dc.c_bold, profiles=cp)
     residual_norm(S3, Z)
     assert field_passes[-1] is Z
@@ -758,7 +758,8 @@ def test_expansion_breakdown_accounts_for_energy(state):
     gs, cp, dc = state
     eps = 0.05
     a, b = S3.point(0.8), S3.point(0.8 + 12 * eps)
-    bd = expansion_compare(S3, PeakConfig(eps, np.stack([a, b]), 1.2), gs, cp, dc)
+    cfg = PeakConfig(eps, np.stack([a, b]), 1.2)
+    bd = expansion_compare(S3, build_Y(S3, cfg, gs, profiles=cp, dc=dc), dc)
     total = (
         bd.term_alpha + bd.term_beta + bd.term_phi + bd.term_interaction + bd.remainder
     )
@@ -796,10 +797,14 @@ def test_warped_model_refused(state):
         PeakAnsatz(M, cfg, gs)
 
 
-def test_build_y_without_profiles_is_plain(state):
-    gs, _, dc = state
-    cfg = _one_peak(0.05)
-    Y = build_Y(S3, cfg, gs, profiles=None, dc=dc)
-    assert not Y.include_v
-    r = np.array([0.0, 1.0, 3.0])
-    assert np.allclose(Y.blownup_profile(r)[0], gs.eval(r)[0], rtol=0, atol=0)
+@pytest.mark.parametrize("centers", [[S3.point(0.6)], [S3.point(0.8), S3.point(1.4)]],
+                         ids=["K1", "K2"])
+def test_ansatz_answers_only_for_its_model(centers, state):
+    # a measurement kept on the ansatz can never answer for another sphere
+    gs, _, _ = state
+    W = build_W(S3, PeakConfig(0.1, centers, 1.2), gs)
+    J = energy_J(S3, W)  # with K = 2 this keeps the support-grid pass on W
+    for fn in (energy_J, norm_eps, residual_norm):
+        with pytest.raises(ValueError, match="built on"):
+            fn(RoundSphere(3, 2.0), W)
+    assert energy_J(RoundSphere(3, 1.0), W) == J  # an equal model is accepted
