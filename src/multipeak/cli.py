@@ -29,6 +29,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -346,8 +347,8 @@ def cmd_energy_check(args) -> int:
     if K not in (1, 2):
         raise ValueError("--K must be 1 or 2")
     eps_ladder = tuple(float(e) for e in args.eps.split(","))
-    if not eps_ladder or any(e <= 0 for e in eps_ladder):
-        raise ValueError("--eps needs positive comma-separated values")
+    if not eps_ladder or not all(0.0 < e < np.inf for e in eps_ladder):
+        raise ValueError("--eps needs positive finite comma-separated values")
     model = _model(args, "flat", ("flat", "flatspace"), FlatSpace)
     gs, cp, dc = _constants(n, m, _cache_dir(args))
     centers = _default_centers(model, K)
@@ -372,7 +373,7 @@ def cmd_energy_check(args) -> int:
                 "epsilon": eps,
                 "admissible": bool(ok),
                 "margin": margin,
-                "breakdown": bd.as_dict(),
+                "breakdown": asdict(bd),
                 "residual_W": res_w,
                 "residual_Y": res_y,
                 "remainder_over_eps4": bd.remainder / eps ** 4,

@@ -195,7 +195,7 @@ def gamma(gs: GroundState, b) -> GammaValue:
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.size != gs.n:
         raise NotUnit(f"direction must be a vector in R^{gs.n}")
-    if abs(float(np.linalg.norm(b)) - 1.0) > 1e-12:
+    if not abs(float(np.linalg.norm(b)) - 1.0) <= 1e-12:
         raise NotUnit("direction must have unit length within 1e-12")
     n, p = gs.n, gs.p
     R = gs.r_max

@@ -14,31 +14,35 @@ remainder is honest measurement error plus higher expansion orders.
 
 energy_J, norm_eps and residual_norm read one measurement of the ansatz,
 _measure, which gives J, the squared norm and the residual norm together.
-Its single-peak terms come from _polar_pass: one order-2 evaluation of the
-bump (G, G', G'') on the polar nodes, integrated against their weights and
-measure.  The single-peak term does not depend on the center on these
-models, so it is computed once and counted K times.  For several peaks,
-_great_circle gives the SupportGrid: the (theta, phi) nodes of the sphere's
-great-circle grid that lie within cutoff_r of some center, with the
-distance to every center and the measure on those nodes only.  Every
-integrand is exactly 0 on the nodes it drops.  The grid is built once per
-(sphere, centers, eps, cutoff) and kept in a one-entry cache.  _field_pass
-cuts its nodes into blocks of _BUMP_BLOCK, whose temporaries stay in cache,
-evaluates each bump there once as (G, G', Lap G), and fills the densities
-of J's cross terms, the norm's cross terms and the residual of the whole
-sum, which does not split into single-peak terms.  The blocks are shared
-in a fixed stride between the calling thread and one helper thread per
-further usable core; each block writes only its own slice of the density
-arrays, which are then reduced whole, so the integrals are the same to the
-last bit on any number of cores.  The first measurement of an ansatz keeps
-the three integrals on the ansatz itself, so one rung of J, the norm and
-both residuals builds the grid once and runs one pass per ansatz.  An
-ansatz answers only for the model it was built on.
+A bump has one evaluation, PeakAnsatz.bump(d): (G, G', G'') at the
+distances d.  The passes below take the ansatz alone and read its model
+from it.  The single-peak terms come from _polar_pass: one evaluation of
+the bump on the polar nodes, which all lie inside its support, integrated
+against their weights and measure.  The single-peak term does not depend
+on the center on these models, so it is computed once and counted K
+times.  For several peaks, _great_circle gives the SupportGrid: the
+(theta, phi) nodes of the sphere's great-circle grid that lie within
+cutoff_r of some center, with the distance to every center and the
+measure on those nodes only.  Every integrand is exactly 0 on the nodes
+it drops.  The grid is built once per (sphere, centers, eps, cutoff) and
+kept in a one-entry cache.  _field_pass cuts its nodes into blocks of
+_BUMP_BLOCK, whose temporaries stay in cache, evaluates each bump there
+once as (G, G', Lap G), and fills the densities of J's cross terms, the
+norm's cross terms and the residual of the whole sum, which does not
+split into single-peak terms.  The blocks are shared in a fixed stride
+between the calling thread and one helper thread per further usable
+core; each block writes only its own slice of the density arrays, which
+are then reduced whole, so the integrals are the same to the last bit on
+any number of cores.  The first measurement of an ansatz keeps the three
+integrals on the ansatz itself, so one rung of J, the norm and both
+residuals builds the grid once and runs one pass per ansatz.  An ansatz
+answers only for the model it was built on.
 
-A bump is evaluated on its support d < cutoff_r only and beyond it holds
-the exact zeros the cutoff gives; a pair term only where both supports
-meet.  U, chi and v2base share the ground state's radial grid, so one
-interval lookup per point serves every profile and derivative of a bump.
+Past cutoff_r the cutoff makes G, G' and G'' exactly 0, so _field_pass
+evaluates a bump on its support d < cutoff_r only and leaves the exact
+zeros elsewhere; a pair term only where both supports meet.  U, chi and
+v2base share the ground state's radial grid, so one interval lookup per
+point serves every profile and derivative of a bump.
 
 The corrected ansatz Y adds eps^2 V to each bump, V = ric_factor chi +
 c s v2base with the profiles of correction.py and ric_factor the Ricci
@@ -132,11 +136,13 @@ class PeakConfig:
     cutoff_r: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.cutoff_r <= 0:
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not self.cutoff_r > 0.0:
             raise ValueError("cutoff_r must be positive")
         self.centers = [np.asarray(c, dtype=float) for c in self.centers]
+        if not self.centers:
+            raise ValueError("a peak configuration needs at least one center")
 
     @property
     def K(self) -> int:
@@ -144,7 +150,7 @@ class PeakConfig:
 
 
 def admissible(model, config: PeakConfig, gs: GroundState, rho: float = None):
-    """(ok, margin): interaction below eps^4 and centers inside radius rho.
+    """(ok, margin): interaction below eps^4 and centers inside radius rho > 0.
 
     margin is eps^4 minus the summed pairwise interactions; the boundary
     itself is not admissible.
@@ -152,6 +158,8 @@ def admissible(model, config: PeakConfig, gs: GroundState, rho: float = None):
     eps = config.epsilon
     if rho is None:
         rho = 0.5 * model.injectivity_radius
+    if not rho > 0.0:
+        raise ValueError(f"placement radius rho must be positive, got {rho!r}")
     total = 0.0
     for i in range(config.K):
         for j in range(config.K):
@@ -199,7 +207,7 @@ class PeakAnsatz:
         self.gs = gs
         self.c_bold = float(c_bold)
         self.profiles = profiles
-        cp = model.curvature_at(self.config.centers[0] if self.K else None)
+        cp = model.curvature_at(self.config.centers[0])
         self.s_center = cp.s
         # Ricci eigenvalue over -3: the sign that cancels the metric part
         # of the equation residual at second order
@@ -208,10 +216,6 @@ class PeakAnsatz:
         else:
             self._ric_factor = 0.0
         self._cross = None  # _field_pass of the ansatz, filled by _measure
-
-    @property
-    def include_v(self) -> bool:
-        return self.profiles is not None
 
     @property
     def K(self) -> int:
@@ -226,62 +230,41 @@ class PeakAnsatz:
         """Coefficient 1 + eps^2 c s of u in the equation and the energy."""
         return 1.0 + self.epsilon ** 2 * self.c_bold * self.s_center
 
-    def _correction_derivs(self, at, order: int):
-        """(V, V', ...) up to the given order at points located on the ground
-        state's grid, which U, chi and v2base share.  A subclass may replace
-        V by any function of at.r.
+    def _correction_derivs(self, at):
+        """(V, V', V'') at points located on the ground state's grid, which
+        U, chi and v2base share.  A subclass may replace V by any function
+        of at.r.
         """
         rf, cs = self._ric_factor, self.c_bold * self.s_center
-        chi = self.profiles.chi.evaluate(at, order)
-        v2b = self.profiles.v2base.evaluate(at, order)
+        chi = self.profiles.chi.evaluate(at)
+        v2b = self.profiles.v2base.evaluate(at)
         return tuple(rf * a + cs * b for a, b in zip(chi, v2b))
 
-    def blownup_profile(self, rho, order: int = 2):
-        """(h, h', h'') of the per-peak profile in rho = d/eps, no cutoff,
-        up to the derivative of the given order.
+    def blownup_profile(self, rho):
+        """(h, h', h'') of the per-peak profile in rho = d/eps, no cutoff.
+
+        V is evaluated before U, so chi's and v2base's channels are freed
+        before U's exist.
         """
         at = self.gs.grid.locate(rho)
-        u = self.gs.profile.evaluate(at, order)
-        if not self.include_v:
-            return u
+        if self.profiles is None:
+            return self.gs.profile.evaluate(at)
+        v = self._correction_derivs(at)
         e2 = self.epsilon ** 2
-        return tuple(a + e2 * b for a, b in zip(u, self._correction_derivs(at, order)))
+        return tuple(a + e2 * b for a, b in zip(self.gs.profile.evaluate(at), v))
 
-    def support(self, d):
-        """Where distance d lies inside the cutoff radius."""
-        return np.asarray(d, dtype=float) < self.config.cutoff_r
+    def bump(self, d):
+        """(G, G', G'') of one bump at manifold distances d.
 
-    def bump(self, d, order: int = 2):
-        """(G, G', G'') of one bump versus manifold distance d, up to the
-        derivative of the given order.
-
-        Only the support is evaluated; beyond it G and its derivatives are
-        the exact zeros that the cutoff gives them.
+        Past cutoff_r the cutoff makes all three exactly 0, so a caller may
+        leave out the distances beyond it.
         """
-        d = np.asarray(d, dtype=float)
-        support = self.support(d)
-        out = [np.zeros_like(d) for _ in range(order + 1)]
-        for full, g in zip(out, self._bump_inside(d[support], order)):
-            full[support] = g
-        return tuple(full[()] for full in out)
-
-    def _bump_inside(self, ds, order: int):
-        """(G, G', ...) at distances ds that all lie inside the support."""
         eps, rc = self.epsilon, self.config.cutoff_r
-        h = self.blownup_profile(ds / eps, order)
-        c0, c1, c2 = smoothstep_cutoff(ds, rc)
-        g = [h[0] * c0]
-        if order >= 1:
-            g.append(h[1] / eps * c0 + h[0] * c1)
-        if order >= 2:
-            g.append(h[2] / eps ** 2 * c0 + 2.0 * h[1] / eps * c1 + h[0] * c2)
-        return g
-
-    def __call__(self, x):
-        ds = [self.model.distance(x, c) for c in self.config.centers]
-        if not ds:
-            return 0.0
-        return float(sum(self.bump(d)[0] for d in ds))
+        h = self.blownup_profile(d / eps)
+        c0, c1, c2 = smoothstep_cutoff(d, rc)
+        return (h[0] * c0,
+                h[1] / eps * c0 + h[0] * c1,
+                h[2] / eps ** 2 * c0 + 2.0 * h[1] / eps * c1 + h[0] * c2)
 
 
 def build_W(model, config: PeakConfig, gs: GroundState, c_bold: float = 0.0) -> PeakAnsatz:
@@ -316,7 +299,7 @@ def _panel_nodes(rho_max: float, rho_step: float, kinks=()):
     return gauss_panels(np.array(sorted(edges)), _GL8)
 
 
-def _rho_max(model, ansatz: PeakAnsatz) -> float:
+def _rho_max(ansatz: PeakAnsatz) -> float:
     rc = ansatz.config.cutoff_r
     eps = ansatz.epsilon
     cap = ansatz.gs.r_max + 12.0  # profile tail is below 1e-12 there
@@ -338,13 +321,15 @@ class _Integrals(NamedTuple):
     residual: float
 
 
-def _polar_pass(model, ansatz: PeakAnsatz, rho_step: float) -> _Integrals:
+def _polar_pass(ansatz: PeakAnsatz, rho_step: float) -> _Integrals:
     """The integrals of one bump on geodesic polar nodes rho = d/eps over
-    the ball in blown-up units, from one evaluation of (G, G', G'').
+    the ball in blown-up units, from one evaluation of (G, G', G'').  Every
+    node lies inside the support.
     """
+    model = ansatz.model
     eps, rc, n, p = ansatz.epsilon, ansatz.config.cutoff_r, model.n, ansatz.gs.p
     kinks = () if np.isinf(rc) else (0.5 * rc / eps, rc / eps)
-    rho, w = _panel_nodes(_rho_max(model, ansatz), rho_step, kinks)
+    rho, w = _panel_nodes(_rho_max(ansatz), rho_step, kinks)
     meas = rho ** (n - 1) * _polar_sinc(model, eps * rho) ** (n - 1)
 
     def integral(dens) -> float:
@@ -424,12 +409,11 @@ def _kept_indices(prefix, suffix, n_phi: int):
     return rows, cols
 
 
-def _great_circle(model, ansatz: PeakAnsatz) -> SupportGrid:
-    """The support grid of the ansatz's centers on the sphere."""
-    n = model.n
+def _great_circle(ansatz: PeakAnsatz) -> SupportGrid:
+    """The support grid of the ansatz's centers on its sphere."""
+    n, R, eps = ansatz.model.n, ansatz.model.radius, ansatz.epsilon
     if n < 3:
         raise UnsupportedModel("cross-term quadrature needs sphere dimension >= 3")
-    eps, R = ansatz.epsilon, model.radius
     ang_step = min(_STEP_FACTOR * eps / R, np.pi / 24.0)
     centers = tuple(tuple(float(x) for x in c) for c in ansatz.config.centers)
     return _support_grid(n, float(R), centers, float(eps),
@@ -491,20 +475,20 @@ def _cos_angle(model, d_i, d_j, d_ij):
     return np.clip(val, -1.0, 1.0)
 
 
-def _bump_fields(model, ansatz: PeakAnsatz, d):
+def _bump_fields(ansatz: PeakAnsatz, d):
     """(support, G, G', Lap G) of one bump at sphere distances d from its
     center, each evaluated on the support only.
     """
-    R = model.radius
-    support = ansatz.support(d)
+    n, R = ansatz.model.n, ansatz.model.radius
+    support = d < ansatz.config.cutoff_r
     ds = d[support]
-    g0, g1, g2 = ansatz._bump_inside(ds, 2)
+    g0, g1, g2 = ansatz.bump(ds)
     # allocated after the evaluation, whose temporaries are the block's peak
     G, dG, lap = (np.zeros_like(d) for _ in range(3))
     G[support], dG[support] = g0, g1
     with np.errstate(divide="ignore", invalid="ignore"):
         cot = np.where(ds > 0, 1.0 / np.tan(ds / R), 0.0) / R
-    lap_s = g2 + (model.n - 1) * cot * g1
+    lap_s = g2 + (n - 1) * cot * g1
     lap[support] = np.where(np.isfinite(lap_s), lap_s, 0.0)
     return support, G, dG, lap
 
@@ -542,7 +526,7 @@ def _strided(work, items) -> None:
         raise errors[0]
 
 
-def _field_pass(model, ansatz: PeakAnsatz, grid: SupportGrid) -> _Integrals:
+def _field_pass(ansatz: PeakAnsatz, grid: SupportGrid) -> _Integrals:
     """The three support-grid integrals from one evaluation of each bump.
 
     The kept nodes are cut into blocks of _BUMP_BLOCK, which _strided shares
@@ -557,7 +541,7 @@ def _field_pass(model, ansatz: PeakAnsatz, grid: SupportGrid) -> _Integrals:
     pair is evaluated only where both supports meet and adds exact zeros
     elsewhere.
     """
-    eps, p, mass = ansatz.epsilon, ansatz.gs.p, ansatz.mass
+    model, eps, p, mass = ansatz.model, ansatz.epsilon, ansatz.gs.p, ansatz.mass
     pp = p / (p - 1.0)
     centers = ansatz.config.centers
     pairs = [(i, j, model.distance(centers[i], centers[j]))
@@ -567,7 +551,7 @@ def _field_pass(model, ansatz: PeakAnsatz, grid: SupportGrid) -> _Integrals:
     def fill(start):
         block = slice(start, start + _BUMP_BLOCK)
         dists = [d[block] for d in grid.dists]
-        supports, g0s, g1s, laps = zip(*(_bump_fields(model, ansatz, d) for d in dists))
+        supports, g0s, g1s, laps = zip(*(_bump_fields(ansatz, d) for d in dists))
         pair = np.zeros_like(dists[0])
         for i, j, d_ij in pairs:
             meet = supports[i] & supports[j]
@@ -601,14 +585,12 @@ def _measure(model, ansatz: PeakAnsatz, rho_step: float) -> _Integrals:
     if model != ansatz.model:
         raise ValueError(f"ansatz is built on {ansatz.model!r}, not on {model!r}")
     K = ansatz.K
-    if K == 0:
-        return _Integrals(0.0, 0.0, 0.0)
     if K >= 2 and isinstance(model, FlatSpace):
         raise UnsupportedModel("several peaks are only quadrated on the sphere")
-    J, norm, residual = _polar_pass(model, ansatz, rho_step)
+    J, norm, residual = _polar_pass(ansatz, rho_step)
     if K >= 2:
         if ansatz._cross is None:
-            ansatz._cross = _field_pass(model, ansatz, _great_circle(model, ansatz))
+            ansatz._cross = _field_pass(ansatz, _great_circle(ansatz))
         cross = ansatz._cross
         J, norm, residual = K * J + cross.J, K * norm + cross.norm, cross.residual
     pp = ansatz.gs.p / (ansatz.gs.p - 1.0)
@@ -640,18 +622,6 @@ class EnergyBreakdown:
     term_phi: float
     term_interaction: float
     remainder: float
-
-    def as_dict(self):
-        return {
-            "epsilon": self.epsilon,
-            "K": self.K,
-            "J_measured": self.J_measured,
-            "term_alpha": self.term_alpha,
-            "term_beta": self.term_beta,
-            "term_phi": self.term_phi,
-            "term_interaction": self.term_interaction,
-            "remainder": self.remainder,
-        }
 
 
 def expansion_compare(model, ansatz: PeakAnsatz, dc: DimensionalConstants,

@@ -243,8 +243,6 @@ class RadialFunction:
         tail_r = at.r[outside] if outside.any() else None
         out = []
         for k in orders:
-            if k not in (0, 1, 2):
-                raise ValueError("deriv must be 0, 1 or 2")
             coeffs, deriv = self._channel_coeffs[k]
             vals = _horner(coeffs, at.idx, at.tau, deriv)
             if deriv:
@@ -259,9 +257,9 @@ class RadialFunction:
             out.append(f[()])
         return out
 
-    def evaluate(self, at: Located, order: int = 2) -> tuple:
-        """(f, f', ..., f^(order)) at points located on this grid, order <= 2."""
-        return tuple(self._channels(at, range(order + 1)))
+    def evaluate(self, at: Located) -> tuple:
+        """(f, f', f'') at points located on this grid."""
+        return tuple(self._channels(at, (0, 1, 2)))
 
     def __call__(self, r):
         return self._channels(self.grid.locate(r), (0,))[0]

@@ -220,6 +220,17 @@ def test_energy_check_validates_K(cache_dir):
     assert json.loads(proc.stdout)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("flags", [("--eps", "inf"), ("--eps", "nan"), ("--eps", "nan,0.1"),
+                                   ("--rho", "nan")],
+                         ids=["eps-inf", "eps-nan", "eps-nan-ladder", "rho-nan"])
+def test_energy_check_rejects_non_finite_inputs(cache_dir, flags):
+    proc = run_cli("energy-check", "--n", "3", "--m", "3", *flags,
+                   "--cache-dir", cache_dir, expect=1)
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "ValueError"
+    assert flags[0].lstrip("-") in doc["detail"]
+
+
 def test_config_file_supplies_flags(cache_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 3\nm = 3\neps = 0.1,0.07  # short ladder\n")

@@ -168,6 +168,8 @@ def test_gamma_rejects_bad_directions():
         gamma(gs, np.array([0.0, 0.0, 2.0]))
     with pytest.raises(NotUnit):
         gamma(gs, np.array([1.0, 0.0]))
+    with pytest.raises(NotUnit):
+        gamma(gs, np.array([np.nan, 0.0, 0.0]))
 
 
 def test_beta_table_all_pairs_negative():

@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import asdict
 from itertools import combinations
 
 import numpy as np
@@ -89,8 +90,18 @@ def test_peak_config_rejects_bad_parameters():
         PeakConfig(epsilon=0.0, centers=c[None], cutoff_r=1.2)
     with pytest.raises(ValueError):
         PeakConfig(epsilon=0.1, centers=c[None], cutoff_r=-1.0)
+    for eps in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            PeakConfig(epsilon=eps, centers=c[None], cutoff_r=1.2)
+    with pytest.raises(ValueError, match="cutoff_r"):
+        PeakConfig(epsilon=0.1, centers=c[None], cutoff_r=np.nan)
+    # no center, as a list or as a 2-D array without rows
+    for centers in ([], np.empty((0, 4))):
+        with pytest.raises(ValueError, match="at least one center"):
+            PeakConfig(epsilon=0.1, centers=centers, cutoff_r=1.2)
     cfg = PeakConfig(epsilon=0.1, centers=np.stack([c, S3.point(1.0)]), cutoff_r=1.2)
     assert cfg.K == 2
+    assert PeakConfig(epsilon=0.1, centers=c[None], cutoff_r=np.inf).K == 1
 
 
 def test_ansatz_normalizes_sphere_centers(state):
@@ -126,24 +137,42 @@ def _unrestricted_bump(ansatz, d):
             h2 / eps**2 * c0 + 2.0 * h1 / eps * c1 + h0 * c2)
 
 
+def _sphere_lap(d, g1, g2):
+    """Lap G on S3 from G' and G'' at distances d inside the support."""
+    R = S3.radius
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cot = np.where(d > 0, 1.0 / np.tan(d / R), 0.0) / R
+    lap = g2 + (S3.n - 1) * cot * g1
+    return np.where(np.isfinite(lap), lap, 0.0)
+
+
+def _ansatz(state, corrected, cfg):
+    gs, cp, dc = state
+    if corrected:
+        return build_Y(S3, cfg, gs, profiles=cp, dc=dc)
+    return build_W(S3, cfg, gs, c_bold=dc.c_bold)
+
+
 @pytest.mark.parametrize("corrected", [False, True])
 def test_bump_is_evaluated_on_its_support_only(corrected, state):
-    # across the cutoff's edge each value is the unrestricted formula's,
-    # bit for bit
-    gs, cp, dc = state
-    cfg = _one_peak(0.05)
-    A = (build_Y(S3, cfg, gs, profiles=cp, dc=dc) if corrected
-         else build_W(S3, cfg, gs, c_bold=dc.c_bold))
+    # the field pass evaluates a bump on d < cutoff_r only; across the
+    # cutoff's edge each value is the unrestricted formula's, bit for bit,
+    # and past it the cutoff itself gives exact zeros
+    A = _ansatz(state, corrected, _one_peak(0.05))
     edge = np.concatenate([np.linspace(0.0, 2.0, 801), [1.2, np.nextafter(1.2, 0.0), 3.0]])
     inside = edge < 1.2
-    got = A.bump(edge)
-    for g, w in zip(got, _unrestricted_bump(A, edge)):
+    want = _unrestricted_bump(A, edge)
+    for g, w in zip(A.bump(edge), want):
         assert g.shape == edge.shape
-        assert np.array_equal(g[inside], w[inside])
-        assert np.all(g[~inside] == 0.0)
+        assert np.array_equal(g, w)
         assert np.all(w[~inside] == 0.0)
-    assert all(np.array_equal(a, b) for a, b in zip(A.bump(edge, 1), got))
-    assert len(A.bump(edge, 1)) == 2 and len(A.bump(edge, 0)) == 1
+    support, G, dG, lap = energy._bump_fields(A, edge)
+    assert np.array_equal(support, inside)
+    lap_want = _sphere_lap(edge[inside], want[1][inside], want[2][inside])
+    for got, w in ((G, want[0][inside]), (dG, want[1][inside]), (lap, lap_want)):
+        assert got.shape == edge.shape
+        assert np.array_equal(got[inside], w)
+        assert np.all(got[~inside] == 0.0)
     # scalar distances on both sides of the cutoff
     assert A.bump(0.3) == tuple(g[0] for g in A.bump(np.array([0.3])))
     assert A.bump(1.5) == (0.0, 0.0, 0.0)
@@ -152,28 +181,33 @@ def test_bump_is_evaluated_on_its_support_only(corrected, state):
 
 @pytest.mark.parametrize("corrected", [False, True])
 def test_bump_blocks_equal_one_pass(corrected, state):
-    # a 2-D array with a support of more than two _BUMP_BLOCKs, as the
-    # blocked field pass never hands it: each value is the one-pass
-    # formula's, bit for bit
-    gs, cp, dc = state
-    cfg = _one_peak(0.05)
-    A = (build_Y(S3, cfg, gs, profiles=cp, dc=dc) if corrected
-         else build_W(S3, cfg, gs, c_bold=dc.c_bold))
+    # a 2-D array with a support of more than two _BUMP_BLOCKs: the field
+    # pass's blocks of its nodes give each value of one pass over the whole
+    # array, bit for bit
+    A = _ansatz(state, corrected, _one_peak(0.05))
     d = np.linspace(0.0, 2.0, 6 * energy._BUMP_BLOCK).reshape(3, -1)
     inside = d < 1.2
     assert inside.sum() > 2 * energy._BUMP_BLOCK
-    got = A.bump(d)
-    for g, w in zip(got, _unrestricted_bump(A, d)):
+    flat, block = d.ravel(), energy._BUMP_BLOCK
+    blocks = [energy._bump_fields(A, flat[k:k + block]) for k in range(0, flat.size, block)]
+    G, dG, G2 = _unrestricted_bump(A, d)
+    lap = np.zeros_like(d)
+    lap[inside] = _sphere_lap(d[inside], dG[inside], G2[inside])
+    for k, w in enumerate((G, dG, lap)):
+        got = np.concatenate([b[1 + k] for b in blocks]).reshape(d.shape)
+        assert np.array_equal(got[inside], w[inside])
+        assert np.all(got[~inside] == 0.0)
+    for g, w in zip(A.bump(d), (G, dG, G2)):
         assert g.shape == d.shape
-        assert np.array_equal(g[inside], w[inside])
-        assert np.all(g[~inside] == 0.0)
+        assert np.array_equal(g, w)
 
 
 def test_ansatz_vanishes_outside_every_support(state):
     gs, _, _ = state
     W = build_W(S3, _one_peak(0.05), gs)
-    assert W(S3.point(0.6 + 1.5)) == 0.0
-    assert W(S3.point(0.6)) == float(gs(0.0))
+    center = W.config.centers[0]
+    assert W.bump(S3.distance(S3.point(0.6 + 1.5), center)) == (0.0, 0.0, 0.0)
+    assert W.bump(S3.distance(S3.point(0.6), center))[0] == float(gs(0.0))
 
 
 def test_two_peak_values_pinned(state):
@@ -251,7 +285,7 @@ _GRID_CASES = [
 def test_support_grid_restricts_the_full_grid(eps, centers, state):
     gs, _, _ = state
     W = build_W(S3, PeakConfig(eps, centers, 1.2), gs)
-    grid = energy._great_circle(S3, W)
+    grid = energy._great_circle(W)
     th, ph, measure, dists = _full_grid(W)
     rows, cols = energy._kept_indices(grid.prefix, grid.suffix, grid.phi.size)
     # kept nodes: nodes, weights and distances are the full grid's, bit for bit
@@ -295,34 +329,29 @@ def test_one_rung_builds_the_support_grid_once(state):
 def _whole_array_integrals(ansatz, grid):
     """(J, norm, residual) cross integrals by the whole-array formulas.
 
-    Each bump is evaluated on every kept node at once, at order 1 for J and
-    the norm and again at order 2 for the residual; the pair and Laplacian
-    temporaries span the whole grid.
+    Each bump is evaluated on every kept node at once, the cutoff giving
+    the zeros outside its support; the pair and Laplacian temporaries span
+    the whole grid.
     """
-    eps, p, mass, R = ansatz.epsilon, ansatz.gs.p, ansatz.mass, S3.radius
+    eps, p, mass = ansatz.epsilon, ansatz.gs.p, ansatz.mass
     pp = p / (p - 1.0)
     centers, dists = ansatz.config.centers, grid.dists
-    bumps = [ansatz.bump(d, 1) for d in dists]
-    supports = [ansatz.support(d) for d in dists]
+    bumps = [_unrestricted_bump(ansatz, d) for d in dists]
+    supports = [d < ansatz.config.cutoff_r for d in dists]
     pair = np.zeros_like(dists[0])
     for i, j in combinations(range(len(centers)), 2):
         meet = supports[i] & supports[j]
         d_ij = S3.distance(centers[i], centers[j])
         cosA = energy._cos_angle(S3, dists[i][meet], dists[j][meet], d_ij)
-        (g0i, g1i), (g0j, g1j) = ([g[meet] for g in bumps[k]] for k in (i, j))
+        (g0i, g1i), (g0j, g1j) = ([g[meet] for g in bumps[k][:2]] for k in (i, j))
         pair[meet] += eps ** 2 * g1i * g1j * cosA + mass * g0i * g0j
-    pot = np.maximum(sum(g0 for g0, _ in bumps), 0.0) ** p
-    for g0, _ in bumps:
+    pot = np.maximum(sum(g0 for g0, _, _ in bumps), 0.0) ** p
+    for g0, _, _ in bumps:
         pot = pot - np.maximum(g0, 0.0) ** p
     u = lap = 0
-    for d, support in zip(dists, supports):
-        g0, g1, g2 = ansatz.bump(d)
-        ds = d[support]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cot = np.where(ds > 0, 1.0 / np.tan(ds / R), 0.0) / R
-        lap_s = g2[support] + (S3.n - 1) * cot * g1[support]
+    for d, support, (g0, g1, g2) in zip(dists, supports, bumps):
         lap_i = np.zeros_like(d)
-        lap_i[support] = np.where(np.isfinite(lap_s), lap_s, 0.0)
+        lap_i[support] = _sphere_lap(d[support], g1[support], g2[support])
         u, lap = u + g0, lap + lap_i
     r = -eps ** 2 * lap + mass * u - np.maximum(u, 0.0) ** (p - 1.0)
     return (grid.integral(pair - pot / p), grid.integral(2.0 * pair),
@@ -336,7 +365,7 @@ def test_field_pass_equals_whole_array_formulas(eps, centers, state, monkeypatch
     # threads each block writes only its own slice of the densities
     gs, cp, dc = state
     Y = build_Y(S3, PeakConfig(eps, centers, 1.2), gs, profiles=cp, dc=dc)
-    grid = energy._great_circle(S3, Y)
+    grid = energy._great_circle(Y)
     want = _whole_array_integrals(Y, grid)
     threads, default = threading.active_count(), energy._BUMP_BLOCK
     switch = sys.getswitchinterval()
@@ -346,7 +375,7 @@ def test_field_pass_equals_whole_array_formulas(eps, centers, state, monkeypatch
             monkeypatch.setattr(energy, "_HELPERS", helpers)
             for block in (default, 1001):
                 monkeypatch.setattr(energy, "_BUMP_BLOCK", block)
-                assert tuple(energy._field_pass(S3, Y, grid)) == want, (helpers, block)
+                assert tuple(energy._field_pass(Y, grid)) == want, (helpers, block)
     finally:
         sys.setswitchinterval(switch)
     assert threading.active_count() == threads
@@ -358,20 +387,20 @@ def _threads_of_field_pass(state, monkeypatch, helpers, fail_off_main=False):
     gs, cp, dc = state
     Y = build_Y(S3, PeakConfig(0.1, [S3.point(0.8), S3.point(1.4)], 1.2), gs,
                 profiles=cp, dc=dc)
-    grid = energy._great_circle(S3, Y)
+    grid = energy._great_circle(Y)
     seen = set()
     run = energy._bump_fields
 
-    def recorded(model, ansatz, d):
+    def recorded(ansatz, d):
         seen.add(threading.current_thread())
         if fail_off_main and threading.current_thread() is not threading.main_thread():
             raise RuntimeError("helper block failed")
-        return run(model, ansatz, d)
+        return run(ansatz, d)
 
     monkeypatch.setattr(energy, "_bump_fields", recorded)
     monkeypatch.setattr(energy, "_BUMP_BLOCK", 1001)
     monkeypatch.setattr(energy, "_HELPERS", helpers)
-    energy._field_pass(S3, Y, grid)
+    energy._field_pass(Y, grid)
     return seen
 
 
@@ -397,9 +426,9 @@ def field_passes(monkeypatch):
     calls = []
     run = energy._field_pass
 
-    def counted(model, ansatz, grid):
+    def counted(ansatz, grid):
         calls.append(ansatz)
-        return run(model, ansatz, grid)
+        return run(ansatz, grid)
 
     monkeypatch.setattr(energy, "_field_pass", counted)
     return calls
@@ -429,7 +458,7 @@ def test_energy_check_rung_measures_one_Y(field_passes, tmp_path):
     rc = cli.main(["energy-check", "--n", "3", "--m", "3", "--K", "2", "--eps", "0.1",
                    "--cache-dir", str(tmp_path / "cache"), "--out", str(out)])
     assert rc == 0 and out.exists()
-    assert [A.include_v for A in field_passes] == [True, False]
+    assert [A.profiles is not None for A in field_passes] == [True, False]
 
 
 def test_field_pass_memo_keys(state, field_passes):
@@ -540,7 +569,7 @@ def test_correction_derivatives_consistent(state):
     gs, cp, dc = state
     Y = build_Y(S3, _one_peak(0.05), gs, profiles=cp, dc=dc)
     rho = np.linspace(0.3, 9.0, 37)
-    v0, v1, v2 = Y._correction_derivs(gs.grid.locate(rho), 2)
+    v0, v1, v2 = Y._correction_derivs(gs.grid.locate(rho))
     assert np.allclose(v0, _correction(Y, rho), rtol=0, atol=1e-12)
     h = 1e-5
     fd1 = (_correction(Y, rho + h) - _correction(Y, rho - h)) / (2 * h)
@@ -577,7 +606,7 @@ def test_library_correction_cancels_curvature_residual_pointwise(state):
     r = rq[rq < 20.0]
     U, dU, _ = gs.eval(r)
     Y = build_Y(S3, _one_peak(0.05), gs, profiles=cp, dc=dc)
-    V, dV, d2V = Y._correction_derivs(gs.grid.locate(r), 2)
+    V, dV, d2V = Y._correction_derivs(gs.grid.locate(r))
     L0V = -d2V - 2.0 / r * dV + V - 2.0 * U * V
     S = (2.0 / 3.0) * r * dU + CBOLD * SCAL * U
     assert np.abs(L0V + S).max() < 1e-6
@@ -639,12 +668,10 @@ class _PsiCorrectedAnsatz(PeakAnsatz):
     """Bumps corrected by ric_factor psi r^2 + c s v2base.
 
     psi solves the degree-2 equation, so L0(psi r^2) = r U' - 2n psi and this
-    corrector leaves the trace defect L0 V + S = (2/3) s psi.  Only the
-    derivatives the quadratures read are replaced; blownup_profile keeps the
-    first order + 1 of them.
+    corrector leaves the trace defect L0 V + S = (2/3) s psi.
     """
 
-    def _correction_derivs(self, at, order):
+    def _correction_derivs(self, at):
         rho = at.r
         psi, v2b = self.profiles.psi, self.profiles.v2base
         p0, p1, p2 = psi(rho), psi.deriv1(rho), psi.deriv2(rho)
@@ -768,7 +795,7 @@ def test_expansion_breakdown_accounts_for_energy(state):
     assert bd.term_beta == pytest.approx(eps**2 * dc.beta * SCAL, rel=1e-12)
     assert bd.term_interaction < 0
     assert abs(bd.remainder) < 2e-3
-    keys = set(bd.as_dict())
+    keys = set(asdict(bd))
     assert {"epsilon", "K", "J_measured", "remainder"} <= keys
 
 

@@ -141,10 +141,6 @@ def test_shared_lookup_equals_single_channel_calls(name, corrections):
     inside = r <= f.grid.r_max
     for k in range(3):
         assert np.array_equal(vals[k][inside], _cellwise_reference(f, r[inside], k))
-    # a lower order gives the leading values of the same lookup
-    for order in (0, 1):
-        assert all(np.array_equal(a, b) for a, b in zip(f.evaluate(at, order), vals))
-        assert len(f.evaluate(at, order)) == order + 1
 
 
 def test_shared_lookup_scalar_and_tailless(corrections):
