@@ -46,12 +46,16 @@ point serves every profile and derivative of a bump.
 
 The corrected ansatz Y adds eps^2 V to each bump, V = ric_factor chi +
 c s v2base with the profiles of correction.py and ric_factor the Ricci
-eigenvalue over -3, -(n-1)/(3 R^2).  On a round sphere the
+eigenvalue over -3, -s/(3n) on an Einstein model.  On a round sphere the
 second-order residual of the plain bump is S = -ric_factor r U' + c s U,
 radial, and L0 V = -S exactly, so Y's residual drops past eps^2 while the
 plain bump W's stays at eps^2.
 
-Supported models: RoundSphere and FlatSpace.  Warped metrics would need a
+Supported models: RoundSphere and FlatSpace, both Einstein.  The
+quadratures choose no formula by model: a model must give n,
+injectivity_radius, distance, curvature_at and the methods as_point,
+polar_density and polar_drift listed in geometry.py.  Several peaks also
+need the sphere's great-circle grid.  Warped metrics would need a
 geodesic solver off the meridian, which is out of scope here.
 """
 
@@ -75,10 +79,6 @@ from .radial import gauss_panels, surface_area
 
 class InjectivityViolation(ValueError):
     """Cutoff or placement exceeds the model's injectivity radius."""
-
-
-class ResolutionTooCoarse(ValueError):
-    """Quadrature step leaves fewer than 8 nodes per concentration length."""
 
 
 class UnsupportedModel(TypeError):
@@ -105,6 +105,9 @@ _BUMP_BLOCK = 1 << 15
 # indexing and ufuncs release the GIL, so the blocks run side by side.
 _HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1) - 1
+
+# The polar panels' step in rho = d/eps: 8 Gauss nodes per 0.25 eps.
+_RHO_STEP = 0.25
 
 # The support grid's angular step is at most _STEP_FACTOR eps / R (and
 # pi/24); with six Gauss nodes per step that is 6 / 0.34 = 17.6 per eps.
@@ -193,28 +196,31 @@ class PeakAnsatz:
             raise UnsupportedModel(
                 "peak ansatz needs distances in closed form; use RoundSphere or FlatSpace"
             )
+        if model.n != gs.n:
+            raise ValueError(
+                f"ground state of dimension {gs.n} on a model of dimension {model.n}"
+            )
+        if profiles is not None and (profiles.gs.n, profiles.gs.p) != (gs.n, gs.p):
+            raise ValueError(
+                f"correction profiles of (n, p) = ({profiles.gs.n}, {profiles.gs.p!r}) "
+                f"with a ground state of ({gs.n}, {gs.p!r})"
+            )
         inj = model.injectivity_radius
         if np.isfinite(inj) and config.cutoff_r >= inj:
             raise InjectivityViolation(
                 f"cutoff_r={config.cutoff_r!r} reaches the injectivity radius"
             )
-        centers = config.centers
-        if isinstance(model, RoundSphere):
-            centers = [c / np.linalg.norm(c) for c in centers]
         self.model = model
         # the ansatz's own config: the caller's keeps the centers it was given
-        self.config = replace(config, centers=centers)
+        self.config = replace(config, centers=[model.as_point(c) for c in config.centers])
         self.gs = gs
         self.c_bold = float(c_bold)
         self.profiles = profiles
         cp = model.curvature_at(self.config.centers[0])
         self.s_center = cp.s
-        # Ricci eigenvalue over -3: the sign that cancels the metric part
-        # of the equation residual at second order
-        if isinstance(model, RoundSphere):
-            self._ric_factor = -(model.n - 1) / (3.0 * model.radius ** 2)
-        else:
-            self._ric_factor = 0.0
+        # Ricci eigenvalue over -3, Ric = (s/n) g: the sign that cancels
+        # the metric part of the equation residual at second order
+        self._ric_factor = -self.s_center / (3.0 * model.n)
         self._cross = None  # _field_pass of the ansatz, filled by _measure
 
     @property
@@ -278,22 +284,16 @@ def build_Y(model, config: PeakConfig, gs: GroundState,
 
     dc supplies the conformal constant of the product pair.
     """
+    if (dc.n, dc.p) != (gs.n, gs.p):
+        raise ValueError(
+            f"constants of (n, p) = ({dc.n}, {dc.p!r}) "
+            f"with a ground state of ({gs.n}, {gs.p!r})"
+        )
     return PeakAnsatz(model, config, gs, c_bold=dc.c_bold, profiles=profiles)
 
 
-def _polar_sinc(model, d):
-    """(area element / flat area element)^(1/(n-1)) at distance d."""
-    if isinstance(model, FlatSpace):
-        return np.ones_like(np.asarray(d, dtype=float))
-    return np.sinc(np.asarray(d, dtype=float) / (np.pi * model.radius))
-
-
-def _panel_nodes(rho_max: float, rho_step: float, kinks=()):
-    if rho_step > 1.0:
-        raise ResolutionTooCoarse(
-            f"rho_step={rho_step!r} gives fewer than 8 quadrature nodes per eps"
-        )
-    edges = set(np.arange(0.0, rho_max, rho_step))
+def _panel_nodes(rho_max: float, kinks=()):
+    edges = set(np.arange(0.0, rho_max, _RHO_STEP))
     edges.add(rho_max)
     edges.update(k for k in kinks if 0.0 < k < rho_max)
     return gauss_panels(np.array(sorted(edges)), _GL8)
@@ -321,7 +321,7 @@ class _Integrals(NamedTuple):
     residual: float
 
 
-def _polar_pass(ansatz: PeakAnsatz, rho_step: float) -> _Integrals:
+def _polar_pass(ansatz: PeakAnsatz) -> _Integrals:
     """The integrals of one bump on geodesic polar nodes rho = d/eps over
     the ball in blown-up units, from one evaluation of (G, G', G'').  Every
     node lies inside the support.
@@ -329,8 +329,8 @@ def _polar_pass(ansatz: PeakAnsatz, rho_step: float) -> _Integrals:
     model = ansatz.model
     eps, rc, n, p = ansatz.epsilon, ansatz.config.cutoff_r, model.n, ansatz.gs.p
     kinks = () if np.isinf(rc) else (0.5 * rc / eps, rc / eps)
-    rho, w = _panel_nodes(_rho_max(ansatz), rho_step, kinks)
-    meas = rho ** (n - 1) * _polar_sinc(model, eps * rho) ** (n - 1)
+    rho, w = _panel_nodes(_rho_max(ansatz), kinks)
+    meas = rho ** (n - 1) * model.polar_density(eps * rho) ** (n - 1)
 
     def integral(dens) -> float:
         return surface_area(n) * float(np.sum(w * dens * meas))
@@ -339,12 +339,7 @@ def _polar_pass(ansatz: PeakAnsatz, rho_step: float) -> _Integrals:
     mass, pos = ansatz.mass, np.maximum(g0, 0.0)
     # eps^2 |grad u|^2 = (dG/drho)^2 in blown-up units
     gr = eps * g1
-    if isinstance(model, FlatSpace):
-        cot_term = 1.0 / rho
-    else:
-        R = model.radius
-        cot_term = (eps / R) / np.tan(eps * rho / R)
-    lap = eps ** 2 * g2 + (n - 1) * cot_term * eps * g1
+    lap = eps ** 2 * g2 + model.polar_drift(rho, eps) * eps * g1
     r = -lap + mass * g0 - pos ** (p - 1.0)
     return _Integrals(integral(0.5 * gr ** 2 + 0.5 * mass * g0 ** 2 - pos ** p / p),
                       integral(gr ** 2 + mass * g0 ** 2),
@@ -479,7 +474,6 @@ def _bump_fields(ansatz: PeakAnsatz, d):
     """(support, G, G', Lap G) of one bump at sphere distances d from its
     center, each evaluated on the support only.
     """
-    n, R = ansatz.model.n, ansatz.model.radius
     support = d < ansatz.config.cutoff_r
     ds = d[support]
     g0, g1, g2 = ansatz.bump(ds)
@@ -487,8 +481,8 @@ def _bump_fields(ansatz: PeakAnsatz, d):
     G, dG, lap = (np.zeros_like(d) for _ in range(3))
     G[support], dG[support] = g0, g1
     with np.errstate(divide="ignore", invalid="ignore"):
-        cot = np.where(ds > 0, 1.0 / np.tan(ds / R), 0.0) / R
-    lap_s = g2 + (n - 1) * cot * g1
+        drift = np.where(ds > 0, ansatz.model.polar_drift(ds, 1.0), 0.0)
+    lap_s = g2 + drift * g1
     lap[support] = np.where(np.isfinite(lap_s), lap_s, 0.0)
     return support, G, dG, lap
 
@@ -572,22 +566,22 @@ def _field_pass(ansatz: PeakAnsatz, grid: SupportGrid) -> _Integrals:
                       grid.integral(dens_res))
 
 
-def _measure(model, ansatz: PeakAnsatz, rho_step: float) -> _Integrals:
+def _measure(model, ansatz: PeakAnsatz) -> _Integrals:
     """J, the squared norm and the residual norm of the ansatz.
 
     The single-peak terms come from one polar pass and are counted K
     times; for K >= 2 the cross terms of J and the norm, and the residual
     of the whole sum, which does not separate, come from the support grid;
     the first measurement runs that pass and keeps it in ansatz._cross.  The
-    polar pass is cheap and depends on rho_step, so it runs every time.
-    Several peaks are only quadrated on the sphere.
+    polar pass is cheap, so it runs every time.  Several peaks are only
+    quadrated on the sphere.
     """
     if model != ansatz.model:
         raise ValueError(f"ansatz is built on {ansatz.model!r}, not on {model!r}")
     K = ansatz.K
-    if K >= 2 and isinstance(model, FlatSpace):
+    if K >= 2 and not isinstance(model, RoundSphere):
         raise UnsupportedModel("several peaks are only quadrated on the sphere")
-    J, norm, residual = _polar_pass(ansatz, rho_step)
+    J, norm, residual = _polar_pass(ansatz)
     if K >= 2:
         if ansatz._cross is None:
             ansatz._cross = _field_pass(ansatz, _great_circle(ansatz))
@@ -597,19 +591,19 @@ def _measure(model, ansatz: PeakAnsatz, rho_step: float) -> _Integrals:
     return _Integrals(J, norm, residual ** (1.0 / pp))
 
 
-def energy_J(model, ansatz: PeakAnsatz, rho_step: float = 0.25) -> float:
+def energy_J(model, ansatz: PeakAnsatz) -> float:
     """The eps-normalized energy of the ansatz, exact peak decomposition."""
-    return _measure(model, ansatz, rho_step).J
+    return _measure(model, ansatz).J
 
 
-def norm_eps(model, ansatz: PeakAnsatz, rho_step: float = 0.25) -> float:
+def norm_eps(model, ansatz: PeakAnsatz) -> float:
     """Squared weighted norm (1/eps^n)(eps^2 |grad u|_2^2 + |u|_(2,s)^2)."""
-    return _measure(model, ansatz, rho_step).norm
+    return _measure(model, ansatz).norm
 
 
-def residual_norm(model, ansatz: PeakAnsatz, rho_step: float = 0.25) -> float:
+def residual_norm(model, ansatz: PeakAnsatz) -> float:
     """L^(p') size of -eps^2 lap u + (1 + eps^2 c s) u - (u+)^(p-1)."""
-    return _measure(model, ansatz, rho_step).residual
+    return _measure(model, ansatz).residual
 
 
 @dataclass

@@ -7,6 +7,13 @@ the functional
   phi = (1/(120(n+2))) (-c8 lap_s + c6 ric2 - 3 c1 riem2) + c7 s^2 + c9 s
 
 is evaluated and scanned for isolated interior critical points.
+
+RoundSphere and FlatSpace also give what energy.py's quadratures read:
+as_point(xi) checks a point (the sphere returns the unit vector along
+it), polar_density(d) is (area element / flat area element)^(1/(n-1)) at
+distance d, and polar_drift(rho, eps) is the first-order coefficient of
+the Laplacian on radial functions of rho = d/eps, eps^2 lap f = f'' +
+polar_drift f'.
 """
 
 from __future__ import annotations
@@ -88,11 +95,23 @@ class RoundSphere:
     def curvature_at(self, xi=None) -> CurvaturePoint:
         return curvature_round_sphere(self.n, self.radius)
 
+    def as_point(self, xi) -> np.ndarray:
+        """The unit vector along xi, a finite, nonzero vector in R^(n+1)."""
+        x = np.asarray(xi, dtype=float)
+        norm = np.linalg.norm(x) if x.shape == (self.n + 1,) else np.nan
+        if not (np.all(np.isfinite(x)) and 0.0 < norm < np.inf):
+            raise ValueError(f"a point of S^{self.n} is a finite, nonzero vector "
+                             f"in R^{self.n + 1}, got {xi!r}")
+        return x / norm
+
+    def polar_density(self, d):
+        return np.sinc(np.asarray(d, dtype=float) / (np.pi * self.radius))
+
+    def polar_drift(self, rho, eps: float):
+        return (self.n - 1) * ((eps / self.radius) / np.tan(eps * rho / self.radius))
+
     def distance(self, xi1, xi2) -> float:
-        a = np.asarray(xi1, dtype=float)
-        b = np.asarray(xi2, dtype=float)
-        a = a / np.linalg.norm(a)
-        b = b / np.linalg.norm(b)
+        a, b = self.as_point(xi1), self.as_point(xi2)
         ang = float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
         return self.radius * ang
 
@@ -109,6 +128,20 @@ class FlatSpace:
 
     def curvature_at(self, xi=None) -> CurvaturePoint:
         return CurvaturePoint(0.0, 0.0, 0.0, 0.0)
+
+    def as_point(self, xi) -> np.ndarray:
+        """xi as an array; ValueError unless it is a finite vector in R^n."""
+        x = np.asarray(xi, dtype=float)
+        if x.shape != (self.n,) or not np.all(np.isfinite(x)):
+            raise ValueError(f"a point of R^{self.n} is a finite vector of length {self.n}, "
+                             f"got {xi!r}")
+        return x
+
+    def polar_density(self, d):
+        return np.ones_like(np.asarray(d, dtype=float))
+
+    def polar_drift(self, rho, eps: float):
+        return (self.n - 1) * (1.0 / rho)
 
     def distance(self, xi1, xi2) -> float:
         return float(np.linalg.norm(np.asarray(xi1, float) - np.asarray(xi2, float)))

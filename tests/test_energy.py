@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from multipeak import energy
-from multipeak.constants import gamma
+from multipeak.constants import gamma, product_exponent
 from multipeak.energy import (
     COEFF_LADDER,
     InjectivityViolation,
     LadderTooShort,
     PeakAnsatz,
     PeakConfig,
-    ResolutionTooCoarse,
     UnsupportedModel,
     admissible,
     build_W,
@@ -242,6 +241,39 @@ def test_one_peak_values_pinned(model, cutoff, values, state):
     Y = build_Y(model, cfg, gs, profiles=cp, dc=dc)
     got = [fn(model, A) for A in (W, Y) for fn in (energy_J, norm_eps, residual_norm)]
     assert got == pytest.approx(list(values), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("angles", [(0.6,), (0.8, 1.4)], ids=["K1", "K2"])
+def test_sphere_radius_scaling(angles, state):
+    # eps^2 s and every distance over eps are the same on S^3(2) at
+    # (eps, cutoff) = (0.2, 2.4) as on S^3(1) at (0.1, 1.2), so every
+    # measured value is too
+    gs, cp, dc = state
+
+    def values(model, eps, cutoff):
+        cfg = PeakConfig(eps, [model.point(a) for a in angles], cutoff)
+        W = build_W(model, cfg, gs, c_bold=dc.c_bold)
+        Y = build_Y(model, cfg, gs, profiles=cp, dc=dc)
+        return [fn(model, A) for A in (W, Y) for fn in (energy_J, norm_eps, residual_norm)]
+
+    assert values(RoundSphere(3, 2.0), 0.2, 2.4) == pytest.approx(
+        values(S3, 0.1, 1.2), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("model", [S3, RoundSphere(4, 2.0), FLAT3, FlatSpace(5)],
+                         ids=["S3", "S4-R2", "R3", "R5"])
+def test_polar_drift_is_the_log_derivative_of_the_polar_measure(model):
+    # eps^2 lap f = f'' + polar_drift f' for f radial in rho = d/eps, with
+    # the polar measure rho^(n-1) polar_density(eps rho)^(n-1); its log
+    # derivative is taken by central differences
+    eps, h, n = 0.1, 1e-5, model.n
+    rho = np.linspace(0.5, 12.0, 24)
+
+    def log_measure(r):
+        return (n - 1) * np.log(r * model.polar_density(eps * r))
+
+    fd = (log_measure(rho + h) - log_measure(rho - h)) / (2 * h)
+    assert model.polar_drift(rho, eps) == pytest.approx(fd, rel=1e-8, abs=0)
 
 
 def _rotation(seed):
@@ -551,11 +583,12 @@ def test_norm_concentrates_to_flat_norm(state):
     assert rel_02 < rel_05
 
 
-def test_energy_quadrature_step_insensitive(state):
+def test_energy_quadrature_step_insensitive(state, monkeypatch):
     gs, _, _ = state
     W = build_W(S3, _one_peak(0.05), gs)
-    J1 = energy_J(S3, W, rho_step=0.25)
-    J2 = energy_J(S3, W, rho_step=0.125)
+    J1 = energy_J(S3, W)
+    monkeypatch.setattr(energy, "_RHO_STEP", 0.125)
+    J2 = energy_J(S3, W)
     assert abs(J1 - J2) < 1e-10
 
 
@@ -802,11 +835,46 @@ def test_expansion_breakdown_accounts_for_energy(state):
 # ---------------------------------------------------------------- guards
 
 
-def test_rho_step_guard(state):
+@pytest.mark.parametrize("model,centers", [
+    (S3, [np.zeros(4)]),
+    (S3, [np.zeros(3)]),
+    (S3, [[np.nan, 0.0, 0.0, 1.0]]),
+    (S3, [S3.point(0.8), [np.inf, 0.0, 0.0, 1.0]]),
+    (FLAT3, [np.zeros(4)]),
+    (FLAT3, [[0.0, np.nan, 0.0]]),
+], ids=["S3-zero", "S3-short", "S3-nan", "S3-second-inf", "R3-long", "R3-nan"])
+def test_bad_centers_refused(model, centers, state):
+    # the polar pass does not read the center, so a single peak at a NaN
+    # center would be measured as if the center were valid
     gs, _, _ = state
-    W = build_W(S3, _one_peak(0.05), gs)
-    with pytest.raises(ResolutionTooCoarse):
-        energy_J(S3, W, rho_step=1.5)
+    cfg = PeakConfig(0.1, centers, 1.2 if model is S3 else np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        build_W(model, cfg, gs)
+
+
+@pytest.mark.parametrize("model,center,cutoff", [
+    (RoundSphere(4), RoundSphere(4).point(0.6), 1.2),
+    (FlatSpace(4), np.zeros(4), np.inf),
+], ids=["S4", "R4"])
+def test_model_dimension_must_match_ground_state(model, center, cutoff, state):
+    gs, _, _ = state
+    cfg = PeakConfig(0.1, [center], cutoff)
+    with pytest.raises(ValueError, match="dimension"):
+        build_W(model, cfg, gs)
+
+
+def test_profiles_must_match_ground_state(state, corrections):
+    gs, _, dc = state
+    cp43 = corrections(4, product_exponent(4, 3))
+    with pytest.raises(ValueError, match="correction profiles"):
+        build_Y(S3, _one_peak(0.1), gs, profiles=cp43, dc=dc)
+
+
+def test_constants_must_match_ground_state(state, dimensional_constants):
+    # (3, 4) shares n with (3, 3) but not p
+    gs, cp, _ = state
+    with pytest.raises(ValueError, match="constants"):
+        build_Y(S3, _one_peak(0.1), gs, profiles=cp, dc=dimensional_constants(3, 4))
 
 
 def test_cutoff_past_injectivity_radius(state):
