@@ -38,11 +38,11 @@ print(f"\nODE defect at panel midpoints = {ode_residual(gs):.3e}")
 print("\ntail behavior")
 for r in (8.0, 12.0, 16.0):
     model = gs.decay_c * r ** (-(n - 1) / 2) * np.exp(-r)
-    print(f"  r={r:5.1f}  U={gs(r):.6e}  tail model {model:.6e}")
+    print(f"  r={r:5.1f}  U={gs.profile(r):.6e}  tail model {model:.6e}")
 
 # serialization round trip preserves evaluations bit for bit
 clone = GroundState.from_dict(gs.to_dict())
 rs = np.linspace(0.0, 20.0, 7)
 print(f"\nround trip max |U - U'| on samples = "
-      f"{np.abs(clone(rs) - gs(rs)).max():.1e}")
+      f"{np.abs(clone.profile(rs) - gs.profile(rs)).max():.1e}")
 print(f"refit decay constant = {decay_constant(gs):.12f}")

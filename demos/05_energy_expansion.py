@@ -62,7 +62,7 @@ quad = Quadrature(gs.grid)
 r = quad.points
 omega = surface_area(3)
 I = lambda f: omega * quad.integrate(f * r ** 2)
-U, dU, _ = gs.eval(r)
+U, dU, _ = gs.profile.evaluate(gs.grid.locate(r))
 chi_v, dchi = cp.chi(r), cp.chi.deriv1(r)
 v2b, dv2b = cp.v2base(r), cp.v2base.deriv1(r)
 cbs = dc.c_bold * s
@@ -103,7 +103,7 @@ for mult in (10.0, 12.0, 14.0):
     J1a = energy_J(model, build_W(model, PeakConfig(eps, a[None], 1.2), gs))
     J1b = energy_J(model, build_W(model, PeakConfig(eps, b[None], 1.2), gs))
     cross = J2 - J1a - J1b
-    inter = -gam * float(gs(model.distance(a, b) / eps))
+    inter = -gam * float(gs.profile(model.distance(a, b) / eps))
     print(f"  separation {mult:4.1f} eps: admissible={str(ok):5s} "
           f"margin={margin:+.2e}  cross={cross:+.3e} "
           f"-gamma U(d/eps)={inter:+.3e}  ratio={cross / inter:.3f}")

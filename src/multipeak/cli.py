@@ -141,50 +141,56 @@ def _entry(cache: Path, kind: str, n: int, p: float) -> Path:
     return cache / f"{kind}-{key}.json"
 
 
-def _store(path: Path, save) -> None:
-    """Write an entry through save(tmp) and an atomic rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    save(tmp)
-    os.replace(tmp, path)
+def _cached(path: Path, load, solve):
+    """load(path), or the object solve() gives, written to path.
 
-
-def cached_ground_state(n: int, p: float, cache: Path) -> GroundState:
-    """Load the ground state from the disk cache, or solve and store it.
-
-    An entry that is unreadable, uncertified or fails the energy identities
-    is replaced.
+    An entry that load rejects with ValueError, KeyError or TypeError
+    (truncated, malformed or failing its checks) is replaced.  The write goes
+    through obj.save into a temporary file of a random name unique to this
+    call, then an atomic rename, so runs that share a cache never move each
+    other's files.  save creates that file, so the entry keeps the mode a
+    plain open gives.
     """
-    path = _entry(cache, "gs", n, p)
     if path.exists():
         try:
-            gs = GroundState.load(path)
-        except (ValueError, KeyError, TypeError):  # truncated or malformed entry
-            gs = None
-        if gs is not None and gs.certified:
-            rep = identity_report(gs)
-            if all(rep[k] <= 1e-6 for k in ("e_energy", "e_pohozaev", "e_alpha")):
-                return gs
-    gs = solve_ground_state(n, p)
-    _store(path, gs.save)
+            return load(path)
+        except (ValueError, KeyError, TypeError):
+            pass
+    obj = solve()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.stem}-{os.urandom(8).hex()}.tmp")
+    try:
+        obj.save(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return obj
+
+
+def _load_certified(path: Path) -> GroundState:
+    """The ground state stored at path; ValueError unless it is certified
+    and meets the energy identities to 1e-6."""
+    gs = GroundState.load(path)
+    if not gs.certified:
+        raise ValueError(f"cached ground state {path} is not certified")
+    rep = identity_report(gs)
+    if not all(rep[k] <= 1e-6 for k in ("e_energy", "e_pohozaev", "e_alpha")):
+        raise ValueError(f"cached ground state {path} fails the energy identities")
     return gs
 
 
-def cached_profiles(gs: GroundState, cache: Path) -> CorrectionProfiles:
-    """Load gs's correction profiles from the disk cache, or solve and store
-    them beside gs's entry.  An unreadable entry is replaced.
+def cached_ground_state(n: int, p: float, cache: Path) -> GroundState:
+    """The certified ground state from the disk cache, or solved and stored."""
+    return _cached(_entry(cache, "gs", n, p), _load_certified, lambda: solve_ground_state(n, p))
 
-    A hit imports no scipy: only the solve needs its banded solver and spline.
+
+def cached_profiles(gs: GroundState, cache: Path) -> CorrectionProfiles:
+    """gs's correction profiles from the disk cache, or solved and stored
+    beside gs's entry.  A hit imports no scipy: only the solve needs its
+    banded solver and spline.
     """
-    path = _entry(cache, "cp", gs.n, gs.p)
-    if path.exists():
-        try:
-            return CorrectionProfiles.load(gs, path)
-        except (ValueError, KeyError, TypeError):  # truncated or malformed entry
-            pass
-    cp = correction_profiles(gs)
-    _store(path, cp.save)
-    return cp
+    return _cached(_entry(cache, "cp", gs.n, gs.p), lambda path: CorrectionProfiles.load(gs, path),
+                   lambda: correction_profiles(gs))
 
 
 def _constants(n: int, m: int, cache: Path) -> tuple:
@@ -260,13 +266,6 @@ def cmd_beta_table(args) -> int:
     return 0
 
 
-def _load_warp_profile(path: str):
-    data = np.loadtxt(path, delimiter=",", comments="#")
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ValueError("warp profile csv needs two columns: t, f")
-    return data[:, 0], data[:, 1]
-
-
 def _model(args, other: str, aliases: tuple, build):
     """The unit sphere (the default), or the other model build(n), as
     --model names it.
@@ -280,10 +279,13 @@ def _model(args, other: str, aliases: tuple, build):
 
 
 def _warped_model(args, n: int):
+    """The WarpedSphere of the samples (t, f) in the csv file --profile."""
     if not args.profile:
         raise ValueError("warped model needs --profile <csv>")
-    t, f_vals = _load_warp_profile(args.profile)
-    return WarpedSphere.from_samples(n, t, f_vals)
+    data = np.loadtxt(args.profile, delimiter=",", comments="#")
+    if data.ndim != 2 or data.shape[1] < 2:
+        raise ValueError("warp profile csv needs two columns: t, f")
+    return WarpedSphere(n, t=data[:, 0], f_vals=data[:, 1])
 
 
 def cmd_phi_scan(args) -> int:

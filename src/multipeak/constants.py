@@ -113,15 +113,10 @@ def compute_constants(gs: GroundState, cp: CorrectionProfiles, m: int) -> Dimens
     U = gs.profile
     psi = cp.psi
     v2 = cp.v2base
-
-    def du(r):
-        return U.deriv1(r)
-
-    tail_u2 = U.tail.powered(2.0) if U.tail is not None else None
+    du = U.deriv1
+    tail_u2 = U.tail.powered(2.0)
     # (U'/r)^2 tail: same amplitude and rate as U^2, power shifted by -2
-    tail_sl2 = (
-        TailModel(tail_u2.c, tail_u2.a - 2.0, tail_u2.b) if tail_u2 is not None else None
-    )
+    tail_sl2 = TailModel(tail_u2.c, tail_u2.a - 2.0, tail_u2.b)
 
     grad_z2 = moment_reduce(lambda r: du(r) ** 2, "|z|^2", n, quad=quad, tail=tail_u2)
     M4 = moment_reduce(lambda r: (du(r) / r) ** 2, "z1^4", n, quad=quad, tail=tail_sl2)

@@ -168,7 +168,7 @@ def admissible(model, config: PeakConfig, gs: GroundState, rho: float = None):
         for j in range(config.K):
             if i != j:
                 d = model.distance(config.centers[i], config.centers[j])
-                total += float(gs(d / eps))
+                total += float(gs.profile(d / eps))
     margin = eps ** 4 - total
     ok = margin > 0.0
     for c in config.centers[1:]:
@@ -644,7 +644,7 @@ def expansion_compare(model, ansatz: PeakAnsatz, dc: DimensionalConstants,
             for j in range(config.K):
                 if i != j:
                     d = model.distance(config.centers[i], config.centers[j])
-                    term_inter -= 0.5 * gamma_value * float(gs(d / eps))
+                    term_inter -= 0.5 * gamma_value * float(gs.profile(d / eps))
     rem = J - term_alpha - term_beta - term_phi - term_inter
     return EnergyBreakdown(
         epsilon=eps, K=config.K, J_measured=J, term_alpha=term_alpha,

@@ -1,8 +1,8 @@
 """Model manifolds with computable curvature, and the concentration functional.
 
-Provides constant-curvature spheres, warped metrics dt^2 + f(t)^2 g_(S^(n-1))
-with closed-form curvature from the warp profile, and flat space.  On these
-the functional
+Provides constant-curvature spheres (RoundSphere.curvature_at holds their
+closed forms), warped metrics dt^2 + f(t)^2 g_(S^(n-1)) with closed-form
+curvature from the warp profile, and flat space.  On these the functional
 
   phi = (1/(120(n+2))) (-c8 lap_s + c6 ric2 - 3 c1 riem2) + c7 s^2 + c9 s
 
@@ -49,19 +49,6 @@ class CurvaturePoint:
     riem2: float
 
 
-def curvature_round_sphere(n: int, radius: float) -> CurvaturePoint:
-    """Constant-curvature closed forms for the round n-sphere."""
-    if n < 2 or radius <= 0:
-        raise ValueError("round sphere needs n >= 2 and radius > 0")
-    r2 = radius * radius
-    return CurvaturePoint(
-        s=n * (n - 1) / r2,
-        lap_s=0.0,
-        ric2=n * (n - 1) ** 2 / (r2 * r2),
-        riem2=2.0 * n * (n - 1) / (r2 * r2),
-    )
-
-
 @dataclass
 class RoundSphere:
     """Round n-sphere of given radius; points are unit vectors in R^(n+1)."""
@@ -82,10 +69,6 @@ class RoundSphere:
         # polar angle along a meridian, scaled to arclength
         return (0.0, np.pi * self.radius)
 
-    @property
-    def pole_tol(self) -> float:
-        return 0.0
-
     def point(self, angle: float = 0.0) -> np.ndarray:
         """Point at polar angle from the reference pole, in the 12-plane."""
         x = np.zeros(self.n + 1)
@@ -93,7 +76,14 @@ class RoundSphere:
         return x
 
     def curvature_at(self, xi=None) -> CurvaturePoint:
-        return curvature_round_sphere(self.n, self.radius)
+        """The constant-curvature closed forms, the same at every point."""
+        n, r2 = self.n, self.radius * self.radius
+        return CurvaturePoint(
+            s=n * (n - 1) / r2,
+            lap_s=0.0,
+            ric2=n * (n - 1) ** 2 / (r2 * r2),
+            riem2=2.0 * n * (n - 1) / (r2 * r2),
+        )
 
     def as_point(self, xi) -> np.ndarray:
         """The unit vector along xi, a finite, nonzero vector in R^(n+1)."""
@@ -154,8 +144,9 @@ _SAMPLES = 161
 class WarpedSphere:
     """Rotationally symmetric metric dt^2 + f(t)^2 g_(S^(n-1)) on [0, L].
 
-    The warp comes as samples (t, f_vals) with t running from 0 to L, or as
-    a vectorized callable f, sampled at _SAMPLES points of [0, pi] (L = pi).
+    The warp comes as samples, WarpedSphere(n, t=t, f_vals=f_vals) with t
+    running from 0 to L, or as a vectorized callable, WarpedSphere(n, f),
+    sampled at _SAMPLES points of [0, pi] (L = pi).
     It must close smoothly at both poles: f(0)=f(L)=0, f'(0)=1, f'(L)=-1.
     Curvature reduces to the radial sectional curvature
     a = -f''/f and the spherical one b = (1 - f'^2)/f^2:
@@ -202,10 +193,6 @@ class WarpedSphere:
                 or abs(float(self._df[0](self.L)) + 1.0) > 1e-6):
             raise ValueError("warp must close: f(0)=f(L)=0, f'(0)=1, f'(L)=-1")
 
-    @classmethod
-    def from_samples(cls, n: int, t, f_vals) -> "WarpedSphere":
-        return cls(n, t=t, f_vals=f_vals)
-
     @property
     def injectivity_radius(self) -> float:
         # peaks are placed on one meridian; the t-lines are geodesics
@@ -215,15 +202,10 @@ class WarpedSphere:
     def parameter_range(self):
         return (0.0, self.L)
 
-    def _check_interior(self, t: float):
-        if not (self.pole_tol <= t <= self.L - self.pole_tol):
-            raise PoleSingularity(
-                f"t={t!r} within {self.pole_tol!r} of a pole of the warp"
-            )
-
     def curvature_at(self, t: float) -> CurvaturePoint:
         t = float(t)
-        self._check_interior(t)
+        if not (self.pole_tol <= t <= self.L - self.pole_tol):
+            raise PoleSingularity(f"t={t!r} within {self.pole_tol!r} of a pole of the warp")
         n = self.n
         F = float(self._f(t))
         P, Q, C, D = (float(d(t)) for d in self._df)
@@ -276,8 +258,9 @@ class PhiScan:
 def scan_phi(model, dc: DimensionalConstants, resolution: int = 2001) -> PhiScan:
     """Profile of phi along the model's parameter with classified extrema.
 
-    Interior extrema are located by sign changes of the first differences,
-    then refined by golden-section well below 1e-8 in the parameter.
+    The scan keeps 2% of the range away from each end.  Interior extrema
+    are located by sign changes of the first differences, then refined by
+    golden-section well below 1e-8 in the parameter.
     Raises NoInteriorCritical (scan attached) when the profile is constant
     or no interior extremum exists.
     """
@@ -288,7 +271,7 @@ def scan_phi(model, dc: DimensionalConstants, resolution: int = 2001) -> PhiScan
         raise ValueError(f"{type(model).__name__} has no parameter range to scan")
     lo_full, hi_full = model.parameter_range
     span = hi_full - lo_full
-    margin = max(2.0 * model.pole_tol, 0.02 * span)
+    margin = 0.02 * span
     lo, hi = lo_full + margin, hi_full - margin
     ts = np.linspace(lo, hi, resolution)
     pv = np.array([phi(model.curvature_at(t), dc) for t in ts])

@@ -221,19 +221,6 @@ class GroundState:
     def r_max(self) -> float:
         return self.grid.r_max
 
-    def __call__(self, r):
-        return self.profile(r)
-
-    def deriv1(self, r):
-        return self.profile.deriv1(r)
-
-    def deriv2(self, r):
-        return self.profile.deriv2(r)
-
-    def eval(self, r):
-        """(U, U', U'') at r from one interval lookup; tail form beyond r_max."""
-        return self.profile.evaluate(self.grid.locate(r))
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -445,8 +432,9 @@ def _match_two_sided(n: int, p: float, a0: float):
     return float(x[0]), float(x[1]), sf, sb, steps, fnorm
 
 
-def _fit_decay(r, u, du, n, u0):
-    """Intercept-extrapolated decay constants from U and from U'.
+def _fit_decay(r, u, du, n, u0) -> float:
+    """The intercept-extrapolated decay constant from U, certified by the
+    same fit from U'.
 
     The window sits at the outer grid edge: closer in, the nonlinear term
     (relative size U^(p-2), slowly decaying for p near 2) biases the two
@@ -479,7 +467,7 @@ def _fit_decay(r, u, du, n, u0):
             f"decay constants from U and U' disagree by "
             f"{abs(c_from_u / c_from_du - 1.0):.2%} (limit 1%)"
         )
-    return c_from_u, c_from_du
+    return c_from_u
 
 
 def _energy_ledger(gs_profile: RadialFunction, n: int, p: float, decay_c: float):
@@ -550,7 +538,7 @@ def solve_ground_state(n: int, p: float) -> GroundState:
     if np.any(d1[1:] > 1e-12 * values[0]):
         raise NoBracket("polished profile lost monotonicity")
     d1 = np.minimum(d1, 0.0)
-    c_u, _ = _fit_decay(grid.nodes, values, d1, n, float(values[0]))
+    c_u = _fit_decay(grid.nodes, values, d1, n, float(values[0]))
     profile = _node_profile(grid, values, d1, n, p, c_u)
     I1, I2, Ip = _energy_ledger(profile, n, p, c_u)
     return GroundState(
@@ -576,10 +564,7 @@ def decay_constant(gs: GroundState) -> float:
     Returns the U-side fit; raises TailTooShort when the asymptotic window
     is missing or the U and U' fits disagree beyond 1%.
     """
-    c_u, _ = _fit_decay(
-        gs.grid.nodes, gs.profile.values, gs.profile.d1, gs.n, gs.u0
-    )
-    return c_u
+    return _fit_decay(gs.grid.nodes, gs.profile.values, gs.profile.d1, gs.n, gs.u0)
 
 
 def identity_report(gs: GroundState) -> dict:

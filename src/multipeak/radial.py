@@ -1,8 +1,11 @@
 """Radial grids, piecewise-quintic profiles, and quadrature on [0, r_max].
 
 Profiles of radial functions f(|z|) on R^n are stored as node values plus
-first and second derivatives on a graded grid and interpolated by local
-quintic Hermite polynomials, so f, f' and f'' are all continuous.  Cell-wise
+derivatives on a graded grid and interpolated by local Hermite polynomials,
+so f, f' and f'' are all continuous.  A RadialFunction has two forms: the
+quintic form from (f, f', f''), and the channel form, which also takes f'''
+and f'''' and interpolates each of f, f', f'' from its own node data
+(septic, septic, quintic; built from one _hermite_basis).  Cell-wise
 Gauss-Legendre rules integrate such profiles (against polynomial weights
 r^k) essentially to machine accuracy, and an optional exponential tail model
 c * r^a * exp(-b r) completes integrals past the end of the grid in closed
@@ -24,34 +27,24 @@ def surface_area(n: int) -> float:
     return 2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-# Hermite quintic: p(tau), tau in [0,1], matching f, h f', h^2 f'' at both ends.
-# Columns of _H5 give monomial coefficients for each of the six scaled data.
-_cond = np.zeros((6, 6))
-for _k in range(6):
-    _cond[0, _k] = 1.0 if _k == 0 else 0.0          # p(0)
-    _cond[1, _k] = 1.0 if _k == 1 else 0.0          # p'(0)
-    _cond[2, _k] = 2.0 if _k == 2 else 0.0          # p''(0)
-    _cond[3, _k] = 1.0                               # p(1)
-    _cond[4, _k] = _k                                # p'(1)
-    _cond[5, _k] = _k * (_k - 1)                     # p''(1)
-_H5 = np.linalg.inv(_cond)
-del _cond, _k
+def _hermite_basis(k: int) -> np.ndarray:
+    """Monomial coefficients of the two-point Hermite polynomial p(tau), tau
+    in [0, 1], of degree 2k - 1 that matches h^j f^(j) for j < k at both ends.
 
-# Hermite septic: also matches h^3 f''' at both ends.  Used when the data
-# carry ODE-exact third derivatives; the h^6 truncation keeps the pointwise
-# equation defect of the interpolant near the integrator noise floor.
-_cond = np.zeros((8, 8))
-for _k in range(8):
-    _cond[0, _k] = 1.0 if _k == 0 else 0.0          # p(0)
-    _cond[1, _k] = 1.0 if _k == 1 else 0.0          # p'(0)
-    _cond[2, _k] = 2.0 if _k == 2 else 0.0          # p''(0)
-    _cond[3, _k] = 6.0 if _k == 3 else 0.0          # p'''(0)
-    _cond[4, _k] = 1.0                               # p(1)
-    _cond[5, _k] = _k                                # p'(1)
-    _cond[6, _k] = _k * (_k - 1)                     # p''(1)
-    _cond[7, _k] = _k * (_k - 1) * (_k - 2)          # p'''(1)
-_H7 = np.linalg.inv(_cond)
-del _cond, _k
+    Column i gives p's coefficients for the i-th scaled datum, the k data at
+    tau = 0 first, then the k at tau = 1.
+    """
+    cond = np.zeros((2 * k, 2 * k))
+    for j in range(k):
+        cond[j, j] = math.factorial(j)                            # p^(j)(0)
+        cond[k + j] = [math.perm(i, j) for i in range(2 * k)]     # p^(j)(1)
+    return np.linalg.inv(cond)
+
+
+# quintic from (f, f', f''); septic from four consecutive derivatives, whose
+# h^6 truncation keeps the pointwise equation defect of an ODE profile near
+# the integrator noise floor
+_H5, _H7 = _hermite_basis(3), _hermite_basis(4)
 
 
 class GridError(ValueError):
@@ -191,49 +184,48 @@ def _hermite_coeffs(h, *rows):
 
 
 class RadialFunction:
-    """Piecewise Hermite interpolant of (f, f', f'') node data.
+    """Piecewise Hermite interpolant of radial node data, in one of two forms.
 
-    Quintic cells by default; septic when third derivatives are supplied.
-    When fourth derivatives are also supplied, the first and second
-    derivative evaluations switch to dedicated Hermite channels built from
-    their own node data: differentiating the value polynomial amplifies
-    node-data rounding by 1/h^2, which dominates the equation defect on
-    fine grids, while the channel form keeps the noise at the data scale.
-    Evaluation outside [0, r_max] uses the attached TailModel when present,
-    otherwise returns 0.
+    The quintic form takes (f, f', f'') and differentiates its cells for f'
+    and f''.  The channel form also takes d3 and d4, which come together,
+    and gives each derivative its own Hermite channel from its own node
+    data: f septic from (f, f', f'', f'''), f' septic from (f', f'', f''',
+    f''''), f'' quintic from (f'', f''', f'''').  Differentiating the value
+    polynomial amplifies node-data rounding by 1/h^2, which dominates the
+    equation defect on fine grids; the channel form keeps the noise at the
+    data scale.  Evaluation outside [0, r_max] uses the attached TailModel
+    when present, otherwise returns 0.
     """
 
     def __init__(self, grid: RadialGrid, values, d1, d2, tail: Optional[TailModel] = None,
                  d3=None, d4=None):
+        if (d3 is None) != (d4 is None):
+            raise ValueError("the channel form needs d3 and d4 together")
         self.grid = grid
         self.values = np.asarray(values, dtype=float)
         self.d1 = np.asarray(d1, dtype=float)
         self.d2 = np.asarray(d2, dtype=float)
         self.d3 = None if d3 is None else np.asarray(d3, dtype=float)
         self.d4 = None if d4 is None else np.asarray(d4, dtype=float)
-        if self.d4 is not None and self.d3 is None:
-            raise ValueError("d4 data requires d3 data")
         self.tail = tail
-        m = grid.size
-        arrays = [self.values, self.d1, self.d2]
-        for extra in (self.d3, self.d4):
-            if extra is not None:
-                arrays.append(extra)
-        for arr in arrays:
-            if arr.shape != (m,):
+        rows = [self.values, self.d1, self.d2]
+        if self.d3 is not None:
+            rows += [self.d3, self.d4]
+        for arr in rows:
+            if arr.shape != (grid.size,):
                 raise ValueError("data arrays must match the grid size")
             if not np.all(np.isfinite(arr)):
                 raise ValueError("profile data must be finite")
         h = grid.widths
-        data = [self.values, self.d1, self.d2] + ([] if self.d3 is None else [self.d3])
-        coeffs = _hermite_coeffs(h, *data)
         # per derivative order: the cells' polynomial coefficients in tau and
         # how often to differentiate them, which is also the power of h that
         # turns d/dtau into d/dr
-        self._channel_coeffs = [(coeffs, 0), (coeffs, 1), (coeffs, 2)]
-        if self.d4 is not None:
-            self._channel_coeffs[1] = (_hermite_coeffs(h, self.d1, self.d2, self.d3, self.d4), 0)
-            self._channel_coeffs[2] = (_hermite_coeffs(h, self.d2, self.d3, self.d4), 0)
+        if self.d3 is None:
+            coeffs = _hermite_coeffs(h, *rows)
+            self._channel_coeffs = [(coeffs, 0), (coeffs, 1), (coeffs, 2)]
+        else:
+            # f, f' and f'' from rows 0-3, 1-4 and 2-4
+            self._channel_coeffs = [(_hermite_coeffs(h, *rows[k:k + 4]), 0) for k in range(3)]
 
     def _channels(self, at: Located, orders):
         """f^(k) at the located points for each k in orders, tail beyond r_max."""

@@ -74,7 +74,7 @@ def truncate(gs: GroundState, r_max: float) -> GroundState:
     d2 = gs.profile.d2[keep]
     d3 = None if gs.profile.d3 is None else gs.profile.d3[keep]
     d4 = None if gs.profile.d4 is None else gs.profile.d4[keep]
-    c_u, _ = _fit_decay(grid.nodes, values, d1, gs.n, float(values[0]))
+    c_u = _fit_decay(grid.nodes, values, d1, gs.n, float(values[0]))
     nu = (gs.n - 1.0) / 2.0
     profile = RadialFunction(
         grid, values, d1, d2, tail=TailModel(c_u, -nu, 1.0), d3=d3, d4=d4
@@ -91,9 +91,9 @@ def inverse(gs: GroundState, value: float) -> float:
     if not (0.0 < value < gs.u0):
         raise ValueError("inverse needs a value strictly between 0 and u0")
     r_hi = gs.r_max
-    while gs(r_hi) > value:
+    while gs.profile(r_hi) > value:
         r_hi *= 1.5
-    return brentq(lambda r: gs(r) - value, 0.0, r_hi, xtol=1e-13)
+    return brentq(lambda r: gs.profile(r) - value, 0.0, r_hi, xtol=1e-13)
 
 
 def fd_derivative(x: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import checkout_env
+from multipeak import cli
 from multipeak.cli import parse_args
 from multipeak.constants import CSV_COLUMNS
 from multipeak.groundstate import GroundState
@@ -49,7 +51,7 @@ def test_ground_state_record(cache_dir, tmp_path):
     assert rep["e_pohozaev"] < 1e-8
     assert rep["e_alpha"] < 1e-12
     gs = GroundState.from_dict(doc["record"])
-    assert gs(0.0) == pytest.approx(doc["record"]["u0"], rel=1e-14)
+    assert gs.profile(0.0) == pytest.approx(doc["record"]["u0"], rel=1e-14)
 
 
 def test_ground_state_rejects_supercritical(cache_dir):
@@ -326,6 +328,41 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
         entry.write_text(bad)
         assert run_cli(*argv).stdout == first
         assert entry.read_text() == good
+
+
+def test_writers_sharing_a_cache_keep_their_own_files(tmp_path, monkeypatch):
+    # a second writer runs a whole cold store while the first is between its
+    # write and its rename, as two processes on one cache dir can
+    save = GroundState.save
+    raced = []
+
+    def save_then_race(self, path):
+        save(self, path)
+        if not raced:
+            raced.append(path)
+            cli.cached_ground_state(3, 3.0, tmp_path)
+
+    monkeypatch.setattr(GroundState, "save", save_then_race)
+    gs = cli.cached_ground_state(3, 3.0, tmp_path)
+    (entry,) = tmp_path.iterdir()
+    assert entry.match("gs-*.json")
+    assert GroundState.load(entry).u0 == gs.u0
+    # the entry has the mode of a plain open, readable where the cache is shared
+    umask = os.umask(0)
+    os.umask(umask)
+    assert entry.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    def broken_save(self, path):
+        with open(path, "w") as fh:
+            fh.write("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(GroundState, "save", broken_save)
+    with pytest.raises(OSError, match="disk full"):
+        cli.cached_ground_state(3, 3.0, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def loaded_scipy(*argv) -> list:

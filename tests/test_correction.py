@@ -102,7 +102,7 @@ def test_v2base_tail_ratio():
     gs = solve_ground_state(3, 3.0)
     v2 = build_v2base(gs)
     r = np.linspace(inverse(gs, 1e-11 * gs.u0), inverse(gs, 1e-12 * gs.u0), 40)
-    ratio = v2(r) / gs(r)
+    ratio = v2(r) / gs.profile(r)
     target = -(r / 2.0) - 1.0 / (2.0 - gs.p)
     assert np.max(np.abs(ratio / target - 1.0)) < 0.05
 
@@ -112,7 +112,7 @@ def test_v2base_tail_slope_fit():
     gs = solve_ground_state(4, product_exponent(4, 4))
     v2 = build_v2base(gs)
     r = np.linspace(inverse(gs, 1e-11 * gs.u0), inverse(gs, 1e-12 * gs.u0), 40)
-    ratio = v2(r) / gs(r)
+    ratio = v2(r) / gs.profile(r)
     slope = np.polyfit(r, ratio, 1)[0]
     assert slope == pytest.approx(-0.5, rel=0.05)
 

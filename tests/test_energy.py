@@ -206,7 +206,7 @@ def test_ansatz_vanishes_outside_every_support(state):
     W = build_W(S3, _one_peak(0.05), gs)
     center = W.config.centers[0]
     assert W.bump(S3.distance(S3.point(0.6 + 1.5), center)) == (0.0, 0.0, 0.0)
-    assert W.bump(S3.distance(S3.point(0.6), center))[0] == float(gs(0.0))
+    assert W.bump(S3.distance(S3.point(0.6), center))[0] == float(gs.profile(0.0))
 
 
 def test_two_peak_values_pinned(state):
@@ -618,7 +618,7 @@ def test_correction_cancels_curvature_residual_pointwise(state):
     rq = Quadrature(gs.grid).points
     mask = rq < 20.0
     r = rq[mask]
-    U, dU, _ = gs.eval(r)
+    U, dU, _ = gs.profile.evaluate(gs.grid.locate(r))
     psi, dpsi, d2psi = cp.psi(r), cp.psi.deriv1(r), cp.psi.deriv2(r)
     v2b, dv2b, d2v2b = cp.v2base(r), cp.v2base.deriv1(r), cp.v2base.deriv2(r)
     rf = -2.0 / 3.0
@@ -637,7 +637,7 @@ def test_library_correction_cancels_curvature_residual_pointwise(state):
     gs, cp, dc = state
     rq = Quadrature(gs.grid).points
     r = rq[rq < 20.0]
-    U, dU, _ = gs.eval(r)
+    U, dU, _ = gs.profile.evaluate(gs.grid.locate(r))
     Y = build_Y(S3, _one_peak(0.05), gs, profiles=cp, dc=dc)
     V, dV, d2V = Y._correction_derivs(gs.grid.locate(r))
     L0V = -d2V - 2.0 / r * dV + V - 2.0 * U * V
@@ -655,7 +655,7 @@ def _fourth_order_prediction(gs, cp):
     def I(f):
         return omega * quad.integrate(f * w)
 
-    U, dU, _ = gs.eval(r)
+    U, dU, _ = gs.profile.evaluate(gs.grid.locate(r))
     chi, dchi = cp.chi(r), cp.chi.deriv1(r)
     v2b, dv2b = cp.v2base(r), cp.v2base.deriv1(r)
     F0 = 0.5 * dU**2 + 0.5 * U**2 - U**3 / 3.0
@@ -733,7 +733,7 @@ def test_residual_scaling_states_the_defect(state):
     quad = Quadrature(gs.grid)
     r = quad.points
     omega = surface_area(3)
-    U, dU, _ = gs.eval(r)
+    U, dU, _ = gs.profile.evaluate(gs.grid.locate(r))
     psi = cp.psi(r)
     S = (2.0 / 3.0) * r * dU + CBOLD * SCAL * U
     D = (2.0 / 3.0) * SCAL * psi
@@ -779,7 +779,7 @@ def test_two_peak_cross_energy_tracks_interaction(state):
     J1b = energy_J(S3, build_W(S3, PeakConfig(eps, b[None], 1.2), gs))
     cross = J2 - J1a - J1b
     gam = gamma(gs, np.eye(3)[0]).value
-    inter = -gam * float(gs(S3.distance(a, b) / eps))
+    inter = -gam * float(gs.profile(S3.distance(a, b) / eps))
     assert cross < 0
     assert 0.9 < cross / inter < 1.2
 

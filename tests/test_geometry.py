@@ -18,7 +18,6 @@ from multipeak.geometry import (
     PoleSingularity,
     RoundSphere,
     WarpedSphere,
-    curvature_round_sphere,
     phi,
     scan_phi,
 )
@@ -73,10 +72,6 @@ class TabulatedCurvature:
     def parameter_range(self):
         return (float(self.t[0]), float(self.t[-1]))
 
-    @property
-    def pole_tol(self) -> float:
-        return 0.0
-
     def curvature_at(self, t: float) -> CurvaturePoint:
         if not (self.t[0] <= t <= self.t[-1]):
             raise ValueError(f"t={t!r} outside the tabulated range")
@@ -89,12 +84,12 @@ def warp_family(a, b):
 
 
 def test_round_closed_forms():
-    cp = curvature_round_sphere(3, 1.0)
+    cp = RoundSphere(3, 1.0).curvature_at()
     assert (cp.s, cp.lap_s, cp.ric2, cp.riem2) == (6.0, 0.0, 12.0, 12.0)
-    half = curvature_round_sphere(3, 2.0)
+    half = RoundSphere(3, 2.0).curvature_at()
     assert half.s == cp.s / 4 and half.ric2 == cp.ric2 / 16 and half.riem2 == cp.riem2 / 16
     for n in range(2, 8):
-        c = curvature_round_sphere(n, 1.7)
+        c = RoundSphere(n, 1.7).curvature_at()
         assert c.ric2 == pytest.approx(c.s ** 2 / n, rel=1e-14)  # Einstein equality
 
 
@@ -102,7 +97,7 @@ def test_round_closed_forms_match_fd_oracle():
     for n, radius in ((3, 1.0), (4, 1.0), (3, 2.0)):
         f = lambda t: radius * np.sin(t / radius)
         s, ric2, riem2 = curvature_reference(n, f, 1.1)
-        ref = curvature_round_sphere(n, radius)
+        ref = RoundSphere(n, radius).curvature_at()
         assert s == pytest.approx(ref.s, rel=1e-6)
         assert ric2 == pytest.approx(ref.ric2, rel=1e-6)
         assert riem2 == pytest.approx(ref.riem2, rel=1e-6)
@@ -111,7 +106,7 @@ def test_round_closed_forms_match_fd_oracle():
 def test_sin_warp_reproduces_round_sphere():
     for n in (3, 4, 5):
         M = WarpedSphere(n, np.sin)
-        ref = curvature_round_sphere(n, 1.0)
+        ref = RoundSphere(n, 1.0).curvature_at()
         for t in np.linspace(0.3, np.pi - 0.3, 9):
             cp = M.curvature_at(t)
             assert cp.s == pytest.approx(ref.s, rel=1e-9)
@@ -176,8 +171,8 @@ def test_pole_singularity_guard():
 
 def test_from_samples_round_trip():
     t = np.linspace(0.0, np.pi, 201)
-    M = WarpedSphere.from_samples(4, t, np.sin(t))
-    ref = curvature_round_sphere(4, 1.0)
+    M = WarpedSphere(4, t=t, f_vals=np.sin(t))
+    ref = RoundSphere(4, 1.0).curvature_at()
     cp = M.curvature_at(1.3)
     assert cp.s == pytest.approx(ref.s, rel=1e-8)
     assert cp.riem2 == pytest.approx(ref.riem2, rel=1e-8)
@@ -214,7 +209,7 @@ def test_phi_vanishes_on_zero_curvature(dimensional_constants):
 def test_phi_round_unit_sphere_pinned(dimensional_constants):
     # frozen regression value for the (3, 3) pair on the unit 3-sphere
     dc = dimensional_constants(3, 3)
-    val = phi(curvature_round_sphere(3, 1.0), dc)
+    val = phi(RoundSphere(3, 1.0).curvature_at(), dc)
     assert val == pytest.approx(-146.32282518075203, rel=1e-9)
 
 

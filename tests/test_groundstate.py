@@ -135,15 +135,16 @@ def test_profile_shape_and_residual():
     gs = solve_ground_state(3, 3.0)
     # at the nodes U'' comes from the ODE itself, so the defect is rounding
     r = gs.grid.nodes[1:]
-    at_nodes = gs.deriv2(r) + (gs.n - 1.0) * gs.deriv1(r) / r - groundstate._g(gs(r), gs.p)
+    U = gs.profile
+    at_nodes = U.deriv2(r) + (gs.n - 1.0) * U.deriv1(r) / r - groundstate._g(U(r), gs.p)
     assert np.max(np.abs(at_nodes)) < 1e-12
     assert ode_residual(gs) < 1e-6
-    assert gs(0.0) == pytest.approx(gs.u0, rel=1e-14)
+    assert gs.profile(0.0) == pytest.approx(gs.u0, rel=1e-14)
 
 
 def test_eval_origin_regularity():
     gs = solve_ground_state(3, 3.0)
-    u, du, d2u = gs.eval(0.0)
+    u, du, d2u = gs.profile.evaluate(gs.grid.locate(0.0))
     assert u == pytest.approx(gs.u0, rel=1e-14)
     assert du == 0.0
     # ODE limit at the origin: n * U''(0) = U(0) - U(0)^(p-1)
@@ -153,11 +154,11 @@ def test_eval_origin_regularity():
 def test_eval_tail_continuity_and_form():
     gs = solve_ground_state(3, 3.0)
     R = gs.r_max
-    jump = abs(gs(R * (1 - 1e-12)) - gs(R * (1 + 1e-12)))
+    jump = abs(gs.profile(R * (1 - 1e-12)) - gs.profile(R * (1 + 1e-12)))
     assert jump < 1e-10
     r2 = 2.0 * R
     expect = gs.decay_c * r2 ** (-1.0) * np.exp(-r2)
-    assert gs(r2) == pytest.approx(expect, rel=1e-13)
+    assert gs.profile(r2) == pytest.approx(expect, rel=1e-13)
 
 
 def test_decay_constant_two_sided_agreement():
@@ -193,7 +194,7 @@ def test_inverse_round_trip():
     gs = solve_ground_state(3, 3.0)
     for v in (0.9 * gs.u0, 0.1 * gs.u0, 1e-5 * gs.u0):
         r = inverse(gs, v)
-        assert gs(r) == pytest.approx(v, rel=1e-9)
+        assert gs.profile(r) == pytest.approx(v, rel=1e-9)
     with pytest.raises(ValueError):
         inverse(gs, 2.0 * gs.u0)
 
@@ -210,8 +211,8 @@ def test_serialization_round_trip(tmp_path):
     for k in ("bracket_shots", "certify_shots", "newton_steps", "match_mismatch"):
         assert getattr(back, k) == getattr(gs, k)
     r = np.linspace(0.0, 1.5 * gs.r_max, 57)
-    assert np.max(np.abs(back(r) - gs(r))) < 1e-12
-    assert np.max(np.abs(back.deriv1(r) - gs.deriv1(r))) < 1e-10
+    assert np.max(np.abs(back.profile(r) - gs.profile(r))) < 1e-12
+    assert np.max(np.abs(back.profile.deriv1(r) - gs.profile.deriv1(r))) < 1e-10
 
 
 def test_uncertified_profile_stays_uncertified(tmp_path):

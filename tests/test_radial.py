@@ -73,6 +73,29 @@ def test_interpolant_reproduces_quintics_exactly():
     assert np.max(np.abs(f.deriv2(r) - poly.deriv(2)(r))) < 1e-10
 
 
+def test_channel_form_reproduces_septics_exactly():
+    # f is septic from (f, .., f'''), f' septic from (f', .., f''''), f''
+    # quintic from (f'', f''', f''''): each is exact on a degree-7 polynomial
+    poly = np.polynomial.Polynomial([0.3, -1.2, 0.7, 0.05, -0.02, 0.004, -3e-4, 2e-5])
+    g = RadialGrid(np.linspace(0.0, 4.0, 17))
+    d0, d1, d2, d3, d4 = (poly.deriv(k)(g.nodes) for k in range(5))
+    f = RadialFunction(g, d0, d1, d2, d3=d3, d4=d4)
+    r = np.linspace(0.0, 4.0, 211)
+    for k, got in enumerate(f.evaluate(g.locate(r))):
+        assert np.max(np.abs(got - poly.deriv(k)(r))) < 1e-12
+    # the quintic form of the same data is not exact, so the check can fail
+    quintic = RadialFunction(g, d0, d1, d2)
+    assert np.max(np.abs(quintic.deriv2(r) - poly.deriv(2)(r))) > 1e-8
+
+
+@pytest.mark.parametrize("lone", ["d3", "d4"])
+def test_channel_form_needs_d3_and_d4_together(lone):
+    g = RadialGrid(np.linspace(0.0, 4.0, 17))
+    z = np.zeros(g.size)
+    with pytest.raises(ValueError, match="d3 and d4 together"):
+        RadialFunction(g, z, z, z, **{lone: z})
+
+
 def test_interpolant_matches_node_values():
     g = RadialGrid.graded(10.0, n_nodes=200)
     vals = np.cos(g.nodes)
