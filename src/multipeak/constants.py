@@ -180,6 +180,14 @@ def _angular_factor(r: np.ndarray, n: int) -> np.ndarray:
     return prev
 
 
+def _interaction_weight(gs: GroundState):
+    """The 448-cell radial rule on [0, r_max] that gamma and base_interaction
+    share, and the weight U^(p-1) r^(n-1) at its points."""
+    quad = Quadrature(RadialGrid(np.linspace(0.0, gs.r_max, 448 + 1)))
+    r = quad.points
+    return quad, np.abs(gs.profile(r)) ** (gs.p - 1.0) * r ** (gs.n - 1.0)
+
+
 def gamma(gs: GroundState, b) -> GammaValue:
     """Interaction constant int U^(p-1) exp(<b, z>) dz for a unit vector b.
 
@@ -194,11 +202,8 @@ def gamma(gs: GroundState, b) -> GammaValue:
         raise NotUnit("direction must have unit length within 1e-12")
     n, p = gs.n, gs.p
     R = gs.r_max
-    grid = RadialGrid(np.linspace(0.0, R, 448 + 1))
-    quad = Quadrature(grid)
-    r = quad.points
-    vals = np.abs(gs.profile(r)) ** (p - 1.0) * r ** (n - 1.0) * _angular_factor(r, n)
-    core = quad.integrate(vals)
+    quad, w = _interaction_weight(gs)
+    core = quad.integrate(w * _angular_factor(quad.points, n))
     # asymptotics: U^(p-1) ~ c^(p-1) r^(-(p-1)nu) e^(-(p-1)r) and
     # A(r) ~ Gamma((n-1)/2) 2^((n-3)/2) r^(-(n-1)/2) e^r
     nu = (n - 1.0) / 2.0
@@ -214,10 +219,8 @@ def base_interaction(gs: GroundState) -> float:
     """int U^(p-1) dz by the same radial quadrature gamma uses (b = 0)."""
     n, p = gs.n, gs.p
     R = gs.r_max
-    grid = RadialGrid(np.linspace(0.0, R, 448 + 1))
-    quad = Quadrature(grid)
-    r = quad.points
-    core = quad.integrate(np.abs(gs.profile(r)) ** (p - 1.0) * r ** (n - 1.0))
+    quad, w = _interaction_weight(gs)
+    core = quad.integrate(w)
     nu = (n - 1.0) / 2.0
     tail = tail_power_integral(gs.decay_c ** (p - 1.0), n - 1.0 - (p - 1.0) * nu, p - 1.0, R)
     return surface_area(n) * (core + tail)

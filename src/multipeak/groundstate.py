@@ -6,7 +6,9 @@ The unique positive decreasing solution is found in three stages:
    value u0, using the series start U(r) = a + (a - a^(p-1)) r^2 / (2n) +
    O(r^4) and the classification "crosses zero" (a too large) versus "turns
    back upward" (a too small), down to a relative width of
-   SOLVER["bracket_rtol"];
+   SOLVER["bracket_rtol"].  A shot is scipy's DOP853 run as a step loop on
+   Python floats (_dop853_classify), which classifies as solve_ivp with two
+   terminal events does at a fraction of its per-step cost;
 2. matched two-sided integration from the bracket's midpoint: a forward pass
    from the series start and a backward pass seeded by the asymptotic
    far-field series meet at a matching radius inside the stable window of
@@ -19,9 +21,12 @@ The unique positive decreasing solution is found in three stages:
    from the forward pass; the grid ends at the r_max of the matched tail
    constant;
 3. certification: the matched amplitude a must lie inside the coarse
-   bracket, and two independent shots at a (1 -/+ SOLVER["certify_delta"])
-   must turn back and cross zero.  Those two shots are the certified
-   bracket, of width 2 * certify_delta * a.
+   bracket, and two independent shots of stage 1's loop at
+   a (1 -/+ SOLVER["certify_delta"]) must turn back and cross zero.  Those
+   two shots are the certified bracket, of width 2 * certify_delta * a.
+
+Only stage 2 integrates through solve_ivp: its dense interpolants are the
+stored profile.
 
 The far field obeys U(r) ~ c r^(-(n-1)/2) e^(-r); the constant c is fitted
 twice (from U and from U') with 1/r intercept extrapolation and the two fits
@@ -34,6 +39,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cache, partial
+from operator import mul
 
 import numpy as np
 
@@ -71,8 +77,9 @@ def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported at the first solve.
 
     Importing scipy.integrate costs more than a warm CLI command does, so
-    only a cold solve pays for it.  The solver calls through this module
-    attribute, which lets a caller rebind it (e.g. to count integrations).
+    only a cold solve pays for it.  Only the two-sided matching calls it (the
+    shots run in _dop853_classify), through this module attribute, which
+    lets a caller rebind it (e.g. to count integrations).
     """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
@@ -134,31 +141,134 @@ def _radial_ode(n: int, p: float, r, y):
 
 def _shoot(a: float, n: int, p: float, rtol: float = 1e-12) -> str:
     """Integrate one shot from amplitude a and classify it: 'cross' when U
-    crosses zero (a too large), 'turn' when U' turns positive (a too small)."""
+    crosses zero (a too large), 'turn' when U' turns positive (a too small).
+    A shot that survives the whole window is numerically on the separatrix
+    and counts as 'turn'."""
+    return _dop853_classify(partial(_radial_ode, n, p), _series_start(a, n, p, _R0), rtol)
 
-    def ev_cross(r, y):
-        return y[0]
 
-    ev_cross.terminal = True
-    ev_cross.direction = -1.0
+# step-size control of scipy's Runge-Kutta solvers; DOP853's error estimator
+# has order 7, so the step scales with error_norm ** (-1/8)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
 
-    def ev_turn(r, y):
-        return y[1]
 
-    ev_turn.terminal = True
-    ev_turn.direction = 1.0
+@cache
+def _dop853_tableau():
+    """scipy's DOP853 tableau as float tuples (C, A, B, E5, E3), C and A
+    without the first stage's row.
 
-    sol = solve_ivp(
-        partial(_radial_ode, n, p),
-        (_R0, _R_END),
-        _series_start(a, n, p, _R0),
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-16,
-        events=[ev_cross, ev_turn],
+    Read at the first shot, not at import: the warm CLI path imports no scipy.
+    """
+    from scipy.integrate._ivp import dop853_coefficients as dc
+
+    s = dc.N_STAGES
+    return (
+        tuple(map(float, dc.C[1:s])),
+        tuple(tuple(map(float, dc.A[i, :i])) for i in range(1, s)),
+        tuple(map(float, dc.B)),
+        tuple(map(float, dc.E5)),
+        tuple(map(float, dc.E3)),
     )
-    # a shot that survives the whole window is numerically on the separatrix
-    return "cross" if sol.t_events[0].size else "turn"
+
+
+def _rms(x: float, y: float) -> float:
+    return math.sqrt(x * x + y * y) / math.sqrt(2.0)
+
+
+def _dop853_classify(fun, y, rtol: float) -> str:
+    """DOP853 from y at _R0 toward _R_END, stopped at the first sign change.
+
+    Returns 'cross' when y[0] goes from >= 0 to <= 0 over a step, 'turn' when
+    y[1] goes from <= 0 to >= 0 or the window ends.  This is what
+    solve_ivp(fun, (_R0, _R_END), y, method="DOP853", rtol=rtol, atol=1e-16)
+    with those two terminal events does, step for step (Hairer, Norsett and
+    Wanner, Solving ODEs I, II.10): the same tableau, first step, error norm
+    and step control, on Python floats instead of numpy arrays of length 2,
+    whose per-step overhead is most of a solve_ivp shot.  Stage and error
+    sums round differently from numpy's dot, so step sizes can differ where
+    the error estimate is at rounding level.  Where solve_ivp would root-find
+    both events inside one step, the step is halved until they part.
+    fun(r, y) returns the derivative pair, as for solve_ivp.
+
+    Raises ValueError for a non-finite start, and NoBracket when the step
+    falls below 10 spacings of r (solve_ivp's status -1).
+    """
+    C, A, B, E5, E3 = _dop853_tableau()
+    atol, r, r_end = 1e-16, _R0, _R_END
+    u, du = y
+    if not (math.isfinite(u) and math.isfinite(du)):
+        raise ValueError(f"shot start (U, U') = ({u!r}, {du!r}) is not finite")
+    fu, fd = fun(r, (u, du))
+
+    # first step, as scipy's select_initial_step for error order 7
+    su, sd = atol + abs(u) * rtol, atol + abs(du) * rtol
+    d0, d1 = _rms(u / su, du / sd), _rms(fu / su, fd / sd)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, r_end - r)
+    gu, gd = fun(r + h0, (u + h0 * fu, du + h0 * fd))
+    d2 = _rms((gu - fu) / su, (gd - fd) / sd) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (-_ERROR_EXPONENT)
+    h_abs = min(100.0 * h0, h1, r_end - r)
+
+    while True:
+        min_step = 10.0 * (math.nextafter(r, math.inf) - r)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            # "not >=" also stops a NaN step size
+            if not h_abs >= min_step:
+                raise NoBracket(f"shot step fell below {min_step:.1e} at r = {r!r}")
+            r_new = min(r + h_abs, r_end)
+            h = r_new - r
+            ku, kd = [fu], [fd]
+            for c, row in zip(C, A):
+                fs = fun(r + c * h, (u + sum(map(mul, row, ku)) * h,
+                                     du + sum(map(mul, row, kd)) * h))
+                ku.append(fs[0])
+                kd.append(fs[1])
+            u_new = u + h * sum(map(mul, B, ku))
+            du_new = du + h * sum(map(mul, B, kd))
+            fu_new, fd_new = fun(r_new, (u_new, du_new))
+            ku.append(fu_new)
+            kd.append(fd_new)
+
+            su = atol + max(abs(u), abs(u_new)) * rtol
+            sd = atol + max(abs(du), abs(du_new)) * rtol
+            e5u, e5d = sum(map(mul, E5, ku)) / su, sum(map(mul, E5, kd)) / sd
+            e3u, e3d = sum(map(mul, E3, ku)) / su, sum(map(mul, E3, kd)) / sd
+            e5, e3 = e5u * e5u + e5d * e5d, e3u * e3u + e3d * e3d
+            if e5 == 0.0 and e3 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = h * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
+
+            if error_norm < 1.0:
+                cross = u >= 0.0 and u_new <= 0.0
+                turn = du <= 0.0 and du_new >= 0.0
+                if cross and turn:
+                    h_abs = 0.5 * h
+                    rejected = True
+                    continue
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs = h * factor
+                break
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+
+        if cross:
+            return "cross"
+        if turn or r_new == r_end:
+            return "turn"
+        r, u, du, fu, fd = r_new, u_new, du_new, fu_new, fd_new
 
 
 def bracket_amplitude(n: int, p: float):

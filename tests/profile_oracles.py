@@ -1,11 +1,12 @@
 """Ground-state helpers that only the tests use.
 
-shoot_profile builds the uncertified single-shot profile that negative
-controls feed to the identity checks; truncate cuts a certified profile
-short to exercise the decay-fit gate; inverse solves U(r) = value for
-tail-window radii; fd_derivative is the finite-difference oracle of
-profile derivatives.  They reuse the solver's private pieces, so a change to
-those pieces shows up here too.
+scipy_classify and scipy_shoot are the solve_ivp shots that the solver's
+float-only DOP853 loop reproduces; shoot_profile builds the uncertified
+single-shot profile that negative controls feed to the identity checks;
+truncate cuts a certified profile short to exercise the decay-fit gate;
+inverse solves U(r) = value for tail-window radii; fd_derivative is the
+finite-difference oracle of profile derivatives.  They reuse the solver's
+private pieces, so a change to those pieces shows up here too.
 """
 
 from functools import partial
@@ -16,6 +17,7 @@ from scipy.optimize import brentq
 
 from multipeak.groundstate import (
     _R0,
+    _R_END,
     GroundState,
     TailTooShort,
     _check_exponent,
@@ -26,6 +28,33 @@ from multipeak.groundstate import (
     _series_start,
 )
 from multipeak.radial import RadialFunction, RadialGrid, TailModel
+
+
+def scipy_classify(fun, y, rtol: float) -> str:
+    """solve_ivp's DOP853 from y at _R0 toward _R_END with two terminal events:
+    'cross' when y[0] falls through zero first, 'turn' otherwise (y[1] rose
+    through zero, the window ended, or the step size failed)."""
+
+    def ev_cross(t, y):
+        return y[0]
+
+    ev_cross.terminal = True
+    ev_cross.direction = -1.0
+
+    def ev_turn(t, y):
+        return y[1]
+
+    ev_turn.terminal = True
+    ev_turn.direction = 1.0
+
+    sol = solve_ivp(fun, (_R0, _R_END), y, method="DOP853", rtol=rtol, atol=1e-16,
+                    events=[ev_cross, ev_turn])
+    return "cross" if sol.t_events[0].size else "turn"
+
+
+def scipy_shoot(a: float, n: int, p: float, rtol: float = 1e-12) -> str:
+    """The classification shot of groundstate._shoot, integrated by solve_ivp."""
+    return scipy_classify(partial(_radial_ode, n, p), _series_start(a, n, p, _R0), rtol)
 
 
 def shoot_profile(n: int, p: float, u0: float, r_max: float = 20.0) -> GroundState:

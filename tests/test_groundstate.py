@@ -6,6 +6,7 @@ from multipeak.constants import product_exponent
 from multipeak.groundstate import (
     SOLVER,
     GroundState,
+    NoBracket,
     SubcriticalViolation,
     TailTooShort,
     critical_exponent,
@@ -15,7 +16,7 @@ from multipeak.groundstate import (
     solve_ground_state,
 )
 
-from profile_oracles import inverse, shoot_profile, truncate
+from profile_oracles import inverse, scipy_classify, scipy_shoot, shoot_profile, truncate
 
 # pinned by an independent uniform-grid damped-Newton solve (h = 5e-4,
 # agreement 3.3e-7, consistent with that solver's own h^2 error)
@@ -61,25 +62,88 @@ def test_bracket_width_is_certified(n, m):
 
 
 def test_solver_diagnostics_are_deterministic(monkeypatch):
-    # two fresh solves, past the memo, make the same shots and Newton steps
-    calls = []
-    solve_ivp = groundstate.solve_ivp
+    # two fresh solves, past the memo, make the same shots, integrations and
+    # Newton steps; shots run in groundstate's own loop, the matching's
+    # integrations through solve_ivp
+    shots, integrations = [], []
+    shoot, solve_ivp = groundstate._shoot, groundstate.solve_ivp
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+    def counted_shot(*args, **kwargs):
+        shots.append(1)
+        return shoot(*args, **kwargs)
+
+    def counted_ivp(*args, **kwargs):
+        integrations.append(1)
         return solve_ivp(*args, **kwargs)
 
-    monkeypatch.setattr(groundstate, "solve_ivp", counted)
+    monkeypatch.setattr(groundstate, "_shoot", counted_shot)
+    monkeypatch.setattr(groundstate, "solve_ivp", counted_ivp)
     first = solve_ground_state.__wrapped__(3, 3.0)
-    made = len(calls)
+    made = (len(shots), len(integrations))
     second = solve_ground_state.__wrapped__(3, 3.0)
     keys = ("bracket_shots", "certify_shots", "newton_steps", "match_mismatch")
     assert [getattr(first, k) for k in keys] == [getattr(second, k) for k in keys]
-    assert len(calls) == 2 * made
-    assert made == first.bracket_shots + first.certify_shots + 2 + 4 * first.newton_steps
-    assert made <= 45
+    assert (len(shots), len(integrations)) == (2 * made[0], 2 * made[1])
+    assert made[0] == first.bracket_shots + first.certify_shots
+    assert made[1] == 2 + 4 * first.newton_steps
+    assert sum(made) <= 45
     assert first.certify_shots == 2
     assert first.match_mismatch < 1e-9
+
+
+@pytest.mark.parametrize("n,m", GS_COLD + SPOT)
+def test_shots_match_scipy_dop853(n, m, monkeypatch):
+    # the float loop classifies every shot of a solve as solve_ivp's DOP853
+    # does: the bisection shoots the same amplitudes at the same rtol to the
+    # same classifications, and both certification shots agree
+    p = product_exponent(n, m)
+    shoot = groundstate._shoot
+
+    def logged(fn, log):
+        def shot(a, n, p, rtol=1e-12):
+            log.append((a, rtol, fn(a, n, p, rtol)))
+            return log[-1][-1]
+
+        return shot
+
+    runs = []
+    for fn in (shoot, scipy_shoot):
+        log = []
+        monkeypatch.setattr(groundstate, "_shoot", logged(fn, log))
+        runs.append((groundstate.bracket_amplitude(n, p), log))
+    monkeypatch.undo()
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] == runs[1][1]
+    gs = solve_ground_state(n, p)
+    half = SOLVER["certify_delta"] * gs.u0
+    for a in (gs.u0 - half, gs.u0 + half):
+        assert shoot(a, n, p) == scipy_shoot(a, n, p)
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf])
+def test_shot_rejects_non_finite_start(a):
+    with pytest.raises(ValueError):
+        groundstate._shoot(a, 3, 3.0)
+
+
+def test_shot_step_failure_is_no_bracket():
+    # U'' = U'^2 from U' = 1 blows up one unit into the window with neither
+    # event: the step falls below 10 spacings of r, where solve_ivp stops
+    # with status -1
+    with pytest.raises(NoBracket):
+        groundstate._dop853_classify(lambda r, y: [y[1], y[1] * y[1]], (1.0, 1.0), 1e-10)
+
+
+@pytest.mark.parametrize("start,first", [((1.001, -1.0), "turn"), ((1.0, -1.001), "cross")])
+def test_shot_halves_a_step_holding_both_events(start, first):
+    # two lines with zeros 1e-3 apart: the steps grow tenfold until one
+    # holds both sign changes, and halving it finds the first, as
+    # solve_ivp's root finding does
+    def lines(r, y):
+        return [-1.0, 1.0]
+
+    assert groundstate._dop853_classify(lines, start, 1e-10) == first
+    assert scipy_classify(lines, start, 1e-10) == first
 
 
 def test_amplitude_pinned_n4_n8thirds():
