@@ -34,10 +34,11 @@ print(f"  alpha = {rep['alpha']:.12f}")
 # pointwise equation defect measured between the grid nodes
 print(f"\nODE defect at panel midpoints = {ode_residual(gs):.3e}")
 
-# U ~ c r^(-(n-1)/2) e^(-r): the fitted tail should match the profile
+# U ~ c r^(-(n-1)/2) e^(-r): the fitted tail, which the profile uses past
+# its grid, should match the profile inside it
 print("\ntail behavior")
 for r in (8.0, 12.0, 16.0):
-    model = gs.decay_c * r ** (-(n - 1) / 2) * np.exp(-r)
+    model = gs.profile.tail.value(r)
     print(f"  r={r:5.1f}  U={gs.profile(r):.6e}  tail model {model:.6e}")
 
 # serialization round trip preserves evaluations bit for bit

@@ -14,11 +14,11 @@ Each subcommand takes only the flags it reads.  `--config FILE` holds
 therefore win.
 
 Failures take one of two channels.  A flag or config key that the
-subcommand does not have, or a value of the wrong type, is argparse's
-usage error: exit 2, message on stderr.  Every other failure, an
-unreadable config file or a config line without '=' included, exits 1
-with a single JSON object {"error": <class>, "detail": <message>} on
-stdout.  A scan without interior critical points is reported as a
+subcommand does not have, or a value of the wrong type or outside the
+flag's choices, is argparse's usage error: exit 2, message on stderr.
+Every other failure, an unreadable config file or a config line without
+'=' included, exits 1 with a single JSON object {"error": <class>,
+"detail": <message>} on stdout.  A scan without interior critical points is reported as a
 warning, not an error.
 """
 
@@ -266,18 +266,6 @@ def cmd_beta_table(args) -> int:
     return 0
 
 
-def _model(args, other: str, aliases: tuple, build):
-    """The unit sphere (the default), or the other model build(n), as
-    --model names it.
-    """
-    name = args.model.lower()
-    if name in ("sphere", "round", "roundsphere"):
-        return RoundSphere(args.n, 1.0)
-    if name in aliases:
-        return build(args.n)
-    raise ValueError(f"unknown model {args.model!r}; use sphere or {other}")
-
-
 def _warped_model(args, n: int):
     """The WarpedSphere of the samples (t, f) in the csv file --profile."""
     if not args.profile:
@@ -292,8 +280,7 @@ def cmd_phi_scan(args) -> int:
     if args.n is None or args.m is None:
         raise ValueError("phi-scan needs --n and --m")
     n, m = args.n, args.m
-    model = _model(args, "warped", ("warped", "warpedsphere"),
-                   lambda n: _warped_model(args, n))
+    model = RoundSphere(n, 1.0) if args.model == "sphere" else _warped_model(args, n)
     dc = _constants(n, m, _cache_dir(args))[2]
     warning = None
     try:
@@ -351,7 +338,7 @@ def cmd_energy_check(args) -> int:
     eps_ladder = tuple(float(e) for e in args.eps.split(","))
     if not eps_ladder or not all(0.0 < e < np.inf for e in eps_ladder):
         raise ValueError("--eps needs positive finite comma-separated values")
-    model = _model(args, "flat", ("flat", "flatspace"), FlatSpace)
+    model = RoundSphere(n, 1.0) if args.model == "sphere" else FlatSpace(n)
     gs, cp, dc = _constants(n, m, _cache_dir(args))
     centers = _default_centers(model, K)
     gamma_value = None
@@ -468,11 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-N", type=int, default=9)
 
     sp = command("phi-scan", cmd_phi_scan, "concentration functional along a model")
-    sp.add_argument("--model", default="sphere")
+    sp.add_argument("--model", default="sphere", choices=("sphere", "warped"))
     sp.add_argument("--profile", help="warp profile csv (t, f)")
 
     sp = command("energy-check", cmd_energy_check, "energy expansion and residual report")
-    sp.add_argument("--model", default="sphere")
+    sp.add_argument("--model", default="sphere", choices=("sphere", "flat"))
     sp.add_argument("--eps", default=_DEF_EPS)
     sp.add_argument("--K", type=int, default=1)
     sp.add_argument("--rho", type=float, help="placement radius for the admissibility check")

@@ -39,7 +39,6 @@ from .radial import (
     gauss_panels,
     moment_reduce,
     surface_area,
-    tail_power_integral,
 )
 
 
@@ -180,20 +179,19 @@ def _angular_factor(r: np.ndarray, n: int) -> np.ndarray:
     return prev
 
 
-def _interaction_weight(gs: GroundState):
+def _interaction_quad(gs: GroundState) -> Quadrature:
     """The 448-cell radial rule on [0, r_max] that gamma and base_interaction
-    share, and the weight U^(p-1) r^(n-1) at its points."""
-    quad = Quadrature(RadialGrid(np.linspace(0.0, gs.r_max, 448 + 1)))
-    r = quad.points
-    return quad, np.abs(gs.profile(r)) ** (gs.p - 1.0) * r ** (gs.n - 1.0)
+    share."""
+    return Quadrature(RadialGrid(np.linspace(0.0, gs.r_max, 448 + 1)))
 
 
 def gamma(gs: GroundState, b) -> GammaValue:
     """Interaction constant int U^(p-1) exp(<b, z>) dz for a unit vector b.
 
-    Reduced to a radial-angular product; the angular factor is adaptive and
-    the radial tail beyond the grid is completed with the asymptotic forms
-    of both factors.
+    Reduced to a radial-angular product, omega_{n-2} int U^(p-1) A(r)
+    r^(n-1) dr, whose angular factor A is adaptive.  Past the grid the
+    radial integral is closed by the tail model of U^(p-1), U's tail raised
+    to p - 1, times A's asymptote c_ang r^(-nu) e^r with nu = (n-1)/2.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.size != gs.n:
@@ -201,29 +199,25 @@ def gamma(gs: GroundState, b) -> GammaValue:
     if not abs(float(np.linalg.norm(b)) - 1.0) <= 1e-12:
         raise NotUnit("direction must have unit length within 1e-12")
     n, p = gs.n, gs.p
-    R = gs.r_max
-    quad, w = _interaction_weight(gs)
-    core = quad.integrate(w * _angular_factor(quad.points, n))
-    # asymptotics: U^(p-1) ~ c^(p-1) r^(-(p-1)nu) e^(-(p-1)r) and
-    # A(r) ~ Gamma((n-1)/2) 2^((n-3)/2) r^(-(n-1)/2) e^r
-    nu = (n - 1.0) / 2.0
-    c_ang = math.gamma((n - 1.0) / 2.0) * 2.0 ** ((n - 3.0) / 2.0)
-    tail = tail_power_integral(
-        gs.decay_c ** (p - 1.0) * c_ang, nu * (2.0 - p), p - 2.0, R
+    quad = _interaction_quad(gs)
+    r = quad.points
+    core = quad.integrate(
+        np.abs(gs.profile(r)) ** (p - 1.0) * r ** (n - 1.0) * _angular_factor(r, n)
     )
+    # A(r) ~ c_ang r^(-nu) e^r with c_ang = Gamma(nu) 2^((n-3)/2)
+    nu = (n - 1.0) / 2.0
+    c_ang = math.gamma(nu) * 2.0 ** ((n - 3.0) / 2.0)
+    t = gs.profile.tail.powered(p - 1.0)
+    tail = TailModel(c_ang * t.c, t.a - nu, t.b - 1.0).integral(gs.r_max, k=n - 1)
     value = surface_area(n - 1) * (core + tail)
     return GammaValue(b=b, value=value)
 
 
 def base_interaction(gs: GroundState) -> float:
     """int U^(p-1) dz by the same radial quadrature gamma uses (b = 0)."""
-    n, p = gs.n, gs.p
-    R = gs.r_max
-    quad, w = _interaction_weight(gs)
-    core = quad.integrate(w)
-    nu = (n - 1.0) / 2.0
-    tail = tail_power_integral(gs.decay_c ** (p - 1.0), n - 1.0 - (p - 1.0) * nu, p - 1.0, R)
-    return surface_area(n) * (core + tail)
+    p = gs.p
+    return moment_reduce(lambda r: np.abs(gs.profile(r)) ** (p - 1.0), "1", gs.n,
+                         _interaction_quad(gs), tail=gs.profile.tail.powered(p - 1.0))
 
 
 def table_pairs(max_N: int = 9) -> list:

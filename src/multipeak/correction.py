@@ -314,7 +314,7 @@ def correction_profiles(gs: GroundState) -> CorrectionProfiles:
 
 def build_v2base(gs: GroundState) -> RadialFunction:
     """v2base = U' r / 2 - U / (2 - p); satisfies L0 v2base = -U."""
-    n, p = gs.n, gs.p
+    p = gs.p
     r = gs.grid.nodes
     # ODE-exact node derivatives of U, with U'''(0) = 0 by even symmetry
     U, dU, d2U, d3U = gs.profile.values, gs.profile.d1, gs.profile.d2, gs.profile.d3
@@ -322,10 +322,9 @@ def build_v2base(gs: GroundState) -> RadialFunction:
     vals = 0.5 * dU * r - q * U
     d1 = 0.5 * (d2U * r + dU) - q * dU
     d2 = 0.5 * (d3U * r + 2.0 * d2U) - q * d2U
-    nu = (n - 1.0) / 2.0
     # far field: v2base ~ -U * (r/2 + 1/(2-p) + ...), keep the leading power
-    tail = TailModel(-0.5 * gs.decay_c, 1.0 - nu, 1.0) if np.isfinite(gs.decay_c) else None
-    return RadialFunction(gs.grid, vals, d1, d2, tail=tail)
+    u = gs.profile.tail
+    return RadialFunction(gs.grid, vals, d1, d2, tail=TailModel(-0.5 * u.c, u.a + 1.0, u.b))
 
 
 _TEST_WIDTHS = (0.8, 1.5, 3.0)

@@ -57,8 +57,9 @@ class RoundSphere:
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.n < 2 or self.radius <= 0:
-            raise ValueError("round sphere needs n >= 2 and radius > 0")
+        if self.n < 2 or not 0.0 < self.radius < np.inf:
+            raise ValueError(f"round sphere needs n >= 2 and 0 < radius < inf, "
+                             f"got n={self.n!r}, radius={self.radius!r}")
 
     @property
     def injectivity_radius(self) -> float:
@@ -147,7 +148,8 @@ class WarpedSphere:
     The warp comes as samples, WarpedSphere(n, t=t, f_vals=f_vals) with t
     running from 0 to L, or as a vectorized callable, WarpedSphere(n, f),
     sampled at _SAMPLES points of [0, pi] (L = pi).
-    It must close smoothly at both poles: f(0)=f(L)=0, f'(0)=1, f'(L)=-1.
+    It must be positive inside (0, L) and close smoothly at both poles:
+    f(0)=f(L)=0, f'(0)=1, f'(L)=-1.
     Curvature reduces to the radial sectional curvature
     a = -f''/f and the spherical one b = (1 - f'^2)/f^2:
 
@@ -182,6 +184,12 @@ class WarpedSphere:
             vals = np.asarray(f(t), dtype=float)
             if vals.shape != t.shape:
                 raise ValueError("warp f must map an array of t to an array of its shape")
+        # "not > 0" also refuses a NaN sample
+        bad = np.flatnonzero(~(vals[1:-1] > 0.0))
+        if bad.size:
+            i = bad[0] + 1
+            raise ValueError(f"warp must be positive inside (0, L), "
+                             f"got f({float(t[i])!r}) = {float(vals[i])!r}")
         self.pole_tol = 1e-3 * self.L
         from scipy.interpolate import make_interp_spline
 

@@ -30,7 +30,9 @@ stored profile.
 
 The far field obeys U(r) ~ c r^(-(n-1)/2) e^(-r); the constant c is fitted
 twice (from U and from U') with 1/r intercept extrapolation and the two fits
-must agree to 1%, otherwise the tail is deemed too short to certify.
+must agree to 1%, otherwise the tail is deemed too short to certify.  The
+fitted far field is the profile's tail, gs.profile.tail, the one place that
+holds it.
 """
 
 from __future__ import annotations
@@ -43,14 +45,7 @@ from operator import mul
 
 import numpy as np
 
-from .radial import (
-    Quadrature,
-    RadialFunction,
-    RadialGrid,
-    TailModel,
-    surface_area,
-    tail_power_integral,
-)
+from .radial import Quadrature, RadialFunction, RadialGrid, TailModel, moment_reduce
 
 
 class SubcriticalViolation(ValueError):
@@ -308,8 +303,6 @@ def bracket_amplitude(n: int, p: float):
 class GroundState:
     n: int
     p: float
-    u0: float
-    decay_c: float
     profile: RadialFunction
     I1: float
     I2: float
@@ -330,6 +323,16 @@ class GroundState:
     @property
     def r_max(self) -> float:
         return self.grid.r_max
+
+    @property
+    def u0(self) -> float:
+        """The central value U(0)."""
+        return float(self.profile.values[0])
+
+    @property
+    def decay_c(self) -> float:
+        """The tail constant c of U ~ c r^(-(n-1)/2) e^(-r) past the grid."""
+        return self.profile.tail.c
 
     def to_dict(self) -> dict:
         return {
@@ -361,8 +364,6 @@ class GroundState:
         return GroundState(
             n=n,
             p=p,
-            u0=float(d["u0"]),
-            decay_c=float(d["decay_c"]),
             profile=profile,
             I1=float(d["I1"]),
             I2=float(d["I2"]),
@@ -580,22 +581,19 @@ def _fit_decay(r, u, du, n, u0) -> float:
     return c_from_u
 
 
-def _energy_ledger(gs_profile: RadialFunction, n: int, p: float, decay_c: float):
-    quad = Quadrature(gs_profile.grid)
-    omega = surface_area(n)
-    rq = quad.points
-    u = gs_profile(rq)
-    du = gs_profile.deriv1(rq)
-    nu = (n - 1.0) / 2.0
-    R = gs_profile.grid.r_max
-    w = rq ** (n - 1.0)
-    I1 = omega * quad.integrate(du ** 2 * w)
-    I2 = omega * quad.integrate(u ** 2 * w)
-    Ip = omega * quad.integrate(np.abs(u) ** p * w)
-    # exponential tail completions (negligible but exact in the model)
-    I1 += omega * tail_power_integral(decay_c ** 2, n - 1.0 - 2 * nu, 2.0, R) if decay_c > 0 else 0.0
-    I2 += omega * tail_power_integral(decay_c ** 2, n - 1.0 - 2 * nu, 2.0, R) if decay_c > 0 else 0.0
-    Ip += omega * tail_power_integral(decay_c ** p, n - 1.0 - p * nu, p, R) if decay_c > 0 else 0.0
+def _energy_ledger(profile: RadialFunction, n: int, p: float):
+    """(I1, I2, Ip) = the integrals of |U'|^2, U^2 and |U|^p over R^n.
+
+    Each is moment_reduce on the profile's grid, completed past r_max by
+    the profile's tail raised to the integrand's power: U's q = 2 tail
+    also stands for |U'|^2, whose far field has the same leading term.
+    """
+    quad = Quadrature(profile.grid)
+    du, tail2 = profile.deriv1, profile.tail.powered(2.0)
+    I1 = moment_reduce(lambda r: du(r) ** 2, "1", n, quad, tail=tail2)
+    I2 = moment_reduce(lambda r: profile(r) ** 2, "1", n, quad, tail=tail2)
+    Ip = moment_reduce(lambda r: np.abs(profile(r)) ** p, "1", n, quad,
+                       tail=profile.tail.powered(p))
     return I1, I2, Ip
 
 
@@ -650,12 +648,10 @@ def solve_ground_state(n: int, p: float) -> GroundState:
     d1 = np.minimum(d1, 0.0)
     c_u = _fit_decay(grid.nodes, values, d1, n, float(values[0]))
     profile = _node_profile(grid, values, d1, n, p, c_u)
-    I1, I2, Ip = _energy_ledger(profile, n, p, c_u)
+    I1, I2, Ip = _energy_ledger(profile, n, p)
     return GroundState(
         n=n,
         p=p,
-        u0=float(values[0]),
-        decay_c=c_u,
         profile=profile,
         I1=I1,
         I2=I2,

@@ -7,9 +7,15 @@ quintic form from (f, f', f''), and the channel form, which also takes f'''
 and f'''' and interpolates each of f, f', f'' from its own node data
 (septic, septic, quintic; built from one _hermite_basis).  Cell-wise
 Gauss-Legendre rules integrate such profiles (against polynomial weights
-r^k) essentially to machine accuracy, and an optional exponential tail model
-c * r^a * exp(-b r) completes integrals past the end of the grid in closed
-form.
+r^k) essentially to machine accuracy.
+
+Two names here are the only ones that know a far field and its integral.
+TailModel c * r^a * exp(-b r) is a profile's form past the end of its grid,
+and TailModel.integral integrates it from there to infinity.  moment_reduce
+is the one integral over R^n of a radial profile times an even moment
+weight, completed past the grid by a TailModel; an integrand that is a
+power q of a profile takes the profile's tail raised to q
+(TailModel.powered).
 """
 
 from __future__ import annotations
@@ -125,6 +131,10 @@ class Located(NamedTuple):
     tau: np.ndarray
 
 
+# Gauss-Laguerre rule of TailModel.integral
+_lag_x, _lag_w = np.polynomial.laguerre.laggauss(60)
+
+
 @dataclass(frozen=True)
 class TailModel:
     """f(r) ~ c * r**a * exp(-b*r) for r beyond the grid."""
@@ -146,26 +156,20 @@ class TailModel:
         return self.value(r) * ((self.a / r - self.b) ** 2 - self.a / r ** 2)
 
     def integral(self, R: float, k: float = 0.0) -> float:
-        """Closed form of int_R^inf c r^(a+k) e^(-b r) dr via upper incomplete gamma."""
-        return tail_power_integral(self.c, self.a + k, self.b, R)
+        """int_R^inf c r^(a+k) e^(-b r) dr by Gauss-Laguerre after shifting
+        to [0, inf).
+
+        Valid for any real power a + k (the integrand is analytic on the
+        shifted half-line); intended for b*R >> 1 where the rule is machine
+        accurate.
+        """
+        if self.b <= 0 or R <= 0:
+            raise ValueError("tail integral needs decay rate b > 0 and R > 0")
+        vals = (R + _lag_x / self.b) ** (self.a + k)
+        return float(self.c * np.exp(-self.b * R) / self.b * np.dot(_lag_w, vals))
 
     def powered(self, q: float) -> "TailModel":
         return TailModel(self.c ** q, self.a * q, self.b * q)
-
-
-_lag_x, _lag_w = np.polynomial.laguerre.laggauss(60)
-
-
-def tail_power_integral(c: float, a: float, b: float, R: float) -> float:
-    """int_R^inf c r^a e^(-b r) dr by Gauss-Laguerre after shifting to [0, inf).
-
-    Valid for any real power a (the integrand is analytic on the shifted
-    half-line); intended for b*R >> 1 where the rule is machine accurate.
-    """
-    if b <= 0 or R <= 0:
-        raise ValueError("tail integral needs decay rate b > 0 and R > 0")
-    vals = (R + _lag_x / b) ** a
-    return float(c * np.exp(-b * R) / b * np.dot(_lag_w, vals))
 
 
 def _hermite_coeffs(h, *rows):
@@ -314,7 +318,6 @@ _WEIGHTS = {
     "z1^2": (lambda n: 1.0 / n, 2),
     "z1^4": (lambda n: 3.0 / (n * (n + 2)), 4),
     "|z|^2": (lambda n: 1.0, 2),
-    "|z|^4": (lambda n: 1.0, 4),
 }
 
 

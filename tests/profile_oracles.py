@@ -23,11 +23,11 @@ from multipeak.groundstate import (
     _check_exponent,
     _energy_ledger,
     _fit_decay,
-    _ode_derivatives,
+    _node_profile,
     _radial_ode,
     _series_start,
 )
-from multipeak.radial import RadialFunction, RadialGrid, TailModel
+from multipeak.radial import RadialGrid
 
 
 def scipy_classify(fun, y, rtol: float) -> str:
@@ -61,7 +61,8 @@ def shoot_profile(n: int, p: float, u0: float, r_max: float = 20.0) -> GroundSta
     """Uncertified profile from a single shot at a given amplitude.
 
     Intended for negative controls: identity defects grow visibly when u0 is
-    off the ground-state value.  No decay certification is attempted.
+    off the ground-state value.  No decay certification is attempted: the
+    tail constant is 0, so the profile is 0 past the grid.
     """
     _check_exponent(n, p)
 
@@ -79,13 +80,9 @@ def shoot_profile(n: int, p: float, u0: float, r_max: float = 20.0) -> GroundSta
     yv = sol.sol(np.clip(grid.nodes, _R0, r_end))
     values, d1 = yv[0], yv[1]
     d1[0] = 0.0
-    d2, d3, d4 = _ode_derivatives(grid.nodes, values, d1, n, p)
-    profile = RadialFunction(grid, values, d1, d2, tail=None, d3=d3, d4=d4)
-    I1, I2, Ip = _energy_ledger(profile, n, p, decay_c=0.0)
-    return GroundState(
-        n=n, p=p, u0=float(values[0]), decay_c=np.nan, profile=profile,
-        I1=I1, I2=I2, Ip=Ip, certified=False,
-    )
+    profile = _node_profile(grid, values, d1, n, p, 0.0)
+    I1, I2, Ip = _energy_ledger(profile, n, p)
+    return GroundState(n=n, p=p, profile=profile, I1=I1, I2=I2, Ip=Ip, certified=False)
 
 
 def truncate(gs: GroundState, r_max: float) -> GroundState:
@@ -100,18 +97,12 @@ def truncate(gs: GroundState, r_max: float) -> GroundState:
     grid = RadialGrid(nodes[keep])
     values = gs.profile.values[keep]
     d1 = gs.profile.d1[keep]
-    d2 = gs.profile.d2[keep]
-    d3 = None if gs.profile.d3 is None else gs.profile.d3[keep]
-    d4 = None if gs.profile.d4 is None else gs.profile.d4[keep]
     c_u = _fit_decay(grid.nodes, values, d1, gs.n, float(values[0]))
-    nu = (gs.n - 1.0) / 2.0
-    profile = RadialFunction(
-        grid, values, d1, d2, tail=TailModel(c_u, -nu, 1.0), d3=d3, d4=d4
-    )
-    I1, I2, Ip = _energy_ledger(profile, gs.n, gs.p, c_u)
+    profile = _node_profile(grid, values, d1, gs.n, gs.p, c_u)
+    I1, I2, Ip = _energy_ledger(profile, gs.n, gs.p)
     return GroundState(
-        n=gs.n, p=gs.p, u0=float(values[0]), decay_c=c_u, profile=profile,
-        I1=I1, I2=I2, Ip=Ip, bracket_width=gs.bracket_width,
+        n=gs.n, p=gs.p, profile=profile, I1=I1, I2=I2, Ip=Ip,
+        bracket_width=gs.bracket_width,
     )
 
 

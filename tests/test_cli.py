@@ -133,6 +133,19 @@ def test_phi_scan_warped_finds_symmetric_point(cache_dir, tmp_path, warp_csv):
     assert all(c["kind"] in ("min", "max", "degenerate") for c in doc["points"])
 
 
+def test_phi_scan_refuses_warp_with_nonpositive_sample(cache_dir, tmp_path):
+    path = tmp_path / "fold.csv"
+    t = np.linspace(0.0, np.pi, 161)
+    f = np.sin(t)
+    f[80] = -0.5
+    path.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, f)))
+    proc = run_cli("phi-scan", "--n", "3", "--m", "3", "--model", "warped",
+                   "--profile", str(path), "--cache-dir", cache_dir, expect=1)
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "ValueError"
+    assert "positive inside" in doc["detail"]
+
+
 def test_phi_scan_needs_profile_for_warped(cache_dir):
     proc = run_cli("phi-scan", "--n", "3", "--m", "3", "--model", "warped",
                    "--cache-dir", cache_dir, expect=1)
@@ -285,6 +298,19 @@ def test_dimensions_below_three_are_usage_errors(cache_dir, argv):
     proc = run_cli(*argv, "--cache-dir", cache_dir, expect=2)
     assert proc.stdout == ""
     assert "must be at least 3" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("phi-scan", "--model", "roundsphere"), ("energy-check", "--model", "bogus"),
+     ("energy-check", "--model", "Sphere")],
+    ids=["alias", "unknown", "case"],
+)
+def test_unknown_model_is_a_usage_error(cache_dir, argv):
+    # --model takes exactly the names README documents
+    proc = run_cli(*argv, "--n", "3", "--m", "3", "--cache-dir", cache_dir, expect=2)
+    assert proc.stdout == ""
+    assert "invalid choice" in proc.stderr
 
 
 def test_unreadable_config_is_a_json_error(tmp_path):

@@ -162,6 +162,30 @@ def test_base_interaction_is_i2_at_cubic_exponent():
     assert base_interaction(gs) == pytest.approx(gs.I2, rel=1e-9)
 
 
+# the benchmark's cold-solve pairs: I1, I2, Ip, base_interaction, gamma(e1)
+RADIAL_PINS = {
+    (3, 3): (130.98071014874137, 130.98071014873946, 261.9614202974809,
+             130.98071014873938, 201.9343837717054),
+    (4, 3): (1243.272699422375, 932.4545245667673, 2175.727223989144,
+             805.3378258460608, 1353.8863397420096),
+    (6, 3): (126665.71048758042, 63332.85524378943, 189998.5657313695,
+             36028.50797732522, 71192.89415079408),
+    (3, 6): (219.28716983958034, 438.57433967915557, 657.8615095187362,
+             357.96768302930485, 1168.6505524254023),
+}
+
+
+@pytest.mark.parametrize("n,m", list(RADIAL_PINS))
+def test_radial_integrals_pinned(n, m):
+    # every integral over R^n of U, each completed past the grid by U's
+    # tail model, where the separate tail formulas put them
+    gs = solve_ground_state(n, product_exponent(n, m))
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    got = [gs.I1, gs.I2, gs.Ip, base_interaction(gs), gamma(gs, e1).value]
+    assert got == pytest.approx(list(RADIAL_PINS[n, m]), rel=1e-14, abs=0)
+
+
 def test_gamma_rejects_bad_directions():
     gs = solve_ground_state(3, 3.0)
     with pytest.raises(NotUnit):

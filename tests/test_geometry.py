@@ -152,6 +152,24 @@ def test_warp_closure_validation():
         WarpedSphere(3, lambda t: 0.5 * np.sin(t))  # f'(0) != 1
 
 
+@pytest.mark.parametrize("bad", [-0.5, 0.0, np.nan], ids=["negative", "zero", "nan"])
+def test_warp_must_be_positive_inside(bad):
+    # f <= 0 at one interior sample is not a metric, in either constructor form
+    t = np.linspace(0.0, np.pi, 161)
+    f_vals = np.sin(t)
+    f_vals[80] = bad
+    with pytest.raises(ValueError, match=r"positive inside \(0, L\), got f\(1\.5707"):
+        WarpedSphere(3, t=t, f_vals=f_vals)
+    with pytest.raises(ValueError, match="positive inside"):
+        WarpedSphere(3, lambda s: np.where(np.abs(s - np.pi / 2) < 1e-9, bad, np.sin(s)))
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+def test_round_sphere_radius_must_be_finite_positive(radius):
+    with pytest.raises(ValueError, match="0 < radius < inf"):
+        RoundSphere(3, radius)
+
+
 def test_warp_must_be_vectorized():
     # f is called once on the whole sample array, never point by point
     with pytest.raises(ValueError, match="array of its shape"):

@@ -14,7 +14,6 @@ from multipeak.radial import (
     moment_reduce,
     moment_weight,
     surface_area,
-    tail_power_integral,
 )
 
 from profile_oracles import fd_derivative
@@ -23,7 +22,7 @@ from profile_oracles import fd_derivative
 def upper_gamma_tail(c: float, a: float, b: float, R: float) -> float:
     """Closed form c * b^-(a+1) * Gamma(a+1) * Q(a+1, bR), needing a > -1.
 
-    An independent cross-check of tail_power_integral.
+    An independent cross-check of TailModel.integral.
     """
     s = a + 1.0
     if s <= 0:
@@ -193,7 +192,7 @@ def test_quadrature_polynomial_exactness():
 def test_tail_power_integral_matches_incomplete_gamma():
     # two independent closed forms for int_R^inf c r^a e^(-b r) dr
     for (c, a, b, R) in [(2.0, 3.0, 1.0, 8.0), (0.7, 0.5, 2.0, 5.0), (1.0, 4.0, 3.0, 12.0)]:
-        got = tail_power_integral(c, a, b, R)
+        got = TailModel(c, a, b).integral(R)
         ref = upper_gamma_tail(c, a, b, R)
         assert got == pytest.approx(ref, rel=1e-12)
 
@@ -201,7 +200,7 @@ def test_tail_power_integral_matches_incomplete_gamma():
 def test_tail_power_integral_negative_power():
     # a <= -1 is outside the incomplete-gamma form; check against quad
     ref, err = quad(lambda r: r ** (-1.0) * np.exp(-2.0 * r), 6.0, np.inf)
-    got = tail_power_integral(1.0, -1.0, 2.0, 6.0)
+    got = TailModel(1.0, -1.0, 2.0).integral(6.0)
     assert abs(got - ref) < 1e-12 + 10 * err
 
 
