@@ -13,9 +13,8 @@ import numpy as np
 
 from multipeak import correction_profiles, solve_ground_state, verify_L0_identities
 from multipeak.correction import (
+    equation_residual,
     operator_identity_check,
-    chi_equation_residual,
-    psi_equation_residual,
     v2base_identity_residual,
 )
 
@@ -41,8 +40,8 @@ print("\noperator identities")
 print(f"  weak  L0(U' r) = -2 Lap U      -> {ids['e1']:.3e}")
 print(f"  strong L0(U) = (2-p) U^(p-1)   -> {ids['e2']:.3e}")
 print(f"  weak  L0(v2base) = -U          -> {v2base_identity_residual(gs):.3e}")
-print(f"  midpoint psi equation          -> {psi_equation_residual(gs, cp.psi):.3e}")
-print(f"  midpoint chi equation          -> {chi_equation_residual(gs, cp.chi):.3e}")
+print(f"  midpoint psi equation          -> {equation_residual(gs, cp.psi, 'psi'):.3e}")
+print(f"  midpoint chi equation          -> {equation_residual(gs, cp.chi, 'chi'):.3e}")
 
 # full-dimension cross-check: FD Laplacian applied to psi(|z|) z1 z2 at
 # scattered points, no radial reduction anywhere on that code path

@@ -167,10 +167,12 @@ def _cached(path: Path, load, solve):
     return obj
 
 
-def _load_certified(path: Path) -> GroundState:
-    """The ground state stored at path; ValueError unless it is certified
-    and meets the energy identities to 1e-6."""
+def _load_certified(path: Path, n: int, p: float) -> GroundState:
+    """The ground state stored at path; ValueError unless it is of (n, p),
+    certified, and its profile meets the energy identities to 1e-6."""
     gs = GroundState.load(path)
+    if (gs.n, gs.p) != (n, p):
+        raise ValueError(f"cached ground state {path} was saved for another (n, p)")
     if not gs.certified:
         raise ValueError(f"cached ground state {path} is not certified")
     rep = identity_report(gs)
@@ -181,7 +183,8 @@ def _load_certified(path: Path) -> GroundState:
 
 def cached_ground_state(n: int, p: float, cache: Path) -> GroundState:
     """The certified ground state from the disk cache, or solved and stored."""
-    return _cached(_entry(cache, "gs", n, p), _load_certified, lambda: solve_ground_state(n, p))
+    return _cached(_entry(cache, "gs", n, p), lambda path: _load_certified(path, n, p),
+                   lambda: solve_ground_state(n, p))
 
 
 def cached_profiles(gs: GroundState, cache: Path) -> CorrectionProfiles:
@@ -330,6 +333,8 @@ def _default_centers(model, K: int):
 
 
 def cmd_energy_check(args) -> int:
+    """K-peak energy report; its residual_slopes are those of the
+    single-peak ansatz at the first centre, for K = 2 too."""
     if args.n is None or args.m is None:
         raise ValueError("energy-check needs --n and --m")
     n, m, K = args.n, args.m, args.K

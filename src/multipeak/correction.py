@@ -29,7 +29,7 @@ finite-difference check of the psi equation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,13 +43,20 @@ class SingularSystem(RuntimeError):
 
 @dataclass
 class CorrectionProfiles:
+    """psi and chi of gs with their discrete residuals; v2base and psi's
+    tail exponent are built from gs and psi at construction."""
+
     gs: GroundState
     psi: RadialFunction
     chi: RadialFunction
-    v2base: RadialFunction
     discrete_residual: float  # psi's, absolute
     chi_discrete_residual: float  # relative to max |chi|
-    tail_exponent: float  # psi's fitted log-slope
+    v2base: RadialFunction = field(init=False)
+    tail_exponent: float = field(init=False)  # psi's fitted log-slope
+
+    def __post_init__(self):
+        self.v2base = build_v2base(self.gs)
+        self.tail_exponent = _tail_slope(self.gs, self.psi.values)
 
     def to_dict(self) -> dict:
         return {
@@ -66,7 +73,7 @@ class CorrectionProfiles:
 
     def save(self, path) -> None:
         """Store what only the solve can produce: node values, their spline
-        first derivatives and the solve's diagnostics.  `load` rebuilds the
+        first derivatives and the solve's residuals.  `load` rebuilds the
         rest from the ground state."""
         record = {
             "n": self.gs.n,
@@ -77,7 +84,6 @@ class CorrectionProfiles:
             "chi_d1": self.chi.d1.tolist(),
             "discrete_residual": self.discrete_residual,
             "chi_discrete_residual": self.chi_discrete_residual,
-            "tail_exponent": self.tail_exponent,
         }
         with open(path, "w") as fh:
             fh.write(json.dumps(record))
@@ -105,10 +111,8 @@ class CorrectionProfiles:
             gs=gs,
             psi=_profile(gs, "psi", arrays["psi_values"], arrays["psi_d1"]),
             chi=_profile(gs, "chi", arrays["chi_values"], arrays["chi_d1"]),
-            v2base=build_v2base(gs),
             discrete_residual=float(d["discrete_residual"]),
             chi_discrete_residual=float(d["chi_discrete_residual"]),
-            tail_exponent=float(d["tail_exponent"]),
         )
 
 
@@ -289,7 +293,7 @@ def _tail_slope(gs: GroundState, vals) -> float:
 
 
 def correction_profiles(gs: GroundState) -> CorrectionProfiles:
-    """Solve psi and chi, build v2base, and bundle them with diagnostics.
+    """Solve psi and chi and bundle them with their discrete residuals.
 
     psi's discrete residual is certified in absolute terms.  chi reaches ~300
     at (n, m) = (6, 3), where rounding alone leaves an absolute discrete
@@ -305,10 +309,8 @@ def correction_profiles(gs: GroundState) -> CorrectionProfiles:
         gs=gs,
         psi=_profile(gs, "psi", psi_vals, psi_d1),
         chi=_profile(gs, "chi", chi_vals, chi_d1),
-        v2base=build_v2base(gs),
         discrete_residual=resid,
         chi_discrete_residual=chi_resid,
-        tail_exponent=_tail_slope(gs, psi_vals),
     )
 
 
@@ -401,8 +403,9 @@ def v2base_identity_residual(gs: GroundState) -> float:
     return _weak_residuals(gs)[1]
 
 
-def _midpoint_residual(gs: GroundState, f: RadialFunction, name: str) -> float:
-    """Continuous residual of the named equation for f at cell midpoints."""
+def equation_residual(gs: GroundState, f: RadialFunction, name: str) -> float:
+    """Max residual of the named equation ("psi" or "chi") for f at the
+    midpoints of gs's grid cells, between the nodes the solve used."""
     ell, source, _ = _EQUATIONS[name]
     n, p = gs.n, gs.p
     nodes = gs.grid.nodes
@@ -412,16 +415,6 @@ def _midpoint_residual(gs: GroundState, f: RadialFunction, name: str) -> float:
     res = (-d2vals - (n - 1.0 + 2.0 * ell) * dvals / r + _dg(U, p) * vals
            - source(r, U, dU, p, n))
     return float(np.max(np.abs(res)))
-
-
-def psi_equation_residual(gs: GroundState, psi: RadialFunction) -> float:
-    """Continuous-equation residual of psi at cell midpoints (consistency)."""
-    return _midpoint_residual(gs, psi, "psi")
-
-
-def chi_equation_residual(gs: GroundState, chi: RadialFunction) -> float:
-    """Continuous-equation residual of chi at cell midpoints (consistency)."""
-    return _midpoint_residual(gs, chi, "chi")
 
 
 def operator_identity_check(gs: GroundState, psi: RadialFunction) -> float:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 from operator import mul
 
@@ -65,7 +65,7 @@ class TailTooShort(RuntimeError):
 # the cached records (GroundState.to_dict and CorrectionProfiles.save), bumped
 # when their keys change
 SOLVER = {"bracket_rtol": 1e-6, "certify_delta": 1e-12, "n_nodes": 4000, "r_cap": 60.0}
-SCHEMA = 4
+SCHEMA = 5
 
 
 def solve_ivp(*args, **kwargs):
@@ -301,12 +301,15 @@ def bracket_amplitude(n: int, p: float):
 
 @dataclass
 class GroundState:
+    """U's profile and its solve's record.  I1, I2 and Ip, the integrals of
+    |U'|^2, U^2 and |U|^p, are computed from the profile at construction."""
+
     n: int
     p: float
     profile: RadialFunction
-    I1: float
-    I2: float
-    Ip: float
+    I1: float = field(init=False)
+    I2: float = field(init=False)
+    Ip: float = field(init=False)
     bracket_width: float = np.nan
     certified: bool = True
     # solver diagnostics: bisection and certification shots, Newton steps of
@@ -315,6 +318,9 @@ class GroundState:
     certify_shots: int = 0
     newton_steps: int = 0
     match_mismatch: float = np.nan
+
+    def __post_init__(self):
+        self.I1, self.I2, self.Ip = _energy_ledger(self.profile, self.n, self.p)
 
     @property
     def grid(self) -> RadialGrid:
@@ -365,9 +371,6 @@ class GroundState:
             n=n,
             p=p,
             profile=profile,
-            I1=float(d["I1"]),
-            I2=float(d["I2"]),
-            Ip=float(d["Ip"]),
             bracket_width=float(d["bracket_width"]),
             certified=bool(d["certified"]),
             bracket_shots=int(d["bracket_shots"]),
@@ -647,15 +650,10 @@ def solve_ground_state(n: int, p: float) -> GroundState:
         raise NoBracket("polished profile lost monotonicity")
     d1 = np.minimum(d1, 0.0)
     c_u = _fit_decay(grid.nodes, values, d1, n, float(values[0]))
-    profile = _node_profile(grid, values, d1, n, p, c_u)
-    I1, I2, Ip = _energy_ledger(profile, n, p)
     return GroundState(
         n=n,
         p=p,
-        profile=profile,
-        I1=I1,
-        I2=I2,
-        Ip=Ip,
+        profile=_node_profile(grid, values, d1, n, p, c_u),
         bracket_width=2.0 * half,
         bracket_shots=bracket_shots,
         certify_shots=2,

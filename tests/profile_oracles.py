@@ -21,7 +21,6 @@ from multipeak.groundstate import (
     GroundState,
     TailTooShort,
     _check_exponent,
-    _energy_ledger,
     _fit_decay,
     _node_profile,
     _radial_ode,
@@ -80,9 +79,8 @@ def shoot_profile(n: int, p: float, u0: float, r_max: float = 20.0) -> GroundSta
     yv = sol.sol(np.clip(grid.nodes, _R0, r_end))
     values, d1 = yv[0], yv[1]
     d1[0] = 0.0
-    profile = _node_profile(grid, values, d1, n, p, 0.0)
-    I1, I2, Ip = _energy_ledger(profile, n, p)
-    return GroundState(n=n, p=p, profile=profile, I1=I1, I2=I2, Ip=Ip, certified=False)
+    return GroundState(n=n, p=p, profile=_node_profile(grid, values, d1, n, p, 0.0),
+                       certified=False)
 
 
 def truncate(gs: GroundState, r_max: float) -> GroundState:
@@ -99,11 +97,7 @@ def truncate(gs: GroundState, r_max: float) -> GroundState:
     d1 = gs.profile.d1[keep]
     c_u = _fit_decay(grid.nodes, values, d1, gs.n, float(values[0]))
     profile = _node_profile(grid, values, d1, gs.n, gs.p, c_u)
-    I1, I2, Ip = _energy_ledger(profile, gs.n, gs.p)
-    return GroundState(
-        n=gs.n, p=gs.p, profile=profile, I1=I1, I2=I2, Ip=Ip,
-        bracket_width=gs.bracket_width,
-    )
+    return GroundState(n=gs.n, p=gs.p, profile=profile, bracket_width=gs.bracket_width)
 
 
 def inverse(gs: GroundState, value: float) -> float:

@@ -9,7 +9,7 @@ import pytest
 from conftest import checkout_env
 from multipeak import cli
 from multipeak.cli import parse_args
-from multipeak.constants import CSV_COLUMNS
+from multipeak.constants import CSV_COLUMNS, product_exponent
 from multipeak.groundstate import GroundState
 
 @pytest.fixture(scope="session")
@@ -337,10 +337,12 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     (entry,) = cache.glob("gs-*.json")
     good = entry.read_text()
     record = json.loads(good)
-    record["I1"] *= 1.01  # readable, but the energy identities fail
+    # readable, but the loaded profile fails the energy identities
+    record["values"] = [1.01 * v for v in record["values"]]
     for bad in (good[: len(good) // 2], json.dumps(record)):
         entry.write_text(bad)
-        assert run_cli(*argv).stdout == first
+        same = run_cli(*argv).stdout == first  # no diff of two long texts
+        assert same
         assert entry.read_text() == good
 
     # the correction profiles stored beside it: truncated, or an array short
@@ -352,8 +354,23 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     record["chi_d1"] = record["chi_d1"][:-1]
     for bad in (good[: len(good) // 2], json.dumps(record)):
         entry.write_text(bad)
-        assert run_cli(*argv).stdout == first
+        same = run_cli(*argv).stdout == first
+        assert same
         assert entry.read_text() == good
+
+
+def test_entry_of_another_ground_state_is_a_miss(tmp_path):
+    # a sound, certified (4, 3) entry under the (3, 3) name is replaced
+    cache = tmp_path / "cache"
+    argv = ("ground-state", "--n", "3", "--m", "3", "--cache-dir", str(cache))
+    first = run_cli(*argv).stdout
+    entry = cli._entry(cache, "gs", 3, 3.0)
+    good = entry.read_text()
+    run_cli("ground-state", "--n", "4", "--m", "3", "--cache-dir", str(cache))
+    entry.write_text(cli._entry(cache, "gs", 4, product_exponent(4, 3)).read_text())
+    same = run_cli(*argv).stdout == first
+    assert same
+    assert entry.read_text() == good
 
 
 def test_writers_sharing_a_cache_keep_their_own_files(tmp_path, monkeypatch):
@@ -420,10 +437,26 @@ def test_cache_is_content_addressed(cache_dir, tmp_path):
             "--cache-dir", cache_dir, "--out", str(tmp_path / "a.json"))
     import pathlib
 
-    entries = sorted(pathlib.Path(cache_dir).glob("gs-*.json"))
-    assert entries
-    doc = json.loads(entries[0].read_text())
+    entry = cli._entry(pathlib.Path(cache_dir), "gs", 3, 3.0)
+    doc = json.loads(entry.read_text())
     assert doc["n"] == 3
+
+
+def test_record_keys_are_pinned_with_the_schema(corrections, tmp_path):
+    # the cache key hashes SCHEMA: a change to either record's keys bumps it,
+    # so no entry of the old layout is read under the new one
+    cp = corrections(3, 3.0)
+    cp.save(tmp_path / "cp.json")
+    assert cli.SCHEMA == 5
+    assert set(cp.gs.to_dict()) == {
+        "n", "p", "u0", "decay_c", "grid", "values", "values_d1", "I1", "I2", "Ip",
+        "certified", "bracket_width", "bracket_shots", "certify_shots", "newton_steps",
+        "match_mismatch",
+    }
+    assert set(json.loads((tmp_path / "cp.json").read_text())) == {
+        "n", "p", "psi_values", "psi_d1", "chi_values", "chi_d1", "discrete_residual",
+        "chi_discrete_residual",
+    }
 
 
 # the six invocations of criterion 10
@@ -446,7 +479,8 @@ def test_reruns_are_byte_identical(cache_dir, tmp_path, argv):
     a, b = tmp_path / "a.out", tmp_path / "b.out"
     run_cli(*argv, "--cache-dir", cache_dir, "--out", str(a))
     run_cli(*argv, "--cache-dir", cache_dir, "--out", str(b))
-    assert a.read_bytes() == b.read_bytes()
+    same = a.read_bytes() == b.read_bytes()
+    assert same
 
 
 @CRITERION_10
@@ -456,4 +490,5 @@ def test_config_file_equals_command_line(cache_dir, tmp_path, argv):
     cfg.write_text("".join(f"{k[2:].replace('-', '_')} = {v}\n"
                            for k, v in zip(flags[::2], flags[1::2])))
     direct = run_cli(*argv, "--cache-dir", cache_dir).stdout
-    assert run_cli(command, "--config", str(cfg), "--cache-dir", cache_dir).stdout == direct
+    same = run_cli(command, "--config", str(cfg), "--cache-dir", cache_dir).stdout == direct
+    assert same

@@ -5,10 +5,9 @@ from multipeak.constants import product_exponent
 from multipeak.correction import (
     CorrectionProfiles,
     build_v2base,
-    chi_equation_residual,
     correction_profiles,
+    equation_residual,
     operator_identity_check,
-    psi_equation_residual,
     v2base_identity_residual,
     verify_L0_identities,
 )
@@ -65,7 +64,7 @@ def test_psi_midpoint_equation_residual(corrections):
     gs = solve_ground_state(3, 3.0)
     cp = corrections(3, 3.0)
     # 7.7e-5 in the first cell without the origin re-derivation
-    assert psi_equation_residual(gs, cp.psi) < 3e-5
+    assert equation_residual(gs, cp.psi, "psi") < 3e-5
 
 
 def test_chi_midpoint_equation_residual(corrections):
@@ -73,7 +72,7 @@ def test_chi_midpoint_equation_residual(corrections):
     # own value the first cell's residual is 1.5e-4
     gs = solve_ground_state(3, 3.0)
     cp = corrections(3, 3.0)
-    assert chi_equation_residual(gs, cp.chi) < 1e-5
+    assert equation_residual(gs, cp.chi, "chi") < 1e-5
     assert cp.chi_discrete_residual < 1e-8
     assert cp.chi.d1[0] == 0.0
     assert len(cp.to_dict()["chi_values"]) == len(cp.chi.grid.nodes)
