@@ -31,11 +31,13 @@ from multipeak import (
     energy_J,
     energy_coefficient_fit,
     gamma,
+    one_peak_ladder,
     phi,
     residual_norm,
     residual_slopes,
     solve_ground_state,
 )
+from multipeak.energy import SLOPE_LADDER
 from multipeak.radial import Quadrature, surface_area
 
 gs = solve_ground_state(3, 3.0)
@@ -46,14 +48,15 @@ center = model.point(0.6)
 s = model.curvature_at().s
 
 # ---- one peak: coefficient ladder fit -------------------------------
-fit = energy_coefficient_fit(model, gs, cp, dc, center=center)
+fit = energy_coefficient_fit(one_peak_ladder(model, gs, cp, dc, center), dc.alpha)
 print("single peak on the unit 3-sphere")
 print(f"  fitted eps^2 coefficient = {fit['eps2_coeff']:.6f}")
 print(f"  closed form (beta/2) s   = {0.5 * dc.beta * s:.6f}")
 print(f"  fitted eps^4 coefficient = {fit['eps4_coeff']:.6f}")
 print(f"  assembled phi            = {phi(model.curvature_at(), dc):.6f}")
 
-far = energy_coefficient_fit(model, gs, cp, dc, center=center, cutoff_r=2.5)
+far = energy_coefficient_fit(one_peak_ladder(model, gs, cp, dc, center, cutoff_r=2.5),
+                             dc.alpha)
 print(f"  fitted at cutoff 2.5     = {far['eps4_coeff']:.6f}")
 
 # direct quadrature of the same order: plain-bump part plus the
@@ -76,7 +79,7 @@ print(f"  direct quadrature        = {phi_W + F4:.6f}"
       f"   (plain bump {phi_W:.4f} + correction {F4:.4f})")
 
 # ---- residual scaling ------------------------------------------------
-sl = residual_slopes(model, gs, cp, dc, center=center)
+sl = residual_slopes(one_peak_ladder(model, gs, cp, dc, center, eps_ladder=SLOPE_LADDER))
 print("\nresidual scaling (dual norm of the equation defect)")
 print(f"  plain bump  W: slope {sl['W_slope']:.4f}  r2 {sl['W_r2']:.6f}")
 print(f"  corrected   Y: slope {sl['Y_slope']:.4f}  r2 {sl['Y_r2']:.6f}")

@@ -33,6 +33,7 @@ from .energy import (
     energy_coefficient_fit,
     expansion_compare,
     norm_eps,
+    one_peak_ladder,
     residual_norm,
     residual_slopes,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "gamma",
     "identity_report",
     "norm_eps",
+    "one_peak_ladder",
     "phi",
     "product_exponent",
     "residual_norm",

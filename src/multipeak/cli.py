@@ -52,6 +52,7 @@ from .energy import (
     energy_coefficient_fit,
     expansion_compare,
     loglog_slope,
+    one_peak_ladder,
     residual_norm,
     residual_slopes,
 )
@@ -333,8 +334,8 @@ def _default_centers(model, K: int):
 
 
 def cmd_energy_check(args) -> int:
-    """K-peak energy report; its residual_slopes are those of the
-    single-peak ansatz at the first centre, for K = 2 too."""
+    """K-peak energy report; one single-peak ladder at the first centre gives
+    its residual_slopes, for K = 2 too, and for K = 1 its rungs and fit."""
     if args.n is None or args.m is None:
         raise ValueError("energy-check needs --n and --m")
     n, m, K = args.n, args.m, args.K
@@ -352,15 +353,16 @@ def cmd_energy_check(args) -> int:
         e1[0] = 1.0
         gamma_value = gamma(gs, e1).value
 
+    ladder = one_peak_ladder(model, gs, cp, dc, centers[0], eps_ladder=eps_ladder)
     per_eps = []
     rem_abs = []
-    for eps in eps_ladder:
+    for eps, (W, Y) in zip(eps_ladder, ladder):
         config = PeakConfig(epsilon=eps, centers=list(centers), cutoff_r=1.2)
         ok, margin = admissible(model, config, gs, rho=args.rho)
-        Y = build_Y(model, config, gs, profiles=cp, dc=dc)
+        if K >= 2:
+            W = build_W(model, config, gs, c_bold=dc.c_bold)
+            Y = build_Y(model, config, gs, profiles=cp, dc=dc)
         bd = expansion_compare(model, Y, dc, gamma_value=gamma_value)
-        res_w = residual_norm(model, build_W(model, config, gs, c_bold=dc.c_bold))
-        res_y = residual_norm(model, Y)
         rem_abs.append(abs(bd.remainder))
         per_eps.append(
             {
@@ -368,15 +370,13 @@ def cmd_energy_check(args) -> int:
                 "admissible": bool(ok),
                 "margin": margin,
                 "breakdown": asdict(bd),
-                "residual_W": res_w,
-                "residual_Y": res_y,
+                "residual_W": residual_norm(model, W),
+                "residual_Y": residual_norm(model, Y),
                 "remainder_over_eps4": bd.remainder / eps ** 4,
             }
         )
 
-    slopes = residual_slopes(
-        model, gs, cp, dc, center=centers[0], eps_ladder=eps_ladder
-    )
+    slopes = residual_slopes(ladder)
     notes = []
     try:
         rem_slope, rem_r2 = loglog_slope(eps_ladder, rem_abs)
@@ -396,9 +396,7 @@ def cmd_energy_check(args) -> int:
     }
     if K == 1:
         try:
-            fit = energy_coefficient_fit(
-                model, gs, cp, dc, center=centers[0], eps_ladder=eps_ladder
-            )
+            fit = energy_coefficient_fit(ladder, dc.alpha)
         except LadderTooShort:
             notes.append("coefficient fit skipped: needs >= 4 distinct epsilon values")
         else:

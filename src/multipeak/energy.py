@@ -13,30 +13,28 @@ terms of several peaks; both are exact decompositions, so the breakdown
 remainder is honest measurement error plus higher expansion orders.
 
 energy_J, norm_eps and residual_norm read one measurement of the ansatz,
-_measure, which gives J, the squared norm and the residual norm together.
-A bump has one evaluation, PeakAnsatz.bump(d): (G, G', G'') at the
-distances d.  The passes below take the ansatz alone and read its model
-from it.  The single-peak terms come from _polar_pass: one evaluation of
-the bump on the polar nodes, which all lie inside its support, integrated
-against their weights and measure.  The single-peak term does not depend
-on the center on these models, so it is computed once and counted K
-times.  For several peaks, _great_circle gives the SupportGrid: the
-(theta, phi) nodes of the sphere's great-circle grid that lie within
-cutoff_r of some center, with the distance to every center and the
-measure on those nodes only.  Every integrand is exactly 0 on the nodes
-it drops.  The grid is built once per (sphere, centers, eps, cutoff) and
-kept in a one-entry cache.  _field_pass cuts its nodes into blocks of
-_BUMP_BLOCK, whose temporaries stay in cache, evaluates each bump there
-once as (G, G', Lap G), and fills the densities of J's cross terms, the
-norm's cross terms and the residual of the whole sum, which does not
-split into single-peak terms.  The blocks are shared in a fixed stride
-between the calling thread and one helper thread per further usable
-core; each block writes only its own slice of the density arrays, which
-are then reduced whole, so the integrals are the same to the last bit on
-any number of cores.  The first measurement of an ansatz keeps the three
-integrals on the ansatz itself, so one rung of J, the norm and both
-residuals builds the grid once and runs one pass per ansatz.  An ansatz
-answers only for the model it was built on.
+_measure, which gives J, the squared norm and the residual norm together
+and keeps them on the ansatz, so each pass runs once per ansatz.  A bump
+has one evaluation, PeakAnsatz.bump(d): (G, G', G'') at the distances d.
+The passes below take the ansatz alone and read its model from it.  The
+single-peak terms come from _polar_pass: one evaluation of the bump on
+the polar nodes, which all lie inside its support, integrated against
+their weights and measure.  The single-peak term does not depend on the
+center on these models, so it is computed once and counted K times.  For
+several peaks, _great_circle gives the SupportGrid: the (theta, phi)
+nodes of the sphere's great-circle grid that lie within cutoff_r of some
+center, with the distance to every center and the measure on those nodes
+only.  Every integrand is exactly 0 on the nodes it drops.  The grid is
+built once per (sphere, centers, eps, cutoff) and kept in a one-entry
+cache.  _field_pass cuts its nodes into blocks of _BUMP_BLOCK, whose
+temporaries stay in cache, evaluates each bump there once as (G, G',
+Lap G), and fills the densities of J's cross terms, the norm's cross
+terms and the residual of the whole sum, which does not split into
+single-peak terms.  The blocks are shared in a fixed stride between the
+calling thread and one helper thread per further usable core; each block
+writes only its own slice of the density arrays, which are then reduced
+whole, so the integrals are the same to the last bit on any number of
+cores.  An ansatz answers only for the model it was built on.
 
 Past cutoff_r the cutoff makes G, G' and G'' exactly 0, so _field_pass
 evaluates a bump on its support d < cutoff_r only and leaves the exact
@@ -186,8 +184,8 @@ class PeakAnsatz:
     + c s U is the second-order residual of the plain bump.  All evaluation
     is through the blown-up radial profile and the model's distance function.
 
-    The first measurement of several peaks keeps their support-grid
-    integrals in _cross, so an ansatz is not mutated after it is measured.
+    The first measurement keeps J, the norm and the residual norm in
+    _measured, so an ansatz is not changed after it is measured.
     """
 
     def __init__(self, model, config: PeakConfig, gs: GroundState,
@@ -221,7 +219,7 @@ class PeakAnsatz:
         # Ricci eigenvalue over -3, Ric = (s/n) g: the sign that cancels
         # the metric part of the equation residual at second order
         self._ric_factor = -self.s_center / (3.0 * model.n)
-        self._cross = None  # _field_pass of the ansatz, filled by _measure
+        self._measured = None  # the ansatz's _Integrals, filled by _measure
 
     @property
     def K(self) -> int:
@@ -571,24 +569,25 @@ def _measure(model, ansatz: PeakAnsatz) -> _Integrals:
 
     The single-peak terms come from one polar pass and are counted K
     times; for K >= 2 the cross terms of J and the norm, and the residual
-    of the whole sum, which does not separate, come from the support grid;
-    the first measurement runs that pass and keeps it in ansatz._cross.  The
-    polar pass is cheap, so it runs every time.  Several peaks are only
+    of the whole sum, which does not separate, come from the support grid.
+    The first call runs those passes and keeps the result in
+    ansatz._measured; every later call returns it.  Several peaks are only
     quadrated on the sphere.
     """
     if model != ansatz.model:
         raise ValueError(f"ansatz is built on {ansatz.model!r}, not on {model!r}")
+    if ansatz._measured is not None:
+        return ansatz._measured
     K = ansatz.K
     if K >= 2 and not isinstance(model, RoundSphere):
         raise UnsupportedModel("several peaks are only quadrated on the sphere")
     J, norm, residual = _polar_pass(ansatz)
     if K >= 2:
-        if ansatz._cross is None:
-            ansatz._cross = _field_pass(ansatz, _great_circle(ansatz))
-        cross = ansatz._cross
+        cross = _field_pass(ansatz, _great_circle(ansatz))
         J, norm, residual = K * J + cross.J, K * norm + cross.norm, cross.residual
     pp = ansatz.gs.p / (ansatz.gs.p - 1.0)
-    return _Integrals(J, norm, residual ** (1.0 / pp))
+    ansatz._measured = _Integrals(J, norm, residual ** (1.0 / pp))
+    return ansatz._measured
 
 
 def energy_J(model, ansatz: PeakAnsatz) -> float:
@@ -657,23 +656,30 @@ COEFF_LADDER = (0.1, 0.085, 0.07, 0.055, 0.045, 0.035)
 SLOPE_LADDER = (0.1, 0.07, 0.05, 0.035)
 
 
-def energy_coefficient_fit(model, gs: GroundState, profiles: CorrectionProfiles,
-                           dc: DimensionalConstants, center, cutoff_r: float = 1.2,
-                           eps_ladder=COEFF_LADDER) -> dict:
-    """Fit (J(eps) - alpha)/eps^2 to a quadratic in eps^2 for one peak.
+def one_peak_ladder(model, gs: GroundState, profiles: CorrectionProfiles,
+                    dc: DimensionalConstants, center, cutoff_r: float = 1.2,
+                    eps_ladder=COEFF_LADDER) -> list:
+    """One (W, Y) pair per eps, the plain and the corrected peak at center,
+    built but not measured."""
+    ladder = []
+    for eps in eps_ladder:
+        config = PeakConfig(epsilon=float(eps), centers=[center], cutoff_r=cutoff_r)
+        ladder.append((build_W(model, config, gs, c_bold=dc.c_bold),
+                       build_Y(model, config, gs, profiles=profiles, dc=dc)))
+    return ladder
+
+
+def energy_coefficient_fit(ladder, alpha: float) -> dict:
+    """Fit (J(Y) - alpha)/eps^2 to a quadratic in eps^2 over a one-peak ladder.
 
     Returns the extracted eps^2 and eps^4 energy coefficients together with
     the raw ladder, so callers can judge the fit themselves.  Three basis
     terms need 4 distinct eps; with fewer it raises LadderTooShort.
     """
-    eps_ladder = tuple(float(e) for e in eps_ladder)
+    eps_ladder = tuple(Y.epsilon for _, Y in ladder)
     if np.unique(eps_ladder).size < 4:
         raise LadderTooShort("a coefficient fit needs at least 4 distinct epsilon values")
-    ys = []
-    for eps in eps_ladder:
-        config = PeakConfig(epsilon=eps, centers=[center], cutoff_r=cutoff_r)
-        J = energy_J(model, build_Y(model, config, gs, profiles=profiles, dc=dc))
-        ys.append((J - dc.alpha) / eps ** 2)
+    ys = [(energy_J(Y.model, Y) - alpha) / Y.epsilon ** 2 for _, Y in ladder]
     e0 = max(eps_ladder)
     x = np.array([(e / e0) ** 2 for e in eps_ladder])
     A = np.stack([np.ones_like(x), x, x * x], axis=1)
@@ -708,26 +714,19 @@ def loglog_slope(eps_ladder, values) -> tuple:
     return float(coef[0]), r2
 
 
-def residual_slopes(model, gs: GroundState, profiles: CorrectionProfiles,
-                    dc: DimensionalConstants, center, cutoff_r: float = 1.2,
-                    eps_ladder=SLOPE_LADDER) -> dict:
-    """Log-log residual decay rates of the plain and corrected ansatz.
+def residual_slopes(ladder) -> dict:
+    """Log-log residual decay rates of a one-peak ladder's W and Y.
 
     On a ladder with fewer than two distinct eps the slopes and their r2
     are None.
     """
-    eps_ladder = tuple(float(e) for e in eps_ladder)
-    vals = {"W": [], "Y": []}
-    for eps in eps_ladder:
-        config = PeakConfig(epsilon=eps, centers=[center], cutoff_r=cutoff_r)
-        W = build_W(model, config, gs, c_bold=dc.c_bold)
-        Y = build_Y(model, config, gs, profiles=profiles, dc=dc)
-        vals["W"].append(residual_norm(model, W))
-        vals["Y"].append(residual_norm(model, Y))
-    out = {"eps_ladder": eps_ladder, "W_values": vals["W"], "Y_values": vals["Y"]}
+    eps_ladder = tuple(W.epsilon for W, _ in ladder)
+    out = {"eps_ladder": eps_ladder,
+           "W_values": [residual_norm(W.model, W) for W, _ in ladder],
+           "Y_values": [residual_norm(Y.model, Y) for _, Y in ladder]}
     for key in ("W", "Y"):
         try:
-            out[f"{key}_slope"], out[f"{key}_r2"] = loglog_slope(eps_ladder, vals[key])
+            out[f"{key}_slope"], out[f"{key}_r2"] = loglog_slope(eps_ladder, out[f"{key}_values"])
         except LadderTooShort:
             out[f"{key}_slope"] = out[f"{key}_r2"] = None
     return out

@@ -19,10 +19,12 @@ from curvature_fd import curvature_reference, laplacian_s_reference
 from multipeak.constants import base_interaction, beta_table, gamma, product_exponent
 from multipeak.correction import operator_identity_check, verify_L0_identities
 from multipeak.energy import (
+    SLOPE_LADDER,
     PeakConfig,
     build_Y,
     energy_coefficient_fit,
     expansion_compare,
+    one_peak_ladder,
     residual_slopes,
 )
 from multipeak.geometry import RoundSphere, WarpedSphere, phi, scan_phi
@@ -96,7 +98,7 @@ def test_criterion_07_energy_expansion_single_peak(corrections, dimensional_cons
     center = model.point(0.6)
     s_val = model.curvature_at().s
 
-    fit = energy_coefficient_fit(model, gs, cp, dc, center=center)
+    fit = energy_coefficient_fit(one_peak_ladder(model, gs, cp, dc, center), dc.alpha)
     pred2 = 0.5 * dc.beta * s_val
     rel2 = abs(fit["eps2_coeff"] / pred2 - 1.0)
     ok_a = rel2 <= 0.01
@@ -129,7 +131,8 @@ def test_criterion_08_residual_order_improvement(corrections, dimensional_consta
     cp = corrections(3, 3.0)
     dc = dimensional_constants(3, 3)
     model = RoundSphere(3, 1.0)
-    sl = residual_slopes(model, gs, cp, dc, center=model.point(0.6))
+    sl = residual_slopes(one_peak_ladder(model, gs, cp, dc, model.point(0.6),
+                                         eps_ladder=SLOPE_LADDER))
     gain = sl["Y_slope"] - sl["W_slope"]
     assert sl["Y_slope"] >= 2.7 and gain >= 0.7, (
         f"corrected slope {sl['Y_slope']:.4f} (need >= 2.7), "

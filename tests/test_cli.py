@@ -170,6 +170,22 @@ def test_energy_check_single_peak_report(cache_dir, tmp_path):
     assert doc["residual_slopes"]["W_slope"] == pytest.approx(2.0, abs=0.2)
 
 
+def test_energy_check_fit_and_slopes_read_the_rungs(cache_dir, tmp_path):
+    # for K = 1 the fit and the slopes reduce the very ansatze of the rungs
+    out = tmp_path / "energy_rungs.json"
+    run_cli("energy-check", "--n", "3", "--m", "3", "--K", "1",
+            "--eps", "0.1,0.085,0.07,0.055,0.045,0.035",
+            "--cache-dir", cache_dir, "--out", str(out))
+    doc = json.loads(out.read_text())
+    rungs, fit, slopes = doc["per_eps"], doc["coefficient_fit"], doc["residual_slopes"]
+    assert fit["values"] == [
+        (pe["breakdown"]["J_measured"] - pe["breakdown"]["term_alpha"]) / pe["epsilon"] ** 2
+        for pe in rungs
+    ]
+    assert slopes["W_values"] == [pe["residual_W"] for pe in rungs]
+    assert slopes["Y_values"] == [pe["residual_Y"] for pe in rungs]
+
+
 def test_energy_check_short_ladder_skips_fit(cache_dir, tmp_path):
     # 3 basis terms: fewer than 4 rungs cannot support a fit
     out = tmp_path / "energy_short.json"

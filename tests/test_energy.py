@@ -10,6 +10,7 @@ from multipeak import energy
 from multipeak.constants import gamma, product_exponent
 from multipeak.energy import (
     COEFF_LADDER,
+    SLOPE_LADDER,
     InjectivityViolation,
     LadderTooShort,
     PeakAnsatz,
@@ -23,6 +24,7 @@ from multipeak.energy import (
     expansion_compare,
     loglog_slope,
     norm_eps,
+    one_peak_ladder,
     residual_norm,
     residual_slopes,
     smoothstep_cutoff,
@@ -509,6 +511,56 @@ def test_field_pass_memo_keys(state, field_passes):
     assert field_passes[-1] is Y2 and len(field_passes) == 4
 
 
+@pytest.fixture
+def polar_passes(monkeypatch):
+    """The ansatze of every _polar_pass run."""
+    calls = []
+    run = energy._polar_pass
+
+    def counted(ansatz):
+        calls.append(ansatz)
+        return run(ansatz)
+
+    monkeypatch.setattr(energy, "_polar_pass", counted)
+    return calls
+
+
+def _energy_check(tmp_path, *flags):
+    from multipeak import cli
+
+    out = tmp_path / "energy.json"
+    rc = cli.main(["energy-check", "--n", "3", "--m", "3", *flags,
+                   "--cache-dir", str(tmp_path / "cache"), "--out", str(out)])
+    assert rc == 0 and out.exists()
+
+
+def test_energy_check_measures_each_ansatz_once(polar_passes, field_passes, tmp_path):
+    # K = 1: the one-peak ladder's W and Y serve the rungs, the slopes and the fit
+    _energy_check(tmp_path, "--K", "1", "--eps", ",".join(map(str, COEFF_LADDER)))
+    assert len(polar_passes) == 12 == len(set(map(id, polar_passes)))
+    assert field_passes == []
+    # K = 2: the one-peak ladder for the slopes, and the pair's W and Y
+    polar_passes.clear()
+    _energy_check(tmp_path, "--K", "2", "--eps", "0.1,0.05")
+    assert len(polar_passes) == 8 == len(set(map(id, polar_passes)))
+    assert len(field_passes) == 4
+
+
+def test_fit_and_slopes_reduce_a_measured_ladder(state, polar_passes):
+    gs, cp, dc = state
+    ladder = one_peak_ladder(S3, gs, cp, dc, S3.point(0.6))
+    J = [energy_J(S3, Y) for _, Y in ladder]
+    res_W = [residual_norm(S3, W) for W, _ in ladder]
+    res_Y = [residual_norm(S3, Y) for _, Y in ladder]
+    measured = len(polar_passes)
+    fit = energy_coefficient_fit(ladder, dc.alpha)
+    sl = residual_slopes(ladder)
+    assert measured == 2 * len(COEFF_LADDER) == len(polar_passes)
+    assert fit["eps_ladder"] == sl["eps_ladder"] == COEFF_LADDER
+    assert fit["values"] == [(j - dc.alpha) / e ** 2 for j, e in zip(J, COEFF_LADDER)]
+    assert (sl["W_values"], sl["Y_values"]) == (res_W, res_Y)
+
+
 # ---------------------------------------------------------- admissibility
 
 
@@ -585,10 +637,10 @@ def test_norm_concentrates_to_flat_norm(state):
 
 def test_energy_quadrature_step_insensitive(state, monkeypatch):
     gs, _, _ = state
-    W = build_W(S3, _one_peak(0.05), gs)
-    J1 = energy_J(S3, W)
+    # a fresh W after the patch: W keeps its first measurement
+    J1 = energy_J(S3, build_W(S3, _one_peak(0.05), gs))
     monkeypatch.setattr(energy, "_RHO_STEP", 0.125)
-    J2 = energy_J(S3, W)
+    J2 = energy_J(S3, build_W(S3, _one_peak(0.05), gs))
     assert abs(J1 - J2) < 1e-10
 
 
@@ -670,7 +722,7 @@ def _fourth_order_prediction(gs, cp):
 
 def test_expansion_second_order_coefficient(state):
     gs, cp, dc = state
-    fit = energy_coefficient_fit(S3, gs, cp, dc, center=S3.point(0.6))
+    fit = energy_coefficient_fit(one_peak_ladder(S3, gs, cp, dc, S3.point(0.6)), dc.alpha)
     assert fit["eps2_coeff"] == pytest.approx(0.5 * dc.beta * SCAL, rel=1e-2)
     assert fit["fit_residual"] < 1e-2
 
@@ -681,9 +733,10 @@ def test_expansion_fourth_order_coefficient_matches_quadrature(state):
     # at cutoff 1.2 the ramp exp(-0.6/eps) still reaches the profile at
     # eps = 0.1 and 0.085, and the fit absorbs it (eps^6 coefficient +66);
     # at cutoff 2.5 it is below the fit's resolution (eps^6 coefficient -4)
-    far = energy_coefficient_fit(S3, gs, cp, dc, center=S3.point(0.6), cutoff_r=2.5)
+    far = energy_coefficient_fit(one_peak_ladder(S3, gs, cp, dc, S3.point(0.6), cutoff_r=2.5),
+                                 dc.alpha)
     assert far["eps4_coeff"] == pytest.approx(phi_W + F4, rel=2e-2)
-    fit = energy_coefficient_fit(S3, gs, cp, dc, center=S3.point(0.6))
+    fit = energy_coefficient_fit(one_peak_ladder(S3, gs, cp, dc, S3.point(0.6)), dc.alpha)
     assert fit["eps4_coeff"] == pytest.approx(-7.3526, rel=1e-3)
 
 
@@ -720,7 +773,7 @@ def test_residual_scaling_states_the_defect(state):
     # the (2/3) s psi defect, whose dual norm exceeds the plain one: both
     # residuals scale like eps^2 and their ratio sits near nD/nS
     gs, cp, dc = state
-    sl = residual_slopes(S3, gs, cp, dc, center=S3.point(0.6))
+    sl = residual_slopes(one_peak_ladder(S3, gs, cp, dc, S3.point(0.6), eps_ladder=SLOPE_LADDER))
     psi_vals = [
         residual_norm(S3, _PsiCorrectedAnsatz(S3, _one_peak(eps), gs,
                                               c_bold=dc.c_bold, profiles=cp))
