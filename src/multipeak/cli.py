@@ -362,7 +362,7 @@ def cmd_energy_check(args) -> int:
         if K >= 2:
             W = build_W(model, config, gs, c_bold=dc.c_bold)
             Y = build_Y(model, config, gs, profiles=cp, dc=dc)
-        bd = expansion_compare(model, Y, dc, gamma_value=gamma_value)
+        bd = expansion_compare(Y, dc, gamma_value=gamma_value)
         rem_abs.append(abs(bd.remainder))
         per_eps.append(
             {

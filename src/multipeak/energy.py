@@ -617,14 +617,15 @@ class EnergyBreakdown:
     remainder: float
 
 
-def expansion_compare(model, ansatz: PeakAnsatz, dc: DimensionalConstants,
+def expansion_compare(ansatz: PeakAnsatz, dc: DimensionalConstants,
                       gamma_value: float = None) -> EnergyBreakdown:
-    """Measured energy of the ansatz against the explicit expansion terms.
+    """Measured energy of the ansatz against the explicit expansion terms,
+    with curvature and distances read from the ansatz's model.
 
     remainder = J_measured - alpha - beta - phi - interaction, exactly.
     """
+    model, config, gs = ansatz.model, ansatz.config, ansatz.gs
     J = energy_J(model, ansatz)
-    config, gs = ansatz.config, ansatz.gs
     eps = config.epsilon
     term_alpha = config.K * dc.alpha
     term_beta = 0.0

@@ -6,9 +6,7 @@ The unique positive decreasing solution is found in three stages:
    value u0, using the series start U(r) = a + (a - a^(p-1)) r^2 / (2n) +
    O(r^4) and the classification "crosses zero" (a too large) versus "turns
    back upward" (a too small), down to a relative width of
-   SOLVER["bracket_rtol"].  A shot is scipy's DOP853 run as a step loop on
-   Python floats (_dop853_classify), which classifies as solve_ivp with two
-   terminal events does at a fraction of its per-step cost;
+   SOLVER["bracket_rtol"];
 2. matched two-sided integration from the bracket's midpoint: a forward pass
    from the series start and a backward pass seeded by the asymptotic
    far-field series meet at a matching radius inside the stable window of
@@ -16,17 +14,18 @@ The unique positive decreasing solution is found in three stages:
    value and slope mismatch to the integrator noise floor.  Backward
    integration is stable for the decaying solution, so this extends the
    profile to where U < 1e-13 * u0 without the exponential error blowup of
-   pure shooting, and the interpolant satisfies the ODE to ~1e-11 pointwise
-   between nodes.  The backward pass starts past a provisional r_max taken
+   pure shooting.  The backward pass starts past a provisional r_max taken
    from the forward pass; the grid ends at the r_max of the matched tail
-   constant;
+   constant, and its node data are read from the septic Hermite profile
+   through the matched passes' own step points;
 3. certification: the matched amplitude a must lie inside the coarse
-   bracket, and two independent shots of stage 1's loop at
-   a (1 -/+ SOLVER["certify_delta"]) must turn back and cross zero.  Those
-   two shots are the certified bracket, of width 2 * certify_delta * a.
+   bracket, and two independent shots of stage 1 at a (1 -/+
+   SOLVER["certify_delta"]) must turn back and cross zero.  Those two shots
+   are the certified bracket, of width 2 * certify_delta * a.
 
-Only stage 2 integrates through solve_ivp: its dense interpolants are the
-stored profile.
+Every shot and pass is scipy's DOP853 run as a step loop on Python floats
+(solve_ivp here), which steps as scipy's solve_ivp does at a fraction of its
+per-step cost; scipy is read only for the method's tableau.
 
 The far field obeys U(r) ~ c r^(-(n-1)/2) e^(-r); the constant c is fitted
 twice (from U and from U') with 1/r intercept extrapolation and the two fits
@@ -42,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cache, partial
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,22 +63,9 @@ class TailTooShort(RuntimeError):
 # solver settings (relative width of the bisection bracket, relative offset of
 # the two certification shots, grid nodes, largest r_max) and the version of
 # the cached records (GroundState.to_dict and CorrectionProfiles.save), bumped
-# when their keys change
+# when the records or the solve that writes them change
 SOLVER = {"bracket_rtol": 1e-6, "certify_delta": 1e-12, "n_nodes": 4000, "r_cap": 60.0}
-SCHEMA = 5
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported at the first solve.
-
-    Importing scipy.integrate costs more than a warm CLI command does, so
-    only a cold solve pays for it.  Only the two-sided matching calls it (the
-    shots run in _dop853_classify), through this module attribute, which
-    lets a caller rebind it (e.g. to count integrations).
-    """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(*args, **kwargs)
+SCHEMA = 6
 
 
 def critical_exponent(n: int) -> float:
@@ -139,7 +126,9 @@ def _shoot(a: float, n: int, p: float, rtol: float = 1e-12) -> str:
     crosses zero (a too large), 'turn' when U' turns positive (a too small).
     A shot that survives the whole window is numerically on the separatrix
     and counts as 'turn'."""
-    return _dop853_classify(partial(_radial_ode, n, p), _series_start(a, n, p, _R0), rtol)
+    start = _series_start(a, n, p, _R0)
+    status = solve_ivp(partial(_radial_ode, n, p), _R0, start, _R_END, rtol, 1e-16).status
+    return "cross" if status == "cross" else "turn"
 
 
 # step-size control of scipy's Runge-Kutta solvers; DOP853's error estimator
@@ -153,7 +142,7 @@ def _dop853_tableau():
     """scipy's DOP853 tableau as float tuples (C, A, B, E5, E3), C and A
     without the first stage's row.
 
-    Read at the first shot, not at import: the warm CLI path imports no scipy.
+    Read at the first pass, not at import: the warm CLI path imports no scipy.
     """
     from scipy.integrate._ivp import dop853_coefficients as dc
 
@@ -171,54 +160,73 @@ def _rms(x: float, y: float) -> float:
     return math.sqrt(x * x + y * y) / math.sqrt(2.0)
 
 
-def _dop853_classify(fun, y, rtol: float) -> str:
-    """DOP853 from y at _R0 toward _R_END, stopped at the first sign change.
+class _Pass(NamedTuple):
+    """How a solve_ivp pass ended ('cross', 'turn' or 'end'), its accepted
+    steps' (r, U, U') from the start on, and its right-hand-side calls."""
 
-    Returns 'cross' when y[0] goes from >= 0 to <= 0 over a step, 'turn' when
-    y[1] goes from <= 0 to >= 0 or the window ends.  This is what
-    solve_ivp(fun, (_R0, _R_END), y, method="DOP853", rtol=rtol, atol=1e-16)
-    with those two terminal events does, step for step (Hairer, Norsett and
-    Wanner, Solving ODEs I, II.10): the same tableau, first step, error norm
-    and step control, on Python floats instead of numpy arrays of length 2,
-    whose per-step overhead is most of a solve_ivp shot.  Stage and error
-    sums round differently from numpy's dot, so step sizes can differ where
-    the error estimate is at rounding level.  Where solve_ivp would root-find
-    both events inside one step, the step is halved until they part.
-    fun(r, y) returns the derivative pair, as for solve_ivp.
+    status: str
+    steps: list
+    nfev: int
+
+
+def solve_ivp(fun, r0: float, y, r_end: float, rtol: float, atol: float) -> _Pass:
+    """DOP853 from y at r0 toward r_end, either way, stopped at the first
+    sign change.
+
+    The status is 'cross' when y[0] goes from >= 0 to <= 0 over a step,
+    'turn' when y[1] goes from <= 0 to >= 0, and 'end' at r_end.  This is
+    what scipy's solve_ivp(fun, (r0, r_end), y, method="DOP853", rtol=rtol,
+    atol=atol) with those two terminal events does, step for step (Hairer,
+    Norsett and Wanner, Solving ODEs I, II.10): the same tableau, first step,
+    error norm and step control, on Python floats instead of numpy arrays of
+    length 2, whose per-step overhead is most of a scipy pass.  Stage and
+    error sums round differently from numpy's dot, so step sizes can differ
+    where the error estimate is at rounding level.  Where scipy would
+    root-find both events inside one step, the step is halved until they
+    part.  fun(r, y) returns the derivative pair, as for scipy.
+
+    It is the module's only integrator and takes scipy's name so that a
+    caller can rebind it to count integrations (the benchmark's tracer
+    does); every pass looks it up at call time.
 
     Raises ValueError for a non-finite start, and NoBracket when the step
-    falls below 10 spacings of r (solve_ivp's status -1).
+    falls below 10 spacings of r (scipy's status -1).
     """
     C, A, B, E5, E3 = _dop853_tableau()
-    atol, r, r_end = 1e-16, _R0, _R_END
+    sign, r = math.copysign(1.0, r_end - r0), r0
     u, du = y
     if not (math.isfinite(u) and math.isfinite(du)):
-        raise ValueError(f"shot start (U, U') = ({u!r}, {du!r}) is not finite")
+        raise ValueError(f"pass start (U, U') = ({u!r}, {du!r}) is not finite")
+    steps = [(r, u, du)]
     fu, fd = fun(r, (u, du))
 
     # first step, as scipy's select_initial_step for error order 7
     su, sd = atol + abs(u) * rtol, atol + abs(du) * rtol
     d0, d1 = _rms(u / su, du / sd), _rms(fu / su, fd / sd)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, r_end - r)
-    gu, gd = fun(r + h0, (u + h0 * fu, du + h0 * fd))
+    h0 = min(h0, abs(r_end - r))
+    gu, gd = fun(r + sign * h0, (u + sign * h0 * fu, du + sign * h0 * fd))
     d2 = _rms((gu - fu) / su, (gd - fd) / sd) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (-_ERROR_EXPONENT)
-    h_abs = min(100.0 * h0, h1, r_end - r)
+    h_abs = min(100.0 * h0, h1, abs(r_end - r))
+    trials = 0
 
     while True:
-        min_step = 10.0 * (math.nextafter(r, math.inf) - r)
+        min_step = 10.0 * abs(math.nextafter(r, sign * math.inf) - r)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             # "not >=" also stops a NaN step size
             if not h_abs >= min_step:
-                raise NoBracket(f"shot step fell below {min_step:.1e} at r = {r!r}")
-            r_new = min(r + h_abs, r_end)
+                raise NoBracket(f"pass step fell below {min_step:.1e} at r = {r!r}")
+            r_new = r + sign * h_abs
+            if sign * (r_new - r_end) > 0.0:
+                r_new = r_end
             h = r_new - r
+            trials += 1
             ku, kd = [fu], [fd]
             for c, row in zip(C, A):
                 fs = fun(r + c * h, (u + sum(map(mul, row, ku)) * h,
@@ -239,13 +247,13 @@ def _dop853_classify(fun, y, rtol: float) -> str:
             if e5 == 0.0 and e3 == 0.0:
                 error_norm = 0.0
             else:
-                error_norm = h * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
+                error_norm = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
 
             if error_norm < 1.0:
                 cross = u >= 0.0 and u_new <= 0.0
                 turn = du <= 0.0 and du_new >= 0.0
                 if cross and turn:
-                    h_abs = 0.5 * h
+                    h_abs = 0.5 * abs(h)
                     rejected = True
                     continue
                 if error_norm == 0.0:
@@ -254,15 +262,16 @@ def _dop853_classify(fun, y, rtol: float) -> str:
                     factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
                 if rejected:
                     factor = min(1.0, factor)
-                h_abs = h * factor
+                h_abs = abs(h) * factor
                 break
-            h_abs = h * max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            h_abs = abs(h) * max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
 
-        if cross:
-            return "cross"
-        if turn or r_new == r_end:
-            return "turn"
+        steps.append((r_new, u_new, du_new))
+        if cross or turn or r_new == r_end:
+            status = "cross" if cross else "turn" if turn else "end"
+            # scipy's count: f at the start, one Euler probe, 12 per trial
+            return _Pass(status, steps, 2 + 12 * trials)
         r, u, du, fu, fd = r_new, u_new, du_new, fu_new, fd_new
 
 
@@ -474,31 +483,29 @@ def _match_two_sided(n: int, p: float, a0: float):
     slope continuity at _R_MATCH.  The backward pass starts at r_start, past
     the tail radius of the constant that the first forward pass gives at
     _R_MATCH, so that the tail radius of the matched constant lies inside it.
-    Returns (a, c, fwd_sol, bwd_sol, newton_steps, mismatch) with dense
-    interpolants covering [_R0, _R_MATCH] and [_R_MATCH, r_start]; mismatch
-    is the accepted relative value/slope mismatch.
+    Every pass must reach _R_MATCH with no sign change of U or U'.  Returns
+    (a, c, matched, newton_steps, mismatch): matched is the profile on [0,
+    r_start] through the matched passes' step points, the forward pass's up
+    to _R_MATCH, and mismatch is the accepted relative value/slope mismatch.
     """
     coeffs = _tail_series_coeffs(n)
-    rtol = 3e-14
     rhs = partial(_radial_ode, n, p)
 
-    # only iterates need dense output: the Jacobian reads end states alone
-    def fwd(a, dense=True):
-        return solve_ivp(
-            rhs, (_R0, _R_MATCH), _series_start(a, n, p, _R0),
-            method="DOP853", rtol=rtol, atol=1e-18, dense_output=dense,
-        )
+    def run(r0, y, atol):
+        sol = solve_ivp(rhs, r0, y, _R_MATCH, 3e-14, atol)
+        if sol.status != "end":
+            raise NoBracket(f"the pass from r = {r0:.3g} left the decreasing "
+                            f"regime at r = {sol.steps[-1][0]:.3f}, before matching")
+        return sol
 
-    def bwd(c, dense=True):
-        return solve_ivp(
-            rhs, (r_start, _R_MATCH), _tail_series_state(c, n, r_start, coeffs),
-            method="DOP853", rtol=rtol, atol=1e-30, dense_output=dense,
-        )
+    def fwd(a):
+        return run(_R0, _series_start(a, n, p, _R0), 1e-18)
+
+    def bwd(c):
+        return run(r_start, _tail_series_state(c, n, r_start, coeffs), 1e-30)
 
     sf = fwd(a0)
-    uf, duf = sf.y[0, -1], sf.y[1, -1]
-    if uf <= 0 or duf >= 0:
-        raise NoBracket("forward shot left the decreasing regime before matching")
+    _, uf, duf = sf.steps[-1]
     c0 = uf / _tail_series_state(1.0, n, _R_MATCH, coeffs)[0]
     r_start = min(_tail_radius(c0, n, 1e-13 * a0, coeffs) + _R_START_MARGIN, SOLVER["r_cap"])
     # mismatch normalized by the local solution scale
@@ -507,13 +514,11 @@ def _match_two_sided(n: int, p: float, a0: float):
     x = np.array([a0, c0])
     sb = bwd(c0)
     best = None
-    steps = 0
+    newton_steps = 0
     prev = np.inf
     for _ in range(10):
-        F = np.array([
-            (sf.y[0, -1] - sb.y[0, -1]) / u_scale,
-            (sf.y[1, -1] - sb.y[1, -1]) / du_scale,
-        ])
+        (_, uf, duf), (_, ub, dub) = sf.steps[-1], sb.steps[-1]
+        F = np.array([(uf - ub) / u_scale, (duf - dub) / du_scale])
         fnorm = float(np.max(np.abs(F)))
         if best is None or fnorm < best[0]:
             best = (fnorm, x.copy(), sf, sb)
@@ -522,19 +527,17 @@ def _match_two_sided(n: int, p: float, a0: float):
             break
         prev = fnorm
         da, dc = 1e-9 * abs(x[0]), 1e-9 * abs(x[1])
-        sfa, sbc = fwd(x[0] + da, dense=False), bwd(x[1] + dc, dense=False)
+        (_, ua, dua), (_, uc, duc) = fwd(x[0] + da).steps[-1], bwd(x[1] + dc).steps[-1]
         J = np.array([
-            [(sfa.y[0, -1] - sf.y[0, -1]) / da / u_scale,
-             -(sbc.y[0, -1] - sb.y[0, -1]) / dc / u_scale],
-            [(sfa.y[1, -1] - sf.y[1, -1]) / da / du_scale,
-             -(sbc.y[1, -1] - sb.y[1, -1]) / dc / du_scale],
+            [(ua - uf) / da / u_scale, -(uc - ub) / dc / u_scale],
+            [(dua - duf) / da / du_scale, -(duc - dub) / dc / du_scale],
         ])
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             raise NoBracket("singular Jacobian in the two-sided matching")
         x = x + step
-        steps += 1
+        newton_steps += 1
         if not (x[0] > 0 and x[1] > 0):
             raise NoBracket("two-sided matching left the positive cone")
         sf, sb = fwd(x[0]), bwd(x[1])
@@ -543,7 +546,10 @@ def _match_two_sided(n: int, p: float, a0: float):
         raise NoBracket(
             f"two-sided matching stalled at relative mismatch {fnorm:.3e}"
         )
-    return float(x[0]), float(x[1]), sf, sb, steps, fnorm
+    a, c = float(x[0]), float(x[1])
+    # (0, a, 0) in place of the series start at _R0
+    r, u, du = np.array([(0.0, a, 0.0)] + sf.steps[1:] + sb.steps[-2::-1]).T
+    return a, c, _node_profile(RadialGrid(r), u, du, n, p, c), newton_steps, fnorm
 
 
 def _fit_decay(r, u, du, n, u0) -> float:
@@ -617,7 +623,7 @@ def solve_ground_state(n: int, p: float) -> GroundState:
     """
     _check_exponent(n, p)
     lo, hi, bracket_shots = bracket_amplitude(n, p)
-    a_fit, c_star, sf, sb, newton_steps, mismatch = _match_two_sided(n, p, 0.5 * (lo + hi))
+    a_fit, c_star, matched, newton_steps, mismatch = _match_two_sided(n, p, 0.5 * (lo + hi))
     half = SOLVER["certify_delta"] * a_fit
     if not lo <= a_fit <= hi:
         raise NoBracket(
@@ -631,19 +637,12 @@ def solve_ground_state(n: int, p: float) -> GroundState:
         )
 
     r_max = min(_tail_radius(c_star, n, 1e-13 * a_fit, _tail_series_coeffs(n)), SOLVER["r_cap"])
-    if r_max > sb.t[0]:
+    if r_max > matched.grid.r_max:
         raise TailTooShort(
-            f"tail radius {r_max:.3f} lies past the backward pass's start {sb.t[0]:.3f}"
+            f"tail radius {r_max:.3f} lies past the backward pass's start {matched.grid.r_max:.3f}"
         )
     grid = RadialGrid.graded(r_max, n_nodes=SOLVER["n_nodes"])
-    values = np.empty(grid.size)
-    d1 = np.empty(grid.size)
-    inner = grid.nodes <= _R_MATCH
-    yf = sf.sol(np.clip(grid.nodes[inner], _R0, _R_MATCH))
-    yb = sb.sol(grid.nodes[~inner])
-    values[inner], d1[inner] = yf[0], yf[1]
-    values[~inner], d1[~inner] = yb[0], yb[1]
-    values[0], d1[0] = a_fit, 0.0
+    values, d1 = matched(grid.nodes), matched.deriv1(grid.nodes)
     if np.any(values <= 0):
         raise NoBracket("polished profile lost positivity")
     if np.any(d1[1:] > 1e-12 * values[0]):

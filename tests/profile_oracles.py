@@ -52,7 +52,7 @@ def scipy_classify(fun, y, rtol: float) -> str:
 
 
 def scipy_shoot(a: float, n: int, p: float, rtol: float = 1e-12) -> str:
-    """The classification shot of groundstate._shoot, integrated by solve_ivp."""
+    """The classification shot of groundstate._shoot, integrated by scipy's solve_ivp."""
     return scipy_classify(partial(_radial_ode, n, p), _series_start(a, n, p, _R0), rtol)
 
 

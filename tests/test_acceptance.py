@@ -110,7 +110,7 @@ def test_criterion_07_energy_expansion_single_peak(corrections, dimensional_cons
     ratios = []
     for eps in (0.1, 0.07, 0.05, 0.035):
         config = PeakConfig(epsilon=eps, centers=center[None], cutoff_r=1.2)
-        bd = expansion_compare(model, build_Y(model, config, gs, profiles=cp, dc=dc), dc)
+        bd = expansion_compare(build_Y(model, config, gs, profiles=cp, dc=dc), dc)
         ratios.append(abs(bd.remainder) / eps ** 4)
     ok_c = all(b < a for a, b in zip(ratios, ratios[1:]))
 

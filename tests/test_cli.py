@@ -463,7 +463,7 @@ def test_record_keys_are_pinned_with_the_schema(corrections, tmp_path):
     # so no entry of the old layout is read under the new one
     cp = corrections(3, 3.0)
     cp.save(tmp_path / "cp.json")
-    assert cli.SCHEMA == 5
+    assert cli.SCHEMA == 6
     assert set(cp.gs.to_dict()) == {
         "n", "p", "u0", "decay_c", "grid", "values", "values_d1", "I1", "I2", "Ip",
         "certified", "bracket_width", "bracket_shots", "certify_shots", "newton_steps",

@@ -164,14 +164,14 @@ def test_base_interaction_is_i2_at_cubic_exponent():
 
 # the benchmark's cold-solve pairs: I1, I2, Ip, base_interaction, gamma(e1)
 RADIAL_PINS = {
-    (3, 3): (130.98071014874137, 130.98071014873946, 261.9614202974809,
-             130.98071014873938, 201.9343837717054),
-    (4, 3): (1243.272699422375, 932.4545245667673, 2175.727223989144,
-             805.3378258460608, 1353.8863397420096),
-    (6, 3): (126665.71048758042, 63332.85524378943, 189998.5657313695,
-             36028.50797732522, 71192.89415079408),
-    (3, 6): (219.28716983958034, 438.57433967915557, 657.8615095187362,
-             357.96768302930485, 1168.6505524254023),
+    (3, 3): (130.98071014873955, 130.98071014873867, 261.9614202974785,
+             130.9807101487386, 201.93438377170446),
+    (4, 3): (1243.2726994223576, 932.4545245667675, 2175.727223989133,
+             805.3378258460631, 1353.8863397420423),
+    (6, 3): (126665.71048757924, 63332.85524379005, 189998.56573136934,
+             36028.507977326364, 71192.89415079985),
+    (3, 6): (219.2871698395774, 438.57433967915136, 657.8615095187286,
+             357.9676830293022, 1168.650552425398),
 }
 
 

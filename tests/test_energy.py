@@ -220,17 +220,17 @@ def test_two_peak_values_pinned(state):
     cfg = PeakConfig(0.1, [S3.point(0.8), S3.point(1.4)], 1.2)
     Y = build_Y(S3, cfg, gs, profiles=cp, dc=dc)
     W = build_W(S3, cfg, gs, c_bold=dc.c_bold)
-    assert energy_J(S3, Y) == pytest.approx(85.77835838825267, rel=1e-14, abs=0)
-    assert norm_eps(S3, Y) == pytest.approx(525.9539025193598, rel=1e-14, abs=0)
-    assert residual_norm(S3, W) == pytest.approx(1.2046117467437527, rel=1e-14, abs=0)
-    assert residual_norm(S3, Y) == pytest.approx(1.163632900912379, rel=1e-14, abs=0)
+    assert energy_J(S3, Y) == pytest.approx(85.7783583882525, rel=1e-14, abs=0)
+    assert norm_eps(S3, Y) == pytest.approx(525.9539025193556, rel=1e-14, abs=0)
+    assert residual_norm(S3, W) == pytest.approx(1.204611746743736, rel=1e-14, abs=0)
+    assert residual_norm(S3, Y) == pytest.approx(1.1636329008610635, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("model,cutoff,values", [
-    (S3, 1.2, (43.644327105421986, 261.73480542128976, 0.04433534404068904,
-               43.644197706961855, 261.8653368986925, 0.00025970629753788914)),
-    (FLAT3, np.inf, (43.66023671624679, 261.96142029748114, 1.309148684053754e-13,
-                     43.66023671624679, 261.96142029748114, 1.309148684053754e-13)),
+    (S3, 1.2, (43.64432710542147, 261.7348054212869, 0.044335344040680146,
+               43.64419770696145, 261.86533689868986, 0.00025970629631939416)),
+    (FLAT3, np.inf, (43.660236716246274, 261.96142029747836, 1.1700764939100762e-13,
+                     43.660236716246274, 261.96142029747836, 1.1700764939100762e-13)),
 ], ids=["S3", "R3"])
 def test_one_peak_values_pinned(model, cutoff, values, state):
     # J, the norm and the residual of W and Y for one peak at eps = 0.05;
@@ -872,7 +872,7 @@ def test_expansion_breakdown_accounts_for_energy(state):
     eps = 0.05
     a, b = S3.point(0.8), S3.point(0.8 + 12 * eps)
     cfg = PeakConfig(eps, np.stack([a, b]), 1.2)
-    bd = expansion_compare(S3, build_Y(S3, cfg, gs, profiles=cp, dc=dc), dc)
+    bd = expansion_compare(build_Y(S3, cfg, gs, profiles=cp, dc=dc), dc)
     total = (
         bd.term_alpha + bd.term_beta + bd.term_phi + bd.term_interaction + bd.remainder
     )

@@ -1,9 +1,13 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from multipeak import groundstate
 from multipeak.constants import product_exponent
 from multipeak.groundstate import (
+    _R0,
+    _R_END,
     SOLVER,
     GroundState,
     NoBracket,
@@ -62,31 +66,24 @@ def test_bracket_width_is_certified(n, m):
 
 
 def test_solver_diagnostics_are_deterministic(monkeypatch):
-    # two fresh solves, past the memo, make the same shots, integrations and
-    # Newton steps; shots run in groundstate's own loop, the matching's
-    # integrations through solve_ivp
-    shots, integrations = [], []
-    shoot, solve_ivp = groundstate._shoot, groundstate.solve_ivp
-
-    def counted_shot(*args, **kwargs):
-        shots.append(1)
-        return shoot(*args, **kwargs)
+    # two fresh solves, past the memo, make the same integrations and Newton
+    # steps; every shot and matching pass goes through solve_ivp
+    integrations = []
+    solve_ivp = groundstate.solve_ivp
 
     def counted_ivp(*args, **kwargs):
         integrations.append(1)
         return solve_ivp(*args, **kwargs)
 
-    monkeypatch.setattr(groundstate, "_shoot", counted_shot)
     monkeypatch.setattr(groundstate, "solve_ivp", counted_ivp)
     first = solve_ground_state.__wrapped__(3, 3.0)
-    made = (len(shots), len(integrations))
+    made = len(integrations)
     second = solve_ground_state.__wrapped__(3, 3.0)
     keys = ("bracket_shots", "certify_shots", "newton_steps", "match_mismatch")
     assert [getattr(first, k) for k in keys] == [getattr(second, k) for k in keys]
-    assert (len(shots), len(integrations)) == (2 * made[0], 2 * made[1])
-    assert made[0] == first.bracket_shots + first.certify_shots
-    assert made[1] == 2 + 4 * first.newton_steps
-    assert sum(made) <= 45
+    assert len(integrations) == 2 * made
+    assert made == first.bracket_shots + first.certify_shots + 2 + 4 * first.newton_steps
+    assert made <= 45
     assert first.certify_shots == 2
     assert first.match_mismatch < 1e-9
 
@@ -128,22 +125,54 @@ def test_shot_rejects_non_finite_start(a):
 
 def test_shot_step_failure_is_no_bracket():
     # U'' = U'^2 from U' = 1 blows up one unit into the window with neither
-    # event: the step falls below 10 spacings of r, where solve_ivp stops
-    # with status -1
+    # event: the step falls below 10 spacings of r, where scipy's solve_ivp
+    # stops with status -1
     with pytest.raises(NoBracket):
-        groundstate._dop853_classify(lambda r, y: [y[1], y[1] * y[1]], (1.0, 1.0), 1e-10)
+        groundstate.solve_ivp(lambda r, y: [y[1], y[1] * y[1]], _R0, (1.0, 1.0), _R_END,
+                              1e-10, 1e-16).status
 
 
 @pytest.mark.parametrize("start,first", [((1.001, -1.0), "turn"), ((1.0, -1.001), "cross")])
 def test_shot_halves_a_step_holding_both_events(start, first):
     # two lines with zeros 1e-3 apart: the steps grow tenfold until one
-    # holds both sign changes, and halving it finds the first, as
-    # solve_ivp's root finding does
+    # holds both sign changes, and halving it finds the first, as scipy's
+    # root finding does
     def lines(r, y):
         return [-1.0, 1.0]
 
-    assert groundstate._dop853_classify(lines, start, 1e-10) == first
+    assert groundstate.solve_ivp(lines, _R0, start, _R_END, 1e-10, 1e-16).status == first
     assert scipy_classify(lines, start, 1e-10) == first
+
+
+def test_backward_pass_follows_the_decaying_mode():
+    # u'' = u integrated inward from u = -u' = e^-10 at r = 10 stays on e^-r
+    sol = groundstate.solve_ivp(lambda r, y: [y[1], y[0]], 10.0, (np.exp(-10.0), -np.exp(-10.0)),
+                                6.0, 3e-14, 1e-30)
+    r, u, du = sol.steps[-1]
+    assert (sol.status, r) == ("end", 6.0)
+    assert u == pytest.approx(np.exp(-6.0), rel=1e-12, abs=0)
+    assert du == pytest.approx(-np.exp(-6.0), rel=1e-12, abs=0)
+
+
+def test_profile_between_step_points_matches_a_fresh_pass():
+    # the matched passes' step points carry the profile; between them its
+    # septic Hermite agrees with a tight pass from the step point before,
+    # in the pass's own direction
+    n, p = 3, 3.0
+    a, _, matched, _, _ = groundstate._match_two_sided(n, p, solve_ground_state(n, p).u0)
+    nodes = matched.grid.nodes
+    rhs = partial(groundstate._radial_ode, n, p)
+    rng = np.random.default_rng(7)
+    forward = np.flatnonzero(nodes[1:] <= groundstate._R_MATCH)[1:]  # past the series start
+    backward = np.flatnonzero(nodes[:-1] >= groundstate._R_MATCH)
+    for cells, d in ((forward, 0), (backward, 1)):
+        for i in rng.choice(cells, 80):
+            r = rng.uniform(nodes[i], nodes[i + 1])
+            start = (matched.values[i + d], matched.d1[i + d])
+            fresh = groundstate.solve_ivp(rhs, nodes[i + d], start, r, 1e-15, 1e-30)
+            _, u, du = fresh.steps[-1]
+            assert abs(matched(r) - u) <= 1e-13 * a
+            assert abs(matched.deriv1(r) - du) <= 1e-13 * a
 
 
 def test_amplitude_pinned_n4_n8thirds():
