@@ -70,20 +70,8 @@ _DEF_EPS = "0.1,0.07,0.05,0.035"
 _DEF_CACHE = "~/.cache/multipeak"
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def _dump(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), indent=2) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _provenance(args, **grid) -> dict:
@@ -298,8 +286,7 @@ def cmd_phi_scan(args) -> int:
     for key in sorted(prov):
         lines.append(f"# {key}: {prov[key]}")
     lines.append("t,s,lap_s,ric2,riem2,phi")
-    for t, pv in zip(scan.t, scan.phi):
-        cp = model.curvature_at(t)
+    for t, cp, pv in zip(scan.t, scan.curvature, scan.phi):
         cells = (t, cp.s, cp.lap_s, cp.ric2, cp.riem2, pv)
         lines.append(",".join(repr(float(c)) for c in cells))
     csv_text = "\n".join(lines) + "\n"
@@ -357,7 +344,8 @@ def cmd_energy_check(args) -> int:
     per_eps = []
     rem_abs = []
     for eps, (W, Y) in zip(eps_ladder, ladder):
-        config = PeakConfig(epsilon=eps, centers=list(centers), cutoff_r=1.2)
+        # the K-peak rung keeps the single-peak ladder's cutoff
+        config = PeakConfig(epsilon=eps, centers=list(centers), cutoff_r=W.config.cutoff_r)
         ok, margin = admissible(model, config, gs, rho=args.rho)
         if K >= 2:
             W = build_W(model, config, gs, c_bold=dc.c_bold)
@@ -400,11 +388,11 @@ def cmd_energy_check(args) -> int:
         except LadderTooShort:
             notes.append("coefficient fit skipped: needs >= 4 distinct epsilon values")
         else:
-            s_val = model.curvature_at(centers[0]).s
+            curv = model.curvature_at(centers[0])
             payload["coefficient_fit"] = fit
             payload["predicted"] = {
-                "eps2_coeff": 0.5 * dc.beta * s_val,
-                "eps4_phi": phi(model.curvature_at(centers[0]), dc),
+                "eps2_coeff": 0.5 * dc.beta * curv.s,
+                "eps4_phi": phi(curv, dc),
             }
     if notes:
         payload["note"] = "; ".join(notes)

@@ -30,11 +30,11 @@ cache.  _field_pass cuts its nodes into blocks of _BUMP_BLOCK, whose
 temporaries stay in cache, evaluates each bump there once as (G, G',
 Lap G), and fills the densities of J's cross terms, the norm's cross
 terms and the residual of the whole sum, which does not split into
-single-peak terms.  The blocks are shared in a fixed stride between the
-calling thread and one helper thread per further usable core; each block
-writes only its own slice of the density arrays, which are then reduced
-whole, so the integrals are the same to the last bit on any number of
-cores.  An ansatz answers only for the model it was built on.
+single-peak terms.  A pool of _WORKERS threads takes the blocks as each
+thread frees up; each block writes only its own slice of the density
+arrays, which are then reduced whole, so the integrals are the same to
+the last bit on any number of cores.  An ansatz answers only for the
+model it was built on.
 
 Past cutoff_r the cutoff makes G, G' and G'' exactly 0, so _field_pass
 evaluates a bump on its support d < cutoff_r only and leaves the exact
@@ -60,7 +60,6 @@ geodesic solver off the meridian, which is out of scope here.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
@@ -92,17 +91,17 @@ _GL6 = np.polynomial.legendre.leggauss(6)
 
 # Support-grid nodes per block of _field_pass.  On a million points the
 # profile lookups (take, Horner) are bound by memory bandwidth; a block of
-# 2^15 keeps their temporaries in cache.  Each thread holds one block's
-# temporaries at a time (about 5 MB for a corrected pair), so two threads
-# hold less than one block of 2^16 would.  Smaller blocks lose more to
-# per-call Python overhead, under the GIL, than they save.
+# 2^15 keeps their temporaries in cache.  Each worker thread holds one
+# block's temporaries at a time (about 5 MB for a corrected pair), so two
+# workers hold less than one block of 2^16 would.  Smaller blocks lose more
+# to per-call Python overhead, under the GIL, than they save.
 _BUMP_BLOCK = 1 << 15
 
-# Helper threads of _field_pass besides the calling one: one per further
-# core this process may run on.  numpy's take, searchsorted, boolean
-# indexing and ufuncs release the GIL, so the blocks run side by side.
-_HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1) - 1
+# Worker threads of _field_pass: one per core this process may run on.
+# numpy's take, searchsorted, boolean indexing and ufuncs release the GIL,
+# so the blocks run side by side.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 # The polar panels' step in rho = d/eps: 8 Gauss nodes per 0.25 eps.
 _RHO_STEP = 0.25
@@ -394,12 +393,8 @@ class SupportGrid(NamedTuple):
 
 
 def _kept_indices(prefix, suffix, n_phi: int):
-    counts = prefix + (n_phi - suffix)
-    rows = np.repeat(np.arange(prefix.size), counts)
-    # position within the row; past the prefix it jumps to the suffix
-    k = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    cols = k + np.where(k >= prefix[rows], (suffix - prefix)[rows], 0)
-    return rows, cols
+    cols = np.arange(n_phi)
+    return np.nonzero((cols < prefix[:, None]) | (cols >= suffix[:, None]))
 
 
 def _great_circle(ansatz: PeakAnsatz) -> SupportGrid:
@@ -485,54 +480,25 @@ def _bump_fields(ansatz: PeakAnsatz, d):
     return support, G, dG, lap
 
 
-def _strided(work, items) -> None:
-    """work(item) for every item, shared in a fixed stride: with T threads,
-    thread k takes items[k::T].
-
-    T counts the calling thread, which is thread 0, and up to _HELPERS
-    helper threads, no more than there are items; with T = 1 no thread is
-    started.  Every helper is joined before this returns, and the first
-    exception of any thread is raised here.
-    """
-    T = max(1, min(1 + _HELPERS, len(items)))
-    errors = []
-
-    def run(k):
-        try:
-            for item in items[k::T]:
-                if errors:
-                    return
-                work(item)
-        except Exception as e:  # noqa: BLE001 - raised again on the caller
-            errors.append(e)
-
-    helpers = [threading.Thread(target=run, args=(k,)) for k in range(1, T)]
-    for t in helpers:
-        t.start()
-    try:
-        run(0)
-    finally:
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[0]
-
-
 def _field_pass(ansatz: PeakAnsatz, grid: SupportGrid) -> _Integrals:
     """The three support-grid integrals from one evaluation of each bump.
 
-    The kept nodes are cut into blocks of _BUMP_BLOCK, which _strided shares
-    among the usable cores.  Per block each bump gives (G, G', Lap G) once,
-    and the densities of J, the norm and the residual are written into the
-    block's own slice of full-length arrays, which grid.integral reduces
-    whole, so the integrals do not depend on the number of threads.  A
-    block's temporaries are freed before the thread takes its next block.
+    The kept nodes are cut into blocks of _BUMP_BLOCK, which a pool of
+    _WORKERS threads runs; concurrent.futures is imported at the first pass,
+    so a CLI command that runs none does not load it.  Per block each bump
+    gives (G, G', Lap G) once, and the densities of J, the norm and the
+    residual are written into the block's own slice of full-length arrays,
+    which grid.integral reduces whole, so the integrals do not depend on the
+    number of threads.  The pool joins its threads before the pass returns
+    and raises a block's exception here.
     The cross part of the quadratic form, summed over pairs i < j, is
     eps^2 G_i' G_j' cos A + mass G_i G_j with A the angle between the
     geodesics to centers i and j; J weighs it by 1 and the norm by 2.  A
     pair is evaluated only where both supports meet and adds exact zeros
     elsewhere.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     model, eps, p, mass = ansatz.model, ansatz.epsilon, ansatz.gs.p, ansatz.mass
     pp = p / (p - 1.0)
     centers = ansatz.config.centers
@@ -559,7 +525,8 @@ def _field_pass(ansatz: PeakAnsatz, grid: SupportGrid) -> _Integrals:
         r = -eps ** 2 * sum(laps) + mass * u - np.maximum(u, 0.0) ** (p - 1.0)
         dens_res[block] = np.abs(r) ** pp
 
-    _strided(fill, range(0, grid.measure.size, _BUMP_BLOCK))
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        list(pool.map(fill, range(0, grid.measure.size, _BUMP_BLOCK)))
     return _Integrals(grid.integral(dens_J), grid.integral(dens_norm),
                       grid.integral(dens_res))
 

@@ -260,6 +260,7 @@ class CriticalPoint:
 class PhiScan:
     t: np.ndarray
     phi: np.ndarray
+    curvature: list  # the CurvaturePoint of each node
     points: list = field(default_factory=list)
 
 
@@ -282,8 +283,9 @@ def scan_phi(model, dc: DimensionalConstants, resolution: int = 2001) -> PhiScan
     margin = 0.02 * span
     lo, hi = lo_full + margin, hi_full - margin
     ts = np.linspace(lo, hi, resolution)
-    pv = np.array([phi(model.curvature_at(t), dc) for t in ts])
-    scan = PhiScan(t=ts, phi=pv, points=[])
+    curvature = [model.curvature_at(t) for t in ts]
+    pv = np.array([phi(cp, dc) for cp in curvature])
+    scan = PhiScan(t=ts, phi=pv, curvature=curvature)
 
     spread = float(pv.max() - pv.min())
     if spread < 1e-12 * max(1.0, float(np.abs(pv).max())):
@@ -305,10 +307,11 @@ def scan_phi(model, dc: DimensionalConstants, resolution: int = 2001) -> PhiScan
                               bracket=(ts[i - 1], ts[i], ts[i + 1]),
                               options={"xtol": 1e-11})
         t_star = float(res.x)
-        curv = (func(t_star + h) - 2.0 * func(t_star) + func(t_star - h)) / h ** 2
+        phi_star = func(t_star)
+        curv = (func(t_star + h) - 2.0 * phi_star + func(t_star - h)) / h ** 2
         if abs(curv) * span ** 2 < 1e-6 * spread:
             kind = "degenerate"
-        scan.points.append(CriticalPoint(t=t_star, phi=float(func(t_star)), kind=kind))
+        scan.points.append(CriticalPoint(t=t_star, phi=float(phi_star), kind=kind))
 
     if not scan.points:
         raise NoInteriorCritical("no interior extremum on the scan range", scan)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import checkout_env
 from multipeak import cli
 from multipeak.cli import parse_args
 from multipeak.constants import CSV_COLUMNS, product_exponent
+from multipeak.geometry import WarpedSphere, phi
 from multipeak.groundstate import GroundState
 
 @pytest.fixture(scope="session")
@@ -131,6 +133,21 @@ def test_phi_scan_warped_finds_symmetric_point(cache_dir, tmp_path, warp_csv):
     mid = min(doc["points"], key=lambda c: abs(c["t"] - np.pi / 2))
     assert mid["t"] == pytest.approx(np.pi / 2, abs=1e-5)
     assert all(c["kind"] in ("min", "max", "degenerate") for c in doc["points"])
+
+
+def test_phi_scan_warped_rows_hold_curvature_and_phi(cache_dir, tmp_path, warp_csv):
+    out = tmp_path / "warp_rows.csv"
+    run_cli("phi-scan", "--n", "3", "--m", "3", "--model", "warped",
+            "--profile", warp_csv, "--cache-dir", cache_dir, "--out", str(out))
+    data = np.loadtxt(warp_csv, delimiter=",", comments="#")
+    model = WarpedSphere(3, t=data[:, 0], f_vals=data[:, 1])
+    dc = cli._constants(3, 3, Path(cache_dir))[2]
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 2001
+    for row in rows:
+        t, *cells = (float(c) for c in row.split(","))
+        cp = model.curvature_at(t)
+        assert cells == [cp.s, cp.lap_s, cp.ric2, cp.riem2, phi(cp, dc)], row
 
 
 def test_phi_scan_refuses_warp_with_nonpositive_sample(cache_dir, tmp_path):
@@ -440,11 +457,15 @@ def loaded_scipy(*argv) -> list:
     return proc.stderr.split()
 
 
-def test_warm_path_imports_no_scipy(cache_dir, tmp_path):
+@pytest.mark.parametrize("command", [
+    ("constants",), ("ground-state",), ("beta-table", "--max-N", "6"),
+    ("phi-scan", "--model", "sphere"), ("energy-check",),
+], ids=lambda command: command[0])
+def test_warm_path_imports_no_scipy(cache_dir, tmp_path, command):
     assert loaded_scipy() == []
-    argv = ("constants", "--n", "3", "--m", "3", "--cache-dir", cache_dir,
-            "--out", str(tmp_path / "const.json"))
-    run_cli(*argv)  # warms both cache entries
+    dims = () if command[0] == "beta-table" else ("--n", "3", "--m", "3")
+    argv = (*command, *dims, "--cache-dir", cache_dir, "--out", str(tmp_path / "out"))
+    run_cli(*argv)  # warms the cache entries the command reads
     assert loaded_scipy(*argv) == []
 
 

@@ -405,19 +405,20 @@ def test_field_pass_equals_whole_array_formulas(eps, centers, state, monkeypatch
     switch = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-5)  # threads interleave within a block
-        for helpers in (0, 3):
-            monkeypatch.setattr(energy, "_HELPERS", helpers)
+        for workers in (1, 4):
+            monkeypatch.setattr(energy, "_WORKERS", workers)
             for block in (default, 1001):
                 monkeypatch.setattr(energy, "_BUMP_BLOCK", block)
-                assert tuple(energy._field_pass(Y, grid)) == want, (helpers, block)
+                assert tuple(energy._field_pass(Y, grid)) == want, (workers, block)
     finally:
         sys.setswitchinterval(switch)
     assert threading.active_count() == threads
 
 
-def _threads_of_field_pass(state, monkeypatch, helpers, fail_off_main=False):
-    """The threads that evaluate bumps in one _field_pass in blocks of 1001;
-    with fail_off_main, a bump evaluated off the calling thread raises."""
+def _threads_of_field_pass(state, monkeypatch, workers, fail_off_main=False):
+    """The threads that evaluate bumps in one _field_pass in blocks of 1001
+    on a pool of workers threads; with fail_off_main, a bump evaluated off
+    the calling thread raises."""
     gs, cp, dc = state
     Y = build_Y(S3, PeakConfig(0.1, [S3.point(0.8), S3.point(1.4)], 1.2), gs,
                 profiles=cp, dc=dc)
@@ -433,17 +434,17 @@ def _threads_of_field_pass(state, monkeypatch, helpers, fail_off_main=False):
 
     monkeypatch.setattr(energy, "_bump_fields", recorded)
     monkeypatch.setattr(energy, "_BUMP_BLOCK", 1001)
-    monkeypatch.setattr(energy, "_HELPERS", helpers)
+    monkeypatch.setattr(energy, "_WORKERS", workers)
     energy._field_pass(Y, grid)
     return seen
 
 
 def test_field_pass_threads(state, monkeypatch):
-    # one usable core: the calling thread walks every block, no thread starts
-    threads = threading.active_count()
-    assert _threads_of_field_pass(state, monkeypatch, 0) == {threading.main_thread()}
-    assert len(_threads_of_field_pass(state, monkeypatch, 3)) == 4
-    assert threading.active_count() == threads
+    # the pool's threads evaluate every bump, the calling thread none
+    for workers in (1, 4):
+        seen = _threads_of_field_pass(state, monkeypatch, workers)
+        assert threading.main_thread() not in seen
+        assert 1 <= len(seen) <= workers
 
 
 def test_field_pass_raises_a_helper_exception(state, monkeypatch):
