@@ -44,6 +44,7 @@ from .constants import (
 )
 from .correction import CorrectionProfiles, correction_profiles, verify_L0_identities
 from .energy import (
+    SLOPE_LADDER,
     LadderTooShort,
     PeakConfig,
     admissible,
@@ -66,7 +67,7 @@ from .geometry import (
 )
 from .groundstate import SCHEMA, SOLVER, GroundState, identity_report, solve_ground_state
 
-_DEF_EPS = "0.1,0.07,0.05,0.035"
+_DEF_EPS = ",".join(map(repr, SLOPE_LADDER))
 _DEF_CACHE = "~/.cache/multipeak"
 
 

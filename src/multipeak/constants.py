@@ -109,37 +109,32 @@ def compute_constants(gs: GroundState, cp: CorrectionProfiles, m: int) -> Dimens
     cc = conformal_constant(N)
 
     quad = Quadrature(gs.grid)
-    U = gs.profile
-    psi = cp.psi
-    v2 = cp.v2base
-    du = U.deriv1
-    tail_u2 = U.tail.powered(2.0)
+    r = quad.points
+    at = gs.grid.locate(r)
+    U, du, _ = gs.profile.evaluate(at)
+    psi = cp.psi.evaluate(at)[0]
+    tail_u2 = gs.profile.tail.powered(2.0)
     # (U'/r)^2 tail: same amplitude and rate as U^2, power shifted by -2
     tail_sl2 = TailModel(tail_u2.c, tail_u2.a - 2.0, tail_u2.b)
 
-    grad_z2 = moment_reduce(lambda r: du(r) ** 2, "|z|^2", n, quad=quad, tail=tail_u2)
-    M4 = moment_reduce(lambda r: (du(r) / r) ** 2, "z1^4", n, quad=quad, tail=tail_sl2)
-    M2 = moment_reduce(lambda r: U(r) ** 2, "z1^2", n, quad=quad, tail=tail_u2)
+    grad_z2 = moment_reduce(du ** 2, "|z|^2", n, quad=quad, tail=tail_u2)
+    M4 = moment_reduce((du / r) ** 2, "z1^4", n, quad=quad, tail=tail_sl2)
+    M2 = moment_reduce(U ** 2, "z1^2", n, quad=quad, tail=tail_u2)
 
     alpha = 0.5 * gs.I1 + 0.5 * gs.I2 - gs.Ip / p
     beta = cc * gs.I2 - grad_z2 / (n * (n + 2.0))
     c1 = M4 / 6.0
     c2 = M2
-    psi_slope_z14 = moment_reduce(
-        lambda r: psi(r) * du(r) / r, "z1^4", n, quad=quad
-    )
+    psi_slope_z14 = moment_reduce(psi * du / r, "z1^4", n, quad=quad)
     c3 = psi_slope_z14 / 54.0
-    U_psi_z12 = moment_reduce(lambda r: U(r) * psi(r), "z1^2", n, quad=quad)
+    U_psi_z12 = moment_reduce(U * psi, "z1^2", n, quad=quad)
     c4 = -(cc / 6.0) * U_psi_z12
-    c5_core = moment_reduce(
-        lambda r: 0.5 * du(r) ** 2 - U(r) * du(r) / ((2.0 - p) * r),
-        "z1^2", n, quad=quad,
-    )
+    c5_core = moment_reduce(0.5 * du ** 2 - U * du / ((2.0 - p) * r), "z1^2", n, quad=quad)
     c5 = (cc / 6.0) * c5_core
     c6 = 8.0 * c1 - 120.0 * (n + 2.0) * c3
     c7 = -c3 - c4 - c5 - c2 * cc / 12.0 + c1 / (24.0 * (n + 2.0))
     c8 = 18.0 * c1 + 30.0 * cc * c2 * (n + 2.0)
-    U_v2base = moment_reduce(lambda r: U(r) * v2(r), "1", n, quad=quad)
+    U_v2base = moment_reduce(U * cp.v2base.evaluate(at)[0], "1", n, quad=quad)
     c9 = 0.5 * cc * U_v2base
 
     raw = {
@@ -215,9 +210,9 @@ def gamma(gs: GroundState, b) -> GammaValue:
 
 def base_interaction(gs: GroundState) -> float:
     """int U^(p-1) dz by the same radial quadrature gamma uses (b = 0)."""
-    p = gs.p
-    return moment_reduce(lambda r: np.abs(gs.profile(r)) ** (p - 1.0), "1", gs.n,
-                         _interaction_quad(gs), tail=gs.profile.tail.powered(p - 1.0))
+    p, quad = gs.p, _interaction_quad(gs)
+    return moment_reduce(np.abs(gs.profile(quad.points)) ** (p - 1.0), "1", gs.n, quad,
+                         tail=gs.profile.tail.powered(p - 1.0))
 
 
 def table_pairs(max_N: int = 9) -> list:
@@ -232,8 +227,9 @@ def table_pairs(max_N: int = 9) -> list:
 
 def beta_table(pairs=None, max_N: int = 9):
     """DimensionalConstants rows for each (n, m) pair, table_pairs(max_N) by
-    default.  Each row is computed on the memoised solve_ground_state, so a
-    repeated table solves nothing and is bit-identical.
+    default.  Each row reads the memoised solve_ground_state, so a repeated
+    table solves no ground state again, but it solves psi and chi again
+    through correction_profiles; the rows are bit-identical.
     """
     if pairs is None:
         pairs = table_pairs(max_N)

@@ -93,8 +93,8 @@ class CorrectionProfiles:
         """Profiles saved for gs, bit-equal to correction_profiles(gs).
 
         Raises ValueError, KeyError or TypeError for a malformed record, one
-        saved for another (n, p), or arrays that do not fit gs's grid or are
-        not finite.
+        saved for another (n, p), arrays that do not fit gs's grid or are
+        not finite, or a stored residual outside [0, _RESIDUAL_TOL].
         """
         with open(path) as fh:
             d = json.load(fh)
@@ -107,6 +107,9 @@ class CorrectionProfiles:
                 raise ValueError(f"{key} does not fit the ground-state grid")
             if not np.all(np.isfinite(arrays[key])):
                 raise ValueError(f"{key} holds non-finite values")
+        for key in ("discrete_residual", "chi_discrete_residual"):
+            if not 0.0 <= float(d[key]) <= _RESIDUAL_TOL:
+                raise ValueError(f"{key} {d[key]!r} is not a certified residual")
         return CorrectionProfiles(
             gs=gs,
             psi=_profile(gs, "psi", arrays["psi_values"], arrays["psi_d1"]),
@@ -223,10 +226,9 @@ def _solve_radial(gs: GroundState, name: str):
     vals_c, res_c = _assemble_and_solve(r, _dg(U, p), source(r, U, dU, p, n), n, ell)
 
     r_fine = np.sort(np.concatenate([r, 0.5 * (r[1:] + r[:-1])]))
-    U_f = gs.profile(r_fine)
+    U_f, dU_f, _ = gs.profile.evaluate(gs.grid.locate(r_fine))
     vals_f, res_f = _assemble_and_solve(
-        r_fine, _dg(U_f, p), source(r_fine, U_f, gs.profile.deriv1(r_fine), p, n),
-        n, ell,
+        r_fine, _dg(U_f, p), source(r_fine, U_f, dU_f, p, n), n, ell,
     )
     # cell-split refinement quarters the h^2 error pointwise
     vals = (4.0 * vals_f[::2] - vals_c) / 3.0
@@ -275,7 +277,7 @@ _RESIDUAL_TOL = 1e-8
 
 
 def _certify(name: str, residual: float) -> None:
-    if residual > _RESIDUAL_TOL:
+    if not residual <= _RESIDUAL_TOL:
         raise SingularSystem(
             f"{name} discrete residual {residual:.2e} exceeds {_RESIDUAL_TOL:.2e}"
         )
@@ -348,7 +350,7 @@ def _weak_residuals(gs: GroundState):
     n, p = gs.n, gs.p
     quad = Quadrature(gs.grid)
     r = quad.points
-    U, dU = gs.profile(r), gs.profile.deriv1(r)
+    U, dU, _ = gs.profile.evaluate(gs.grid.locate(r))
     Upm2 = np.abs(U) ** (p - 2.0)
     q = 1.0 / (2.0 - p)
     e1 = 0.0
@@ -410,8 +412,9 @@ def equation_residual(gs: GroundState, f: RadialFunction, name: str) -> float:
     n, p = gs.n, gs.p
     nodes = gs.grid.nodes
     r = 0.5 * (nodes[1:] + nodes[:-1])
-    vals, dvals, d2vals = f(r), f.deriv1(r), f.deriv2(r)
-    U, dU = gs.profile(r), gs.profile.deriv1(r)
+    at = gs.grid.locate(r)
+    vals, dvals, d2vals = f.evaluate(at)
+    U, dU, _ = gs.profile.evaluate(at)
     res = (-d2vals - (n - 1.0 + 2.0 * ell) * dvals / r + _dg(U, p) * vals
            - source(r, U, dU, p, n))
     return float(np.max(np.abs(res)))
@@ -443,10 +446,10 @@ def operator_identity_check(gs: GroundState, psi: RadialFunction) -> float:
         lap += (field(pts + shift) + field(pts - shift)) / h ** 2
 
     r = np.linalg.norm(pts, axis=1)
-    U = gs.profile(r)
+    U, dU, _ = gs.profile.evaluate(gs.grid.locate(r))
     F = field(pts)
     lhs = -lap + F - (p - 1.0) * np.abs(U) ** (p - 2.0) * F
-    target = gs.profile.deriv1(r) / r * pts[:, 0] * pts[:, 1]
+    target = dU / r * pts[:, 0] * pts[:, 1]
     floor = 1e-2 * np.max(np.abs(target))
     mask = np.abs(target) > floor
     return float(np.max(np.abs(lhs[mask] - target[mask]) / np.abs(target[mask])))

@@ -149,6 +149,17 @@ class PeakConfig:
         return len(self.centers)
 
 
+def _interaction_sum(model, centers, gs: GroundState, eps: float) -> float:
+    """Sum of U(d(c_i, c_j) / eps) over the ordered pairs i != j, one scalar
+    evaluation per pair, row by row."""
+    total = 0.0
+    for i, a in enumerate(centers):
+        for j, b in enumerate(centers):
+            if i != j:
+                total += float(gs.profile(model.distance(a, b) / eps))
+    return total
+
+
 def admissible(model, config: PeakConfig, gs: GroundState, rho: float = None):
     """(ok, margin): interaction below eps^4 and centers inside radius rho > 0.
 
@@ -160,13 +171,7 @@ def admissible(model, config: PeakConfig, gs: GroundState, rho: float = None):
         rho = 0.5 * model.injectivity_radius
     if not rho > 0.0:
         raise ValueError(f"placement radius rho must be positive, got {rho!r}")
-    total = 0.0
-    for i in range(config.K):
-        for j in range(config.K):
-            if i != j:
-                d = model.distance(config.centers[i], config.centers[j])
-                total += float(gs.profile(d / eps))
-    margin = eps ** 4 - total
+    margin = eps ** 4 - _interaction_sum(model, config.centers, gs, eps)
     ok = margin > 0.0
     for c in config.centers[1:]:
         if not model.distance(config.centers[0], c) < rho:
@@ -607,11 +612,7 @@ def expansion_compare(ansatz: PeakAnsatz, dc: DimensionalConstants,
             b = np.zeros(gs.n)
             b[0] = 1.0
             gamma_value = gamma(gs, b).value
-        for i in range(config.K):
-            for j in range(config.K):
-                if i != j:
-                    d = model.distance(config.centers[i], config.centers[j])
-                    term_inter -= 0.5 * gamma_value * float(gs.profile(d / eps))
+        term_inter = -0.5 * gamma_value * _interaction_sum(model, config.centers, gs, eps)
     rem = J - term_alpha - term_beta - term_phi - term_inter
     return EnergyBreakdown(
         epsilon=eps, K=config.K, J_measured=J, term_alpha=term_alpha,

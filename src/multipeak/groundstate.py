@@ -598,11 +598,11 @@ def _energy_ledger(profile: RadialFunction, n: int, p: float):
     also stands for |U'|^2, whose far field has the same leading term.
     """
     quad = Quadrature(profile.grid)
-    du, tail2 = profile.deriv1, profile.tail.powered(2.0)
-    I1 = moment_reduce(lambda r: du(r) ** 2, "1", n, quad, tail=tail2)
-    I2 = moment_reduce(lambda r: profile(r) ** 2, "1", n, quad, tail=tail2)
-    Ip = moment_reduce(lambda r: np.abs(profile(r)) ** p, "1", n, quad,
-                       tail=profile.tail.powered(p))
+    u, du, _ = profile.evaluate(profile.grid.locate(quad.points))
+    tail2 = profile.tail.powered(2.0)
+    I1 = moment_reduce(du ** 2, "1", n, quad, tail=tail2)
+    I2 = moment_reduce(u ** 2, "1", n, quad, tail=tail2)
+    Ip = moment_reduce(np.abs(u) ** p, "1", n, quad, tail=profile.tail.powered(p))
     return I1, I2, Ip
 
 
@@ -642,7 +642,7 @@ def solve_ground_state(n: int, p: float) -> GroundState:
             f"tail radius {r_max:.3f} lies past the backward pass's start {matched.grid.r_max:.3f}"
         )
     grid = RadialGrid.graded(r_max, n_nodes=SOLVER["n_nodes"])
-    values, d1 = matched(grid.nodes), matched.deriv1(grid.nodes)
+    values, d1, _ = matched.evaluate(matched.grid.locate(grid.nodes))
     if np.any(values <= 0):
         raise NoBracket("polished profile lost positivity")
     if np.any(d1[1:] > 1e-12 * values[0]):
@@ -702,8 +702,6 @@ def ode_residual(gs: GroundState) -> float:
     """
     nodes = gs.grid.nodes
     r = 0.5 * (nodes[1:] + nodes[:-1])
-    u = gs.profile(r)
-    du = gs.profile.deriv1(r)
-    d2 = gs.profile.deriv2(r)
+    u, du, d2 = gs.profile.evaluate(gs.grid.locate(r))
     res = d2 + (gs.n - 1.0) * du / r - _g(u, gs.p)
     return float(np.max(np.abs(res)))

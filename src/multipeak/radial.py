@@ -15,14 +15,15 @@ and TailModel.integral integrates it from there to infinity.  moment_reduce
 is the one integral over R^n of a radial profile times an even moment
 weight, completed past the grid by a TailModel; an integrand that is a
 power q of a profile takes the profile's tail raised to q
-(TailModel.powered).
+(TailModel.powered).  It takes the integrand's values at the rule's
+points, where one locate serves the evaluate of every profile read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -330,17 +331,16 @@ def moment_weight(weight: str, n: int) -> tuple[float, int]:
     return kappa(n), k
 
 
-def moment_reduce(profile: Callable, weight: str, n: int, quad: Quadrature,
+def moment_reduce(values, weight: str, n: int, quad: Quadrature,
                   tail: Optional[TailModel] = None) -> float:
-    """Integral of profile(|z|) * weight(z) over R^n by radial reduction.
-
-    profile is integrated over the grid of quad; tail, when given, completes
-    the integral past the grid's r_max in closed form.
+    """Integral of f(|z|) * weight(z) over R^n by radial reduction, from
+    values = f(quad.points); tail, when given, completes the integral past
+    the grid's r_max in closed form.
     """
     kappa, k = moment_weight(weight, n)
     omega = surface_area(n)
     power = n - 1 + k
-    core = quad.integrate(profile(quad.points) * quad.points ** power)
+    core = quad.integrate(values * quad.points ** power)
     extra = 0.0
     if tail is not None:
         extra = tail.integral(quad.grid.r_max, k=power)

@@ -52,3 +52,31 @@ def test_tracer_counts_every_integration():
     counts, bracket, certify, newton = json.loads(proc.stdout)
     assert counts.get("groundstate.bracket_ivp_calls", 0) == bracket
     assert counts["groundstate.ivp_calls"] == bracket + certify + 2 + 4 * newton
+
+
+def test_worker_and_cli_commands_use_names_this_checkout_has():
+    # the worker reads library names and run.cli_commands passes CLI flags; a
+    # rename of either fails every benchmark pass, so both are checked here
+    code = (
+        "import ast, json, sys\n"
+        "from pathlib import Path\n"
+        f"sys.path.insert(0, {str(BENCH)!r})\n"
+        "import run\n"
+        "from multipeak import cli, constants, correction, energy, geometry, groundstate\n"
+        "mods = dict(cli=cli, constants=constants, correction=correction, energy=energy,\n"
+        "            geometry=geometry, groundstate=groundstate)\n"
+        f"tree = ast.parse(Path({str(BENCH / 'worker.py')!r}).read_text())\n"
+        "names = sorted({(node.value.id, node.attr) for node in ast.walk(tree)\n"
+        "                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)\n"
+        "                and node.value.id in mods})\n"
+        "missing = [f'{m}.{a}' for m, a in names if not hasattr(mods[m], a)]\n"
+        "for argv in run.cli_commands(5, Path('warp.csv')):\n"
+        "    cli.parse_args([*argv, '--cache-dir', 'cache'])\n"
+        "print(json.dumps([len(names), missing]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    found, missing = json.loads(proc.stdout)
+    assert found > 0
+    assert missing == []

@@ -378,14 +378,20 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
         assert same
         assert entry.read_text() == good
 
-    # the correction profiles stored beside it: truncated, or an array short
+    # the correction profiles stored beside it: truncated, an array short,
+    # or a residual that certifies nothing (psi prints it as a certificate)
     argv = ("psi", "--n", "3", "--m", "3", "--cache-dir", str(cache))
     first = run_cli(*argv).stdout
     (entry,) = cache.glob("cp-*.json")
     good = entry.read_text()
-    record = json.loads(good)
-    record["chi_d1"] = record["chi_d1"][:-1]
-    for bad in (good[: len(good) // 2], json.dumps(record)):
+    bad_records = [good[: len(good) // 2]]
+    for key, value in (("chi_d1", json.loads(good)["chi_d1"][:-1]),
+                       ("discrete_residual", 1.0), ("discrete_residual", float("nan")),
+                       ("chi_discrete_residual", -5.0)):
+        record = json.loads(good)
+        record[key] = value
+        bad_records.append(json.dumps(record))
+    for bad in bad_records:
         entry.write_text(bad)
         same = run_cli(*argv).stdout == first
         assert same

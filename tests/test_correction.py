@@ -4,6 +4,8 @@ import pytest
 from multipeak.constants import product_exponent
 from multipeak.correction import (
     CorrectionProfiles,
+    SingularSystem,
+    _certify,
     build_v2base,
     correction_profiles,
     equation_residual,
@@ -23,6 +25,13 @@ PSI0_44 = -4.313771733781784
 def test_discrete_residual_small(corrections):
     cp = corrections(3, 3.0)
     assert cp.discrete_residual < 1e-8
+
+
+def test_certify_refuses_a_residual_it_cannot_bound():
+    _certify("psi", 0.0)
+    for bad in (1.0, float("nan")):
+        with pytest.raises(SingularSystem):
+            _certify("psi", bad)
 
 
 def test_psi_center_values_pinned(corrections):

@@ -3,7 +3,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaincc, gammaln
 
-from multipeak.groundstate import solve_ground_state
+from multipeak.constants import compute_constants
+from multipeak.correction import correction_profiles, equation_residual, verify_L0_identities
+from multipeak.groundstate import _energy_ledger, ode_residual, solve_ground_state
 from multipeak.radial import (
     GridError,
     Quadrature,
@@ -180,6 +182,29 @@ def test_shared_lookup_scalar_and_tailless(corrections):
         assert np.all(got[r > 5.0] == 0.0)
 
 
+def test_each_node_set_is_located_once(monkeypatch, corrections):
+    # one lookup per node set serves every channel of every profile there;
+    # correction_profiles reads U on one midpoint grid per equation
+    gs = solve_ground_state(3, 3.0)
+    cp = corrections(3, 3.0)
+    calls = []
+    locate = RadialGrid.locate
+    monkeypatch.setattr(RadialGrid, "locate", lambda grid, r: calls.append(r) or locate(grid, r))
+
+    def lookups(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert lookups(compute_constants, gs, cp, 3) == 1
+    assert lookups(_energy_ledger, gs.profile, gs.n, gs.p) == 1
+    assert lookups(ode_residual, gs) == 1
+    assert lookups(verify_L0_identities, gs) == 1
+    for name in ("psi", "chi"):
+        assert lookups(equation_residual, gs, getattr(cp, name), name) == 1
+    assert lookups(correction_profiles, gs) == 2
+
+
 def test_quadrature_polynomial_exactness():
     g = RadialGrid(np.linspace(0.0, 3.0, 13))
     q = Quadrature(g)
@@ -229,7 +254,7 @@ def test_moment_reduce_gaussian_closed_form():
     # int e^(-|z|^2) z1^2 dz over R^3 = pi^(3/2)/2
     g = RadialGrid.graded(9.0, n_nodes=600)
     q = Quadrature(g)
-    got = moment_reduce(lambda r: np.exp(-r ** 2), "z1^2", 3, quad=q)
+    got = moment_reduce(np.exp(-q.points ** 2), "z1^2", 3, quad=q)
     assert got == pytest.approx(np.pi ** 1.5 / 2.0, rel=1e-10)
 
 
@@ -238,7 +263,8 @@ def test_moment_reduce_pure_tail_matches_closed_form():
     # reduction must equal the closed-form upper incomplete gamma integral
     g = RadialGrid(np.linspace(0.0, 4.0, 33))
     tail = TailModel(c=2.0, a=3.0, b=1.5)
-    got = moment_reduce(np.zeros_like, "z1^2", 3, Quadrature(g), tail=tail)
+    q = Quadrature(g)
+    got = moment_reduce(np.zeros_like(q.points), "z1^2", 3, q, tail=tail)
     kappa = 1.0 / 3.0
     ref = kappa * surface_area(3) * upper_gamma_tail(2.0, 3.0 + 4.0, 1.5, 4.0)
     assert got == pytest.approx(ref, rel=1e-8)
