@@ -36,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from .constants import (
+    _csv_text,
     compute_constants,
     gamma,
     product_exponent,
@@ -282,15 +283,12 @@ def cmd_phi_scan(args) -> int:
         warning = f"NoInteriorCritical: {e}"
         scan = e.scan
 
-    lines = []
-    prov = _flat_provenance(args, resolution=len(scan.t), model=type(model).__name__)
-    for key in sorted(prov):
-        lines.append(f"# {key}: {prov[key]}")
-    lines.append("t,s,lap_s,ric2,riem2,phi")
-    for t, cp, pv in zip(scan.t, scan.curvature, scan.phi):
-        cells = (t, cp.s, cp.lap_s, cp.ric2, cp.riem2, pv)
-        lines.append(",".join(repr(float(c)) for c in cells))
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = _csv_text(
+        ("t", "s", "lap_s", "ric2", "riem2", "phi"),
+        ((t, cp.s, cp.lap_s, cp.ric2, cp.riem2, pv)
+         for t, cp, pv in zip(scan.t, scan.curvature, scan.phi)),
+        _flat_provenance(args, resolution=len(scan.t), model=type(model).__name__),
+    )
 
     points = {
         "provenance": _provenance(args, resolution=len(scan.t)),

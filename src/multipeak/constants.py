@@ -243,18 +243,16 @@ def beta_table(pairs=None, max_N: int = 9):
     return rows
 
 
-def table_csv(rows, provenance: dict | None = None) -> str:
-    """Deterministic CSV: '#' provenance comments, exact header, repr floats."""
-    lines = []
-    if provenance:
-        for key in sorted(provenance):
-            lines.append(f"# {key}: {provenance[key]}")
-    lines.append(",".join(CSV_COLUMNS))
-    for row in rows:
-        d = row.row()
-        cells = []
-        for k in CSV_COLUMNS:
-            v = d[k]
-            cells.append(str(v) if isinstance(v, int) else repr(float(v)))
-        lines.append(",".join(cells))
+def _csv_text(header, rows, provenance: dict | None = None) -> str:
+    """Deterministic CSV: '#' provenance comments, the exact header, then
+    each row's cells, ints as str and every other cell as a repr float."""
+    lines = [f"# {key}: {provenance[key]}" for key in sorted(provenance or {})]
+    lines.append(",".join(header))
+    for cells in rows:
+        lines.append(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in cells))
     return "\n".join(lines) + "\n"
+
+
+def table_csv(rows, provenance: dict | None = None) -> str:
+    """The rows' CSV_COLUMNS as deterministic CSV (_csv_text)."""
+    return _csv_text(CSV_COLUMNS, (map(row.row().get, CSV_COLUMNS) for row in rows), provenance)

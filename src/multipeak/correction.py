@@ -73,8 +73,9 @@ class CorrectionProfiles:
 
     def save(self, path) -> None:
         """Store what only the solve can produce: node values, their spline
-        first derivatives and the solve's residuals.  `load` rebuilds the
-        rest from the ground state."""
+        first derivatives and the solve's residuals, with the midpoint
+        equation residuals of psi and chi that `load` must reproduce.
+        `load` rebuilds the rest from the ground state."""
         record = {
             "n": self.gs.n,
             "p": self.gs.p,
@@ -85,6 +86,9 @@ class CorrectionProfiles:
             "discrete_residual": self.discrete_residual,
             "chi_discrete_residual": self.chi_discrete_residual,
         }
+        for name in ("psi", "chi"):
+            record[f"{name}_equation_residual"] = equation_residual(
+                self.gs, getattr(self, name), name)
         with open(path, "w") as fh:
             fh.write(json.dumps(record))
 
@@ -94,7 +98,8 @@ class CorrectionProfiles:
 
         Raises ValueError, KeyError or TypeError for a malformed record, one
         saved for another (n, p), arrays that do not fit gs's grid or are
-        not finite, or a stored residual outside [0, _RESIDUAL_TOL].
+        not finite, a stored discrete residual outside [0, _RESIDUAL_TOL],
+        or profiles whose midpoint equation residuals are not the stored ones.
         """
         with open(path) as fh:
             d = json.load(fh)
@@ -110,13 +115,18 @@ class CorrectionProfiles:
         for key in ("discrete_residual", "chi_discrete_residual"):
             if not 0.0 <= float(d[key]) <= _RESIDUAL_TOL:
                 raise ValueError(f"{key} {d[key]!r} is not a certified residual")
-        return CorrectionProfiles(
+        cp = CorrectionProfiles(
             gs=gs,
             psi=_profile(gs, "psi", arrays["psi_values"], arrays["psi_d1"]),
             chi=_profile(gs, "chi", arrays["chi_values"], arrays["chi_d1"]),
             discrete_residual=float(d["discrete_residual"]),
             chi_discrete_residual=float(d["chi_discrete_residual"]),
         )
+        for name in ("psi", "chi"):
+            key = f"{name}_equation_residual"
+            if equation_residual(gs, getattr(cp, name), name) != float(d[key]):
+                raise ValueError(f"the loaded {name} does not reproduce its {key}")
+        return cp
 
 
 def _tridiag_solve(lower, diag, upper, rhs):
@@ -268,7 +278,7 @@ def _profile(gs: GroundState, name: str, vals, d1) -> RadialFunction:
     r_max = gs.r_max
     fitwin = (r > 0.5 * r_max) & (r < 0.7 * r_max)
     shape = r[fitwin] ** tail_power * np.exp(-r[fitwin])
-    c_tail = float(np.dot(shape, vals[fitwin]) / np.dot(shape, shape))
+    c_tail = float(np.sum(shape * vals[fitwin]) / np.sum(shape * shape))
     return RadialFunction(gs.grid, vals, d1, d2, tail=TailModel(c_tail, tail_power, 1.0))
 
 

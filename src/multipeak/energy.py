@@ -71,7 +71,7 @@ from .constants import DimensionalConstants, gamma
 from .correction import CorrectionProfiles
 from .geometry import FlatSpace, RoundSphere, phi
 from .groundstate import GroundState
-from .radial import gauss_panels, surface_area
+from .radial import GL8, gauss_panels, surface_area
 
 
 class InjectivityViolation(ValueError):
@@ -86,7 +86,6 @@ class LadderTooShort(ValueError):
     """Too few distinct eps: a log-log slope needs 2, a coefficient fit 4."""
 
 
-_GL8 = np.polynomial.legendre.leggauss(8)
 _GL6 = np.polynomial.legendre.leggauss(6)
 
 # Support-grid nodes per block of _field_pass.  On a million points the
@@ -298,7 +297,7 @@ def _panel_nodes(rho_max: float, kinks=()):
     edges = set(np.arange(0.0, rho_max, _RHO_STEP))
     edges.add(rho_max)
     edges.update(k for k in kinks if 0.0 < k < rho_max)
-    return gauss_panels(np.array(sorted(edges)), _GL8)
+    return gauss_panels(np.array(sorted(edges)), GL8)
 
 
 def _rho_max(ansatz: PeakAnsatz) -> float:
@@ -480,8 +479,7 @@ def _bump_fields(ansatz: PeakAnsatz, d):
     G[support], dG[support] = g0, g1
     with np.errstate(divide="ignore", invalid="ignore"):
         drift = np.where(ds > 0, ansatz.model.polar_drift(ds, 1.0), 0.0)
-    lap_s = g2 + drift * g1
-    lap[support] = np.where(np.isfinite(lap_s), lap_s, 0.0)
+    lap[support] = g2 + drift * g1
     return support, G, dG, lap
 
 

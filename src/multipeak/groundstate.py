@@ -65,7 +65,7 @@ class TailTooShort(RuntimeError):
 # the cached records (GroundState.to_dict and CorrectionProfiles.save), bumped
 # when the records or the solve that writes them change
 SOLVER = {"bracket_rtol": 1e-6, "certify_delta": 1e-12, "n_nodes": 4000, "r_cap": 60.0}
-SCHEMA = 6
+SCHEMA = 7
 
 
 def critical_exponent(n: int) -> float:

@@ -7,7 +7,11 @@ quintic form from (f, f', f''), and the channel form, which also takes f'''
 and f'''' and interpolates each of f, f', f'' from its own node data
 (septic, septic, quintic; built from one _hermite_basis).  Cell-wise
 Gauss-Legendre rules integrate such profiles (against polynomial weights
-r^k) essentially to machine accuracy.
+r^k) essentially to machine accuracy.  gauss_panels is the one map of a
+rule onto panels: Quadrature lays GL8 on a grid's cells, and energy's
+polar panels take GL8 from here too.  Every integral is one fixed-order
+np.sum of weights times values, never a BLAS dot, so its bits do not
+depend on the BLAS thread count.
 
 Two names here are the only ones that know a far field and its integral.
 TailModel c * r^a * exp(-b r) is a profile's form past the end of its grid,
@@ -167,7 +171,7 @@ class TailModel:
         if self.b <= 0 or R <= 0:
             raise ValueError("tail integral needs decay rate b > 0 and R > 0")
         vals = (R + _lag_x / self.b) ** (self.a + k)
-        return float(self.c * np.exp(-self.b * R) / self.b * np.dot(_lag_w, vals))
+        return float(self.c * np.exp(-self.b * R) / self.b * np.sum(_lag_w * vals))
 
     def powered(self, q: float) -> "TailModel":
         return TailModel(self.c ** q, self.a * q, self.b * q)
@@ -297,20 +301,19 @@ def gauss_panels(edges, rule):
     return nodes, weights
 
 
+# the 8-point Gauss-Legendre rule of every radial and polar panel
+GL8 = leggauss(8)
+
+
 class Quadrature:
     """Composite 8-point Gauss-Legendre rule over the cells of a RadialGrid."""
 
     def __init__(self, grid: RadialGrid):
-        gl_x, gl_w = leggauss(8)
-        x = grid.nodes
-        h = np.diff(x)
-        # nodes[i, q] = cell i mapped GL point q
-        self.points = (x[:-1, None] + h[:, None] * (gl_x[None, :] + 1.0) / 2.0).ravel()
-        self.weights = (h[:, None] * gl_w[None, :] / 2.0).ravel()
+        self.points, self.weights = gauss_panels(grid.nodes, GL8)
         self.grid = grid
 
     def integrate(self, values) -> float:
-        return float(np.dot(self.weights, values))
+        return float(np.sum(self.weights * values))
 
 
 # Moment reduction over R^n: int f(|z|) w(z) dz = kappa * omega_{n-1} * int f r^(n-1+k) dr

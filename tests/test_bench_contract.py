@@ -72,11 +72,14 @@ def test_worker_and_cli_commands_use_names_this_checkout_has():
         "missing = [f'{m}.{a}' for m, a in names if not hasattr(mods[m], a)]\n"
         "for argv in run.cli_commands(5, Path('warp.csv')):\n"
         "    cli.parse_args([*argv, '--cache-dir', 'cache'])\n"
-        "print(json.dumps([len(names), missing]))\n"
+        "ladder = run.CLI_EPS_LADDER == ','.join(map(repr, energy.COEFF_LADDER))\n"
+        "print(json.dumps([len(names), missing, ladder]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=checkout_env())
     assert proc.returncode == 0, proc.stderr
-    found, missing = json.loads(proc.stdout)
+    found, missing, ladder = json.loads(proc.stdout)
     assert found > 0
     assert missing == []
+    # the cli-warm energy-check runs the library's coefficient ladder
+    assert ladder

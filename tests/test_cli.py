@@ -29,12 +29,12 @@ def warp_csv(tmp_path_factory):
     return str(path)
 
 
-def run_cli(*argv, expect=0):
+def run_cli(*argv, expect=0, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "multipeak.cli", *argv],
         capture_output=True,
         text=True,
-        env=checkout_env(),
+        env={**checkout_env(), **(env or {})},
     )
     assert proc.returncode == expect, proc.stdout + proc.stderr
     return proc
@@ -379,18 +379,20 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
         assert entry.read_text() == good
 
     # the correction profiles stored beside it: truncated, an array short,
-    # or a residual that certifies nothing (psi prints it as a certificate)
+    # a residual that certifies nothing (psi prints it as a certificate), or
+    # finite arrays that fit the grid but put psi 1% off, so that the loaded
+    # psi misses its stored equation residual
     argv = ("psi", "--n", "3", "--m", "3", "--cache-dir", str(cache))
     first = run_cli(*argv).stdout
     (entry,) = cache.glob("cp-*.json")
     good = entry.read_text()
+    record = json.loads(good)
     bad_records = [good[: len(good) // 2]]
-    for key, value in (("chi_d1", json.loads(good)["chi_d1"][:-1]),
-                       ("discrete_residual", 1.0), ("discrete_residual", float("nan")),
-                       ("chi_discrete_residual", -5.0)):
-        record = json.loads(good)
-        record[key] = value
-        bad_records.append(json.dumps(record))
+    for change in ({"chi_d1": record["chi_d1"][:-1]},
+                   {"discrete_residual": 1.0}, {"discrete_residual": float("nan")},
+                   {"chi_discrete_residual": -5.0},
+                   {key: [1.01 * v for v in record[key]] for key in ("psi_values", "psi_d1")}):
+        bad_records.append(json.dumps({**record, **change}))
     for bad in bad_records:
         entry.write_text(bad)
         same = run_cli(*argv).stdout == first
@@ -490,7 +492,7 @@ def test_record_keys_are_pinned_with_the_schema(corrections, tmp_path):
     # so no entry of the old layout is read under the new one
     cp = corrections(3, 3.0)
     cp.save(tmp_path / "cp.json")
-    assert cli.SCHEMA == 6
+    assert cli.SCHEMA == 7
     assert set(cp.gs.to_dict()) == {
         "n", "p", "u0", "decay_c", "grid", "values", "values_d1", "I1", "I2", "Ip",
         "certified", "bracket_width", "bracket_shots", "certify_shots", "newton_steps",
@@ -498,7 +500,7 @@ def test_record_keys_are_pinned_with_the_schema(corrections, tmp_path):
     }
     assert set(json.loads((tmp_path / "cp.json").read_text())) == {
         "n", "p", "psi_values", "psi_d1", "chi_values", "chi_d1", "discrete_residual",
-        "chi_discrete_residual",
+        "chi_discrete_residual", "psi_equation_residual", "chi_equation_residual",
     }
 
 
@@ -523,6 +525,20 @@ def test_reruns_are_byte_identical(cache_dir, tmp_path, argv):
     run_cli(*argv, "--cache-dir", cache_dir, "--out", str(a))
     run_cli(*argv, "--cache-dir", cache_dir, "--out", str(b))
     same = a.read_bytes() == b.read_bytes()
+    assert same
+
+
+@CRITERION_10
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    # every radial integral is a fixed-order sum, so a cold run, solve
+    # included, prints the same bytes at one BLAS thread and at two
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.out"
+        run_cli(*argv, "--cache-dir", str(tmp_path / f"cache-{threads}"), "--out", str(out),
+                env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+        outs.append(out.read_bytes())
+    same = outs[0] == outs[1]
     assert same
 
 
