@@ -15,28 +15,24 @@ remainder is honest measurement error plus higher expansion orders.
 energy_J, norm_eps and residual_norm read one measurement of the ansatz,
 _measure, which gives J, the squared norm and the residual norm together
 and keeps them on the ansatz, so each pass runs once per ansatz.  A bump
-has one evaluation, PeakAnsatz.bump(d): (G, G', G'') at the distances d.
-The passes below take the ansatz alone and read its model from it.  The
-single-peak terms come from _polar_pass: one evaluation of the bump on
-the polar nodes, which all lie inside its support, integrated against
-their weights and measure.  The single-peak term does not depend on the
-center on these models, so it is computed once and counted K times.  For
-several peaks, _great_circle gives the SupportGrid: the (theta, phi)
-nodes of the sphere's great-circle grid that lie within cutoff_r of some
-center, with the distance to every center and the measure on those nodes
-only.  Every integrand is exactly 0 on the nodes it drops.  The grid is
-built once per (sphere, centers, eps, cutoff) and kept in a one-entry
-cache.  _field_pass cuts its nodes into blocks of _BUMP_BLOCK, whose
-temporaries stay in cache, evaluates each bump there once as (G, G',
-Lap G), and fills the densities of J's cross terms, the norm's cross
-terms and the residual of the whole sum, which does not split into
-single-peak terms.  A pool of _WORKERS threads takes the blocks as each
-thread frees up; each block writes only its own slice of the density
-arrays, which are then reduced whole, so the integrals are the same to
-the last bit on any number of cores.  An ansatz answers only for the
-model it was built on.
+has one evaluation, PeakAnsatz.bump(d): (G, G', Lap G) at the manifold
+distances d, Lap G = G'' + polar_drift(d) G' the one Laplacian both
+passes read.  The single-peak terms come from _polar_pass: one evaluation
+of the bump on the polar nodes, which all lie inside its support.  They
+do not depend on the center on these models, so they are computed once
+and counted K times.  For several peaks the model's support_grid gives
+the nodes within cutoff_r of some center, with the distance to every
+center and the measure on those nodes; every integrand is exactly 0 on
+the nodes it drops.  _field_pass cuts them into blocks of _BUMP_BLOCK,
+whose temporaries stay in cache, evaluates each bump there once, and
+fills the densities of J's and the norm's cross terms and the residual of
+the whole sum, which does not split into single-peak terms.  A pool of
+_WORKERS threads takes the blocks; each block writes only its own slice
+of the density arrays, which are then reduced whole, so the integrals are
+the same to the last bit on any number of cores.  An ansatz answers only
+for the model it was built on.
 
-Past cutoff_r the cutoff makes G, G' and G'' exactly 0, so _field_pass
+Past cutoff_r the cutoff makes G, G' and Lap G exactly 0, so _field_pass
 evaluates a bump on its support d < cutoff_r only and leaves the exact
 zeros elsewhere; a pair term only where both supports meet.  U, chi and
 v2base share the ground state's radial grid, so one interval lookup per
@@ -49,19 +45,18 @@ second-order residual of the plain bump is S = -ric_factor r U' + c s U,
 radial, and L0 V = -S exactly, so Y's residual drops past eps^2 while the
 plain bump W's stays at eps^2.
 
-Supported models: RoundSphere and FlatSpace, both Einstein.  The
-quadratures choose no formula by model: a model must give n,
-injectivity_radius, distance, curvature_at and the methods as_point,
-polar_density and polar_drift listed in geometry.py.  Several peaks also
-need the sphere's great-circle grid.  Warped metrics would need a
-geodesic solver off the meridian, which is out of scope here.
+Geometry reaches the ansatz only through the model methods in _READS
+(n, injectivity_radius, as_point, distance, curvature_at, polar_density,
+polar_drift), and several peaks through _READS_SEVERAL (support_grid,
+cos_angle); geometry.py describes them.  A model that lacks one is
+refused with UnsupportedModel, which names what it lacks.  s and the
+Ricci factor are read at the first center, exact on a homogeneous model.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -69,7 +64,7 @@ import numpy as np
 
 from .constants import DimensionalConstants, gamma
 from .correction import CorrectionProfiles
-from .geometry import FlatSpace, RoundSphere, phi
+from .geometry import UnsupportedModel, phi
 from .groundstate import GroundState
 from .radial import GL8, gauss_panels, surface_area
 
@@ -78,15 +73,9 @@ class InjectivityViolation(ValueError):
     """Cutoff or placement exceeds the model's injectivity radius."""
 
 
-class UnsupportedModel(TypeError):
-    """Energy quadrature is implemented for round spheres and flat space."""
-
-
 class LadderTooShort(ValueError):
     """Too few distinct eps: a log-log slope needs 2, a coefficient fit 4."""
 
-
-_GL6 = np.polynomial.legendre.leggauss(6)
 
 # Support-grid nodes per block of _field_pass.  On a million points the
 # profile lookups (take, Horner) are bound by memory bandwidth; a block of
@@ -148,6 +137,18 @@ class PeakConfig:
         return len(self.centers)
 
 
+_READS = ("n", "injectivity_radius", "as_point", "distance", "curvature_at",
+          "polar_density", "polar_drift")
+_READS_SEVERAL = ("support_grid", "cos_angle")
+
+
+def _require(model, names, what: str):
+    missing = [a for a in names if not hasattr(model, a)]
+    if missing:
+        raise UnsupportedModel(f"{what} reads {', '.join(missing)} of the model, "
+                               f"which {type(model).__name__} lacks")
+
+
 def _interaction_sum(model, centers, gs: GroundState, eps: float) -> float:
     """Sum of U(d(c_i, c_j) / eps) over the ordered pairs i != j, one scalar
     evaluation per pair, row by row."""
@@ -193,10 +194,7 @@ class PeakAnsatz:
 
     def __init__(self, model, config: PeakConfig, gs: GroundState,
                  c_bold: float = 0.0, profiles: CorrectionProfiles = None):
-        if not isinstance(model, (RoundSphere, FlatSpace)):
-            raise UnsupportedModel(
-                "peak ansatz needs distances in closed form; use RoundSphere or FlatSpace"
-            )
+        _require(model, _READS, "the peak ansatz")
         if model.n != gs.n:
             raise ValueError(
                 f"ground state of dimension {gs.n} on a model of dimension {model.n}"
@@ -217,8 +215,7 @@ class PeakAnsatz:
         self.gs = gs
         self.c_bold = float(c_bold)
         self.profiles = profiles
-        cp = model.curvature_at(self.config.centers[0])
-        self.s_center = cp.s
+        self.s_center = model.curvature_at(self.config.centers[0]).s
         # Ricci eigenvalue over -3, Ric = (s/n) g: the sign that cancels
         # the metric part of the equation residual at second order
         self._ric_factor = -self.s_center / (3.0 * model.n)
@@ -261,7 +258,8 @@ class PeakAnsatz:
         return tuple(a + e2 * b for a, b in zip(self.gs.profile.evaluate(at), v))
 
     def bump(self, d):
-        """(G, G', G'') of one bump at manifold distances d.
+        """(G, G', Lap G) of one bump at manifold distances d, with Lap G =
+        G'' + polar_drift(d) G'; at d = 0 it is the limit n G''.
 
         Past cutoff_r the cutoff makes all three exactly 0, so a caller may
         leave out the distances beyond it.
@@ -269,9 +267,11 @@ class PeakAnsatz:
         eps, rc = self.epsilon, self.config.cutoff_r
         h = self.blownup_profile(d / eps)
         c0, c1, c2 = smoothstep_cutoff(d, rc)
-        return (h[0] * c0,
-                h[1] / eps * c0 + h[0] * c1,
-                h[2] / eps ** 2 * c0 + 2.0 * h[1] / eps * c1 + h[0] * c2)
+        g1 = h[1] / eps * c0 + h[0] * c1
+        g2 = h[2] / eps ** 2 * c0 + 2.0 * h[1] / eps * c1 + h[0] * c2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lap = np.where(d > 0, g2 + self.model.polar_drift(d) * g1, self.model.n * g2)
+        return h[0] * c0, g1, lap[()]  # [()]: a scalar d gives a scalar
 
 
 def build_W(model, config: PeakConfig, gs: GroundState, c_bold: float = 0.0) -> PeakAnsatz:
@@ -301,12 +301,8 @@ def _panel_nodes(rho_max: float, kinks=()):
 
 
 def _rho_max(ansatz: PeakAnsatz) -> float:
-    rc = ansatz.config.cutoff_r
-    eps = ansatz.epsilon
     cap = ansatz.gs.r_max + 12.0  # profile tail is below 1e-12 there
-    if np.isinf(rc):
-        return cap
-    return min(rc / eps, cap)
+    return min(ansatz.config.cutoff_r / ansatz.epsilon, cap)
 
 
 class _Integrals(NamedTuple):
@@ -324,8 +320,8 @@ class _Integrals(NamedTuple):
 
 def _polar_pass(ansatz: PeakAnsatz) -> _Integrals:
     """The integrals of one bump on geodesic polar nodes rho = d/eps over
-    the ball in blown-up units, from one evaluation of (G, G', G'').  Every
-    node lies inside the support.
+    the ball in blown-up units, from one evaluation of (G, G', Lap G).
+    Every node lies inside the support.
     """
     model = ansatz.model
     eps, rc, n, p = ansatz.epsilon, ansatz.config.cutoff_r, model.n, ansatz.gs.p
@@ -336,168 +332,40 @@ def _polar_pass(ansatz: PeakAnsatz) -> _Integrals:
     def integral(dens) -> float:
         return surface_area(n) * float(np.sum(w * dens * meas))
 
-    g0, g1, g2 = ansatz.bump(eps * rho)
+    g0, g1, lap = ansatz.bump(eps * rho)
     mass, pos = ansatz.mass, np.maximum(g0, 0.0)
     # eps^2 |grad u|^2 = (dG/drho)^2 in blown-up units
     gr = eps * g1
-    lap = eps ** 2 * g2 + model.polar_drift(rho, eps) * eps * g1
-    r = -lap + mass * g0 - pos ** (p - 1.0)
+    r = -eps ** 2 * lap + mass * g0 - pos ** (p - 1.0)
     return _Integrals(integral(0.5 * gr ** 2 + 0.5 * mass * g0 ** 2 - pos ** p / p),
                       integral(gr ** 2 + mass * g0 ** 2),
                       integral(np.abs(r) ** (p / (p - 1.0))))
 
 
-def _great_circle_basis(centers):
-    """Orthonormal (e_a, e_b) spanning the centers, which must be coplanar."""
-    e_a = centers[0] / np.linalg.norm(centers[0])
-    e_b = None
-    for c in centers[1:]:
-        t = c - (c @ e_a) * e_a
-        if np.linalg.norm(t) > 1e-12:
-            e_b = t / np.linalg.norm(t)
-            break
-    if e_b is None:
-        # all centers collinear with e_a; any orthogonal direction works
-        k = int(np.argmin(np.abs(e_a)))
-        t = np.zeros_like(e_a)
-        t[k] = 1.0
-        t -= (t @ e_a) * e_a
-        e_b = t / np.linalg.norm(t)
-    for c in centers:
-        resid = c - (c @ e_a) * e_a - (c @ e_b) * e_b
-        if np.linalg.norm(resid) > 1e-10 * np.linalg.norm(c):
-            raise ValueError("cross-term quadrature needs centers on one great circle")
-    return e_a, e_b
-
-
-def _gl_panels(lo: float, hi: float, step: float):
-    edges = np.linspace(lo, hi, max(2, int(np.ceil((hi - lo) / step)) + 1))
-    return gauss_panels(edges, _GL6)
-
-
-class SupportGrid(NamedTuple):
-    """The (theta, phi) grid of the sphere, kept where a support reaches.
-
-    Row i keeps the phi nodes phi[:prefix[i]] and phi[suffix[i]:], which
-    hold every node within cutoff_r of a center; every other node carries
-    exact zeros in each integrand.  dists and measure are on the kept nodes
-    in row-major order, each value bit-identical to the full grid's.
-    """
-
-    theta: np.ndarray
-    phi: np.ndarray
-    prefix: np.ndarray
-    suffix: np.ndarray
-    dists: tuple
-    measure: np.ndarray
-
-    def integral(self, dens) -> float:
-        """The eps-normalized sphere integral of dens given on the kept nodes."""
-        return float(np.sum(dens * self.measure))
-
-
-def _kept_indices(prefix, suffix, n_phi: int):
-    cols = np.arange(n_phi)
-    return np.nonzero((cols < prefix[:, None]) | (cols >= suffix[:, None]))
-
-
-def _great_circle(ansatz: PeakAnsatz) -> SupportGrid:
-    """The support grid of the ansatz's centers on its sphere."""
-    n, R, eps = ansatz.model.n, ansatz.model.radius, ansatz.epsilon
-    if n < 3:
-        raise UnsupportedModel("cross-term quadrature needs sphere dimension >= 3")
-    ang_step = min(_STEP_FACTOR * eps / R, np.pi / 24.0)
-    centers = tuple(tuple(float(x) for x in c) for c in ansatz.config.centers)
-    return _support_grid(n, float(R), centers, float(eps),
-                         float(ansatz.config.cutoff_r), float(ang_step))
-
-
-@lru_cache(maxsize=1)
-def _support_grid(n: int, R: float, centers: tuple, eps: float, cutoff_r: float,
-                  ang_step: float) -> SupportGrid:
-    """Build the SupportGrid once per (sphere, centers, eps, cutoff, step).
-
-    With c = ca e_a + cb e_b, cos(d/R) = cos(theta) ca + sin(theta) cos(phi) cb
-    falls along a row as phi ascends when cb > 0, so the cap d < cutoff_r is
-    a prefix of the row; when cb < 0 it is a suffix, and when cb = 0 the
-    whole row or none of it.  The caps are found on cos(d/R) with a margin
-    of 1e-12 for rounding.  Each row keeps the longest prefix and suffix.
-    """
-    th, wth = _gl_panels(0.0, np.pi, ang_step)
-    ph, wph = th, wth
-    units = [np.array(c) for c in centers]
-    e_a, e_b = _great_circle_basis(units)
-    coords = [(float(c @ e_a), float(c @ e_b)) for c in units]
-    ct, st, cp = np.cos(th), np.sin(th), np.cos(ph)
-    n_phi = ph.size
-    prefix = np.zeros(th.size, dtype=np.intp)
-    suffix = np.full(th.size, n_phi, dtype=np.intp)
-    cos_cut = np.cos(cutoff_r / R) - 1e-12
-    for ca, cb in coords:
-        base = cos_cut - ct * ca  # the cap is where st cp cb > base
-        if cb == 0.0:
-            prefix = np.where(base < 0.0, n_phi, prefix)
-            continue
-        tau = base / (st * cb)
-        if cb > 0.0:  # cp > tau, a prefix of the descending cp
-            prefix = np.maximum(prefix, np.searchsorted(-cp, -tau, side="left"))
-        else:  # cp < tau, a suffix
-            suffix = np.minimum(suffix, np.searchsorted(-cp, -tau, side="right"))
-    suffix = np.maximum(suffix, prefix)
-    rows, cols = _kept_indices(prefix, suffix, n_phi)
-    # the full grid's elementwise expressions, on the kept nodes only
-    dists = []
-    for ca, cb in coords:
-        cosang = np.clip(ct[rows] * ca + st[rows] * cp[cols] * cb, -1.0, 1.0)
-        dists.append(R * np.arccos(cosang))
-    area = (np.sin(th) ** (n - 1))[rows] * (np.sin(ph) ** (n - 2))[cols]
-    wt = wth[rows] * wph[cols]
-    measure = (R ** n / eps ** n) * surface_area(n - 1) * area * wt
-    grid = SupportGrid(th, ph, prefix, suffix, tuple(dists), measure)
-    for arr in (th, ph, prefix, suffix, measure, *dists):
-        arr.flags.writeable = False  # shared by every caller of the cache
-    return grid
-
-
-def _cos_angle(model, d_i, d_j, d_ij):
-    R = model.radius
-    si, sj = np.sin(d_i / R), np.sin(d_j / R)
-    denom = np.maximum(si * sj, 1e-300)
-    val = (np.cos(d_ij / R) - np.cos(d_i / R) * np.cos(d_j / R)) / denom
-    return np.clip(val, -1.0, 1.0)
-
-
 def _bump_fields(ansatz: PeakAnsatz, d):
-    """(support, G, G', Lap G) of one bump at sphere distances d from its
-    center, each evaluated on the support only.
+    """(support, G, G', Lap G) of one bump at distances d from its center,
+    each evaluated on the support only.
     """
     support = d < ansatz.config.cutoff_r
-    ds = d[support]
-    g0, g1, g2 = ansatz.bump(ds)
+    fields = ansatz.bump(d[support])
     # allocated after the evaluation, whose temporaries are the block's peak
     G, dG, lap = (np.zeros_like(d) for _ in range(3))
-    G[support], dG[support] = g0, g1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        drift = np.where(ds > 0, ansatz.model.polar_drift(ds, 1.0), 0.0)
-    lap[support] = g2 + drift * g1
+    G[support], dG[support], lap[support] = fields
     return support, G, dG, lap
 
 
-def _field_pass(ansatz: PeakAnsatz, grid: SupportGrid) -> _Integrals:
+def _field_pass(ansatz: PeakAnsatz, grid) -> _Integrals:
     """The three support-grid integrals from one evaluation of each bump.
 
-    The kept nodes are cut into blocks of _BUMP_BLOCK, which a pool of
-    _WORKERS threads runs; concurrent.futures is imported at the first pass,
-    so a CLI command that runs none does not load it.  Per block each bump
-    gives (G, G', Lap G) once, and the densities of J, the norm and the
-    residual are written into the block's own slice of full-length arrays,
-    which grid.integral reduces whole, so the integrals do not depend on the
-    number of threads.  The pool joins its threads before the pass returns
-    and raises a block's exception here.
-    The cross part of the quadratic form, summed over pairs i < j, is
-    eps^2 G_i' G_j' cos A + mass G_i G_j with A the angle between the
-    geodesics to centers i and j; J weighs it by 1 and the norm by 2.  A
-    pair is evaluated only where both supports meet and adds exact zeros
+    Blocks of _BUMP_BLOCK kept nodes run on a pool of _WORKERS threads, each
+    writing its own slice of full-length density arrays that grid.integral
+    reduces whole; concurrent.futures is imported at the first pass, so a
+    CLI command that runs none does not load it.  The pool joins its threads
+    before the pass returns and raises a block's exception here.  The cross
+    part of the quadratic form, summed over pairs i < j, is eps^2 G_i' G_j'
+    cos A + mass G_i G_j with A the angle between the geodesics to centers
+    i and j (model.cos_angle); J weighs it by 1 and the norm by 2.  A pair
+    is evaluated only where both supports meet and adds exact zeros
     elsewhere.
     """
     from concurrent.futures import ThreadPoolExecutor
@@ -516,7 +384,7 @@ def _field_pass(ansatz: PeakAnsatz, grid: SupportGrid) -> _Integrals:
         pair = np.zeros_like(dists[0])
         for i, j, d_ij in pairs:
             meet = supports[i] & supports[j]
-            cosA = _cos_angle(model, dists[i][meet], dists[j][meet], d_ij)
+            cosA = model.cos_angle(dists[i][meet], dists[j][meet], d_ij)
             g0i, g1i, g0j, g1j = (g[meet] for g in (g0s[i], g1s[i], g0s[j], g1s[j]))
             pair[meet] += eps ** 2 * g1i * g1j * cosA + mass * g0i * g0j
         u = sum(g0s)
@@ -541,19 +409,18 @@ def _measure(model, ansatz: PeakAnsatz) -> _Integrals:
     times; for K >= 2 the cross terms of J and the norm, and the residual
     of the whole sum, which does not separate, come from the support grid.
     The first call runs those passes and keeps the result in
-    ansatz._measured; every later call returns it.  Several peaks are only
-    quadrated on the sphere.
+    ansatz._measured; every later call returns it.
     """
     if model != ansatz.model:
         raise ValueError(f"ansatz is built on {ansatz.model!r}, not on {model!r}")
     if ansatz._measured is not None:
         return ansatz._measured
-    K = ansatz.K
-    if K >= 2 and not isinstance(model, RoundSphere):
-        raise UnsupportedModel("several peaks are only quadrated on the sphere")
+    K, config = ansatz.K, ansatz.config
     J, norm, residual = _polar_pass(ansatz)
     if K >= 2:
-        cross = _field_pass(ansatz, _great_circle(ansatz))
+        _require(model, _READS_SEVERAL, "the quadrature of several peaks")
+        cross = _field_pass(ansatz, model.support_grid(
+            config.centers, config.epsilon, config.cutoff_r, _STEP_FACTOR))
         J, norm, residual = K * J + cross.J, K * norm + cross.norm, cross.residual
     pp = ansatz.gs.p / (ansatz.gs.p - 1.0)
     ansatz._measured = _Integrals(J, norm, residual ** (1.0 / pp))

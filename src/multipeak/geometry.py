@@ -8,21 +8,30 @@ curvature from the warp profile, and flat space.  On these the functional
 
 is evaluated and scanned for isolated interior critical points.
 
-RoundSphere and FlatSpace also give what energy.py's quadratures read:
-as_point(xi) checks a point (the sphere returns the unit vector along
-it), polar_density(d) is (area element / flat area element)^(1/(n-1)) at
-distance d, and polar_drift(rho, eps) is the first-order coefficient of
-the Laplacian on radial functions of rho = d/eps, eps^2 lap f = f'' +
-polar_drift f'.
+RoundSphere and FlatSpace also give what energy.py's peak ansatz reads, in
+manifold units: as_point(xi) checks a point (the sphere returns the unit
+vector along it), polar_density(d) is (area element / flat area
+element)^(1/(n-1)) at distance d, and polar_drift(d) is the first-order
+coefficient of the Laplacian on radial functions, lap f = f'' +
+polar_drift(d) f'.  For several peaks RoundSphere.support_grid gives the
+nodes of its great-circle grid within cutoff_r of some center, and
+cos_angle the angle there between the geodesics to two centers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import DimensionalConstants
+from .radial import gauss_panels, surface_area
+
+
+class UnsupportedModel(TypeError):
+    """A model lacks a method that a computation reads of it."""
 
 
 class PoleSingularity(ValueError):
@@ -98,13 +107,137 @@ class RoundSphere:
     def polar_density(self, d):
         return np.sinc(np.asarray(d, dtype=float) / (np.pi * self.radius))
 
-    def polar_drift(self, rho, eps: float):
-        return (self.n - 1) * ((eps / self.radius) / np.tan(eps * rho / self.radius))
+    def polar_drift(self, d):
+        R = self.radius
+        return (self.n - 1) * ((1.0 / R) / np.tan(d / R))
 
     def distance(self, xi1, xi2) -> float:
         a, b = self.as_point(xi1), self.as_point(xi2)
         ang = float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
         return self.radius * ang
+
+    def support_grid(self, centers, eps: float, cutoff_r: float, step: float) -> SupportGrid:
+        """The SupportGrid of the centers at an angular step of at most
+        step eps / radius and pi/24."""
+        if self.n < 3:
+            raise UnsupportedModel("cross-term quadrature needs sphere dimension >= 3")
+        ang_step = min(step * eps / self.radius, np.pi / 24.0)
+        centers = tuple(tuple(float(x) for x in c) for c in centers)
+        return _support_grid(self.n, float(self.radius), centers, float(eps),
+                             float(cutoff_r), float(ang_step))
+
+    def cos_angle(self, d_i, d_j, d_ij):
+        """cos of the angle between the geodesics from a point to two
+        points, from its distances d_i, d_j to them and theirs, d_ij."""
+        R = self.radius
+        si, sj = np.sin(d_i / R), np.sin(d_j / R)
+        denom = np.maximum(si * sj, 1e-300)
+        val = (np.cos(d_ij / R) - np.cos(d_i / R) * np.cos(d_j / R)) / denom
+        return np.clip(val, -1.0, 1.0)
+
+
+_GL6 = np.polynomial.legendre.leggauss(6)
+
+
+def _great_circle_basis(centers):
+    """Orthonormal (e_a, e_b) spanning the centers, which must be coplanar."""
+    e_a = centers[0] / np.linalg.norm(centers[0])
+    e_b = None
+    for c in centers[1:]:
+        t = c - (c @ e_a) * e_a
+        if np.linalg.norm(t) > 1e-12:
+            e_b = t / np.linalg.norm(t)
+            break
+    if e_b is None:
+        # all centers collinear with e_a; any orthogonal direction works
+        k = int(np.argmin(np.abs(e_a)))
+        t = np.zeros_like(e_a)
+        t[k] = 1.0
+        t -= (t @ e_a) * e_a
+        e_b = t / np.linalg.norm(t)
+    for c in centers:
+        resid = c - (c @ e_a) * e_a - (c @ e_b) * e_b
+        if np.linalg.norm(resid) > 1e-10 * np.linalg.norm(c):
+            raise ValueError("cross-term quadrature needs centers on one great circle")
+    return e_a, e_b
+
+
+def _gl_panels(lo: float, hi: float, step: float):
+    edges = np.linspace(lo, hi, max(2, int(np.ceil((hi - lo) / step)) + 1))
+    return gauss_panels(edges, _GL6)
+
+
+class SupportGrid(NamedTuple):
+    """The (theta, phi) grid of the sphere, kept where a support reaches.
+
+    Row i keeps the phi nodes phi[:prefix[i]] and phi[suffix[i]:], which
+    hold every node within cutoff_r of a center; every other node carries
+    exact zeros in each integrand.  dists and measure are on the kept nodes
+    in row-major order, each value bit-identical to the full grid's.
+    """
+
+    theta: np.ndarray
+    phi: np.ndarray
+    prefix: np.ndarray
+    suffix: np.ndarray
+    dists: tuple
+    measure: np.ndarray
+
+    def integral(self, dens) -> float:
+        """The eps-normalized sphere integral of dens given on the kept nodes."""
+        return float(np.sum(dens * self.measure))
+
+
+def _kept_indices(prefix, suffix, n_phi: int):
+    cols = np.arange(n_phi)
+    return np.nonzero((cols < prefix[:, None]) | (cols >= suffix[:, None]))
+
+
+@lru_cache(maxsize=1)
+def _support_grid(n: int, R: float, centers: tuple, eps: float, cutoff_r: float,
+                  ang_step: float) -> SupportGrid:
+    """Build the SupportGrid once per (sphere, centers, eps, cutoff, step).
+
+    With c = ca e_a + cb e_b, cos(d/R) = cos(theta) ca + sin(theta) cos(phi) cb
+    falls along a row as phi ascends when cb > 0, so the cap d < cutoff_r is
+    a prefix of the row; when cb < 0 it is a suffix, and when cb = 0 the
+    whole row or none of it.  The caps are found on cos(d/R) with a margin
+    of 1e-12 for rounding.  Each row keeps the longest prefix and suffix.
+    """
+    th, wth = _gl_panels(0.0, np.pi, ang_step)
+    ph, wph = th, wth
+    units = [np.array(c) for c in centers]
+    e_a, e_b = _great_circle_basis(units)
+    coords = [(float(c @ e_a), float(c @ e_b)) for c in units]
+    ct, st, cp = np.cos(th), np.sin(th), np.cos(ph)
+    n_phi = ph.size
+    prefix = np.zeros(th.size, dtype=np.intp)
+    suffix = np.full(th.size, n_phi, dtype=np.intp)
+    cos_cut = np.cos(cutoff_r / R) - 1e-12
+    for ca, cb in coords:
+        base = cos_cut - ct * ca  # the cap is where st cp cb > base
+        if cb == 0.0:
+            prefix = np.where(base < 0.0, n_phi, prefix)
+            continue
+        tau = base / (st * cb)
+        if cb > 0.0:  # cp > tau, a prefix of the descending cp
+            prefix = np.maximum(prefix, np.searchsorted(-cp, -tau, side="left"))
+        else:  # cp < tau, a suffix
+            suffix = np.minimum(suffix, np.searchsorted(-cp, -tau, side="right"))
+    suffix = np.maximum(suffix, prefix)
+    rows, cols = _kept_indices(prefix, suffix, n_phi)
+    # the full grid's elementwise expressions, on the kept nodes only
+    dists = []
+    for ca, cb in coords:
+        cosang = np.clip(ct[rows] * ca + st[rows] * cp[cols] * cb, -1.0, 1.0)
+        dists.append(R * np.arccos(cosang))
+    area = (np.sin(th) ** (n - 1))[rows] * (np.sin(ph) ** (n - 2))[cols]
+    wt = wth[rows] * wph[cols]
+    measure = (R ** n / eps ** n) * surface_area(n - 1) * area * wt
+    grid = SupportGrid(th, ph, prefix, suffix, tuple(dists), measure)
+    for arr in (th, ph, prefix, suffix, measure, *dists):
+        arr.flags.writeable = False  # shared by every caller of the cache
+    return grid
 
 
 @dataclass
@@ -131,8 +264,8 @@ class FlatSpace:
     def polar_density(self, d):
         return np.ones_like(np.asarray(d, dtype=float))
 
-    def polar_drift(self, rho, eps: float):
-        return (self.n - 1) * (1.0 / rho)
+    def polar_drift(self, d):
+        return (self.n - 1) * (1.0 / np.asarray(d, dtype=float))
 
     def distance(self, xi1, xi2) -> float:
         return float(np.linalg.norm(np.asarray(xi1, float) - np.asarray(xi2, float)))

@@ -5,14 +5,18 @@ A traced benchmark pass installs `bench/tracer.py` on this checkout's
 traced pass.  This installs the tracer the way the benchmark's worker does,
 in a child process so the wrappers stay out of the test session, and checks
 that its ground-state counters count what the solve's record says it did.
+The library's own source contracts are checked on its syntax tree too.
 """
 
+import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 from conftest import checkout_env
+
+from multipeak import energy
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -83,3 +87,20 @@ def test_worker_and_cli_commands_use_names_this_checkout_has():
     assert missing == []
     # the cli-warm energy-check runs the library's coefficient ladder
     assert ladder
+
+
+def test_energy_names_no_model_class():
+    # geometry reaches energy.py only through the model interface: it names
+    # no model class, picks nothing by isinstance and holds no sphere formula
+    tree = ast.parse(Path(energy.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    banned = {"RoundSphere", "FlatSpace", "WarpedSphere", "isinstance",
+              "radius", "arccos", "tan"}
+    assert names & banned == set()

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from multipeak import energy
+from multipeak import energy, geometry
 from multipeak.constants import gamma, product_exponent
 from multipeak.energy import (
     COEFF_LADDER,
@@ -139,12 +139,19 @@ def _unrestricted_bump(ansatz, d):
 
 
 def _sphere_lap(d, g1, g2):
-    """Lap G on S3 from G' and G'' at distances d inside the support."""
+    """Lap G on S3 from G' and G'' at distances d inside the support; at the
+    center the limit n G''(0)."""
     R = S3.radius
     with np.errstate(divide="ignore", invalid="ignore"):
         cot = np.where(d > 0, 1.0 / np.tan(d / R), 0.0) / R
-    lap = g2 + (S3.n - 1) * cot * g1
-    return np.where(np.isfinite(lap), lap, 0.0)
+    return np.where(d > 0, g2 + (S3.n - 1) * cot * g1, S3.n * g2)
+
+
+def _support_grid(ansatz):
+    """The support grid that _measure reads for the ansatz's K >= 2 pass."""
+    cfg = ansatz.config
+    return ansatz.model.support_grid(cfg.centers, cfg.epsilon, cfg.cutoff_r,
+                                     energy._STEP_FACTOR)
 
 
 def _ansatz(state, corrected, cfg):
@@ -162,17 +169,18 @@ def test_bump_is_evaluated_on_its_support_only(corrected, state):
     A = _ansatz(state, corrected, _one_peak(0.05))
     edge = np.concatenate([np.linspace(0.0, 2.0, 801), [1.2, np.nextafter(1.2, 0.0), 3.0]])
     inside = edge < 1.2
-    want = _unrestricted_bump(A, edge)
-    for g, w in zip(A.bump(edge), want):
+    G, dG, G2 = _unrestricted_bump(A, edge)
+    lap_want = np.zeros_like(edge)
+    lap_want[inside] = _sphere_lap(edge[inside], dG[inside], G2[inside])
+    for g, w in zip(A.bump(edge), (G, dG, lap_want)):
         assert g.shape == edge.shape
         assert np.array_equal(g, w)
         assert np.all(w[~inside] == 0.0)
-    support, G, dG, lap = energy._bump_fields(A, edge)
+    support, *fields = energy._bump_fields(A, edge)
     assert np.array_equal(support, inside)
-    lap_want = _sphere_lap(edge[inside], want[1][inside], want[2][inside])
-    for got, w in ((G, want[0][inside]), (dG, want[1][inside]), (lap, lap_want)):
+    for got, w in zip(fields, (G, dG, lap_want)):
         assert got.shape == edge.shape
-        assert np.array_equal(got[inside], w)
+        assert np.array_equal(got[inside], w[inside])
         assert np.all(got[~inside] == 0.0)
     # scalar distances on both sides of the cutoff
     assert A.bump(0.3) == tuple(g[0] for g in A.bump(np.array([0.3])))
@@ -198,9 +206,21 @@ def test_bump_blocks_equal_one_pass(corrected, state):
         got = np.concatenate([b[1 + k] for b in blocks]).reshape(d.shape)
         assert np.array_equal(got[inside], w[inside])
         assert np.all(got[~inside] == 0.0)
-    for g, w in zip(A.bump(d), (G, dG, G2)):
+    for g, w in zip(A.bump(d), (G, dG, lap)):
         assert g.shape == d.shape
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+def test_bump_laplacian_at_the_center_is_its_limit(corrected, state):
+    # G' ~ G''(0) d near the center, so G'' + (n-1) cot(d) G' tends to
+    # n G''(0) as d -> 0+; at d = 0 the bump gives that limit
+    A = _ansatz(state, corrected, _one_peak(0.05))
+    G2_0 = _unrestricted_bump(A, np.array([0.0]))[2][0]
+    lap = A.bump(np.array([0.0, 1e-7]))[2]
+    assert lap[0] == S3.n * G2_0
+    assert A.bump(0.0)[2] == lap[0]
+    assert lap[1] == pytest.approx(lap[0], rel=1e-6)
 
 
 def test_ansatz_vanishes_outside_every_support(state):
@@ -227,10 +247,10 @@ def test_two_peak_values_pinned(state):
 
 
 @pytest.mark.parametrize("model,cutoff,values", [
-    (S3, 1.2, (43.64432710542147, 261.7348054212869, 0.044335344040680146,
-               43.64419770696145, 261.86533689868986, 0.00025970629631939416)),
-    (FLAT3, np.inf, (43.660236716246274, 261.96142029747836, 1.1700764939100762e-13,
-                     43.660236716246274, 261.96142029747836, 1.1700764939100762e-13)),
+    (S3, 1.2, (43.64432710542147, 261.7348054212869, 0.044335344040680354,
+               43.64419770696145, 261.86533689868986, 0.0002597062963202041)),
+    (FLAT3, np.inf, (43.660236716246274, 261.96142029747836, 1.1704136534028935e-13,
+                     43.660236716246274, 261.96142029747836, 1.1704136534028935e-13)),
 ], ids=["S3", "R3"])
 def test_one_peak_values_pinned(model, cutoff, values, state):
     # J, the norm and the residual of W and Y for one peak at eps = 0.05;
@@ -265,17 +285,17 @@ def test_sphere_radius_scaling(angles, state):
 @pytest.mark.parametrize("model", [S3, RoundSphere(4, 2.0), FLAT3, FlatSpace(5)],
                          ids=["S3", "S4-R2", "R3", "R5"])
 def test_polar_drift_is_the_log_derivative_of_the_polar_measure(model):
-    # eps^2 lap f = f'' + polar_drift f' for f radial in rho = d/eps, with
-    # the polar measure rho^(n-1) polar_density(eps rho)^(n-1); its log
-    # derivative is taken by central differences
-    eps, h, n = 0.1, 1e-5, model.n
-    rho = np.linspace(0.5, 12.0, 24)
+    # lap f = f'' + polar_drift(d) f' for f radial in the distance d, with
+    # the polar measure d^(n-1) polar_density(d)^(n-1); its log derivative
+    # is taken by central differences
+    h, n = 1e-6, model.n
+    d = np.linspace(0.05, 1.2, 24)
 
     def log_measure(r):
-        return (n - 1) * np.log(r * model.polar_density(eps * r))
+        return (n - 1) * np.log(r * model.polar_density(r))
 
-    fd = (log_measure(rho + h) - log_measure(rho - h)) / (2 * h)
-    assert model.polar_drift(rho, eps) == pytest.approx(fd, rel=1e-8, abs=0)
+    fd = (log_measure(d + h) - log_measure(d - h)) / (2 * h)
+    assert model.polar_drift(d) == pytest.approx(fd, rel=1e-8, abs=0)
 
 
 def _rotation(seed):
@@ -287,9 +307,9 @@ def _full_grid(ansatz):
     """(theta, phi, measure, dists) on the whole (theta, phi) grid, 2-D."""
     n, R, eps = S3.n, S3.radius, ansatz.epsilon
     ang_step = min(energy._STEP_FACTOR * eps / R, np.pi / 24.0)
-    th, wth = energy._gl_panels(0.0, np.pi, ang_step)
-    ph, wph = energy._gl_panels(0.0, np.pi, ang_step)
-    e_a, e_b = energy._great_circle_basis(ansatz.config.centers)
+    th, wth = geometry._gl_panels(0.0, np.pi, ang_step)
+    ph, wph = geometry._gl_panels(0.0, np.pi, ang_step)
+    e_a, e_b = geometry._great_circle_basis(ansatz.config.centers)
     ct, st = np.cos(th)[:, None], np.sin(th)[:, None]
     cp = np.cos(ph)[None, :]
     dists = []
@@ -319,9 +339,9 @@ _GRID_CASES = [
 def test_support_grid_restricts_the_full_grid(eps, centers, state):
     gs, _, _ = state
     W = build_W(S3, PeakConfig(eps, centers, 1.2), gs)
-    grid = energy._great_circle(W)
+    grid = _support_grid(W)
     th, ph, measure, dists = _full_grid(W)
-    rows, cols = energy._kept_indices(grid.prefix, grid.suffix, grid.phi.size)
+    rows, cols = geometry._kept_indices(grid.prefix, grid.suffix, grid.phi.size)
     # kept nodes: nodes, weights and distances are the full grid's, bit for bit
     assert np.array_equal(grid.theta, th) and np.array_equal(grid.phi, ph)
     assert np.array_equal(grid.measure, measure[rows, cols])
@@ -340,7 +360,7 @@ def test_support_grid_covers_prefix_and_suffix_caps():
     signs = set()
     for _, _, centers in _GRID_CASES:
         units = [c / np.linalg.norm(c) for c in centers]
-        _, e_b = energy._great_circle_basis(units)
+        _, e_b = geometry._great_circle_basis(units)
         signs |= {np.sign(c @ e_b) for c in units}
     assert {-1.0, 1.0} <= signs
 
@@ -350,12 +370,12 @@ def test_one_rung_builds_the_support_grid_once(state):
     cfg = PeakConfig(0.1, [S3.point(0.8), S3.point(1.4)], 1.2)
     Y = build_Y(S3, cfg, gs, profiles=cp, dc=dc)
     W = build_W(S3, cfg, gs, c_bold=dc.c_bold)
-    energy._support_grid.cache_clear()
+    geometry._support_grid.cache_clear()
     energy_J(S3, Y)
     norm_eps(S3, Y)
     residual_norm(S3, W)
     residual_norm(S3, Y)
-    info = energy._support_grid.cache_info()
+    info = geometry._support_grid.cache_info()
     # Y keeps its pass from energy_J on, so only W looks the grid up again
     assert (info.misses, info.hits) == (1, 1)
 
@@ -376,7 +396,7 @@ def _whole_array_integrals(ansatz, grid):
     for i, j in combinations(range(len(centers)), 2):
         meet = supports[i] & supports[j]
         d_ij = S3.distance(centers[i], centers[j])
-        cosA = energy._cos_angle(S3, dists[i][meet], dists[j][meet], d_ij)
+        cosA = S3.cos_angle(dists[i][meet], dists[j][meet], d_ij)
         (g0i, g1i), (g0j, g1j) = ([g[meet] for g in bumps[k][:2]] for k in (i, j))
         pair[meet] += eps ** 2 * g1i * g1j * cosA + mass * g0i * g0j
     pot = np.maximum(sum(g0 for g0, _, _ in bumps), 0.0) ** p
@@ -399,7 +419,7 @@ def test_field_pass_equals_whole_array_formulas(eps, centers, state, monkeypatch
     # threads each block writes only its own slice of the densities
     gs, cp, dc = state
     Y = build_Y(S3, PeakConfig(eps, centers, 1.2), gs, profiles=cp, dc=dc)
-    grid = energy._great_circle(Y)
+    grid = _support_grid(Y)
     want = _whole_array_integrals(Y, grid)
     threads, default = threading.active_count(), energy._BUMP_BLOCK
     switch = sys.getswitchinterval()
@@ -422,7 +442,7 @@ def _threads_of_field_pass(state, monkeypatch, workers, fail_off_main=False):
     gs, cp, dc = state
     Y = build_Y(S3, PeakConfig(0.1, [S3.point(0.8), S3.point(1.4)], 1.2), gs,
                 profiles=cp, dc=dc)
-    grid = energy._great_circle(Y)
+    grid = _support_grid(Y)
     seen = set()
     run = energy._bump_fields
 
@@ -457,7 +477,7 @@ def test_field_pass_raises_a_helper_exception(state, monkeypatch):
 @pytest.fixture
 def field_passes(monkeypatch):
     """The ansatze of every _field_pass run, from an empty grid cache on."""
-    energy._support_grid.cache_clear()
+    geometry._support_grid.cache_clear()
     calls = []
     run = energy._field_pass
 
@@ -944,6 +964,55 @@ def test_warped_model_refused(state):
     cfg = PeakConfig(0.05, [1.5], cutoff_r=1.2)
     with pytest.raises(UnsupportedModel):
         PeakAnsatz(M, cfg, gs)
+
+
+# every name the ansatz and both passes may read of a model
+_INTERFACE = ("n", "injectivity_radius", "as_point", "distance", "curvature_at",
+              "polar_density", "polar_drift", "support_grid", "cos_angle")
+
+
+class _Forwarding:
+    """A model defined outside geometry.py and not a RoundSphere: it forwards
+    the names in reads to S3 and has no other attribute."""
+
+    def __init__(self, reads):
+        self._reads = frozenset(reads)
+
+    def __getattr__(self, name):
+        if name in self._reads:
+            return getattr(S3, name)
+        raise AttributeError(name)
+
+
+@pytest.mark.parametrize("angles", [(0.6,), (0.8, 1.4)], ids=["K1", "K2"])
+def test_a_model_outside_geometry_measures_as_its_sphere(angles, state):
+    # the ansatz reads its model through the interface alone, so a model
+    # that forwards it to S3 gives S3's values, bit for bit
+    gs, cp, dc = state
+    model = _Forwarding(_INTERFACE)
+    assert not isinstance(model, RoundSphere)
+
+    def values(m):
+        cfg = PeakConfig(0.1, [S3.point(a) for a in angles], 1.2)
+        W = build_W(m, cfg, gs, c_bold=dc.c_bold)
+        Y = build_Y(m, cfg, gs, profiles=cp, dc=dc)
+        return [fn(m, A) for A in (W, Y) for fn in (energy_J, norm_eps, residual_norm)]
+
+    assert values(model) == values(S3)
+
+
+def test_a_model_lacking_the_interface_is_refused(state):
+    gs, _, _ = state
+    model = _Forwarding(set(_INTERFACE) - {"polar_drift"})
+    with pytest.raises(UnsupportedModel, match="polar_drift"):
+        build_W(model, _one_peak(0.1), gs)
+    # one peak reads no support grid; two do
+    model = _Forwarding(set(_INTERFACE) - {"support_grid"})
+    assert energy_J(model, build_W(model, _one_peak(0.1), gs)) == energy_J(
+        S3, build_W(S3, _one_peak(0.1), gs))
+    W = build_W(model, PeakConfig(0.1, [S3.point(0.8), S3.point(1.4)], 1.2), gs)
+    with pytest.raises(UnsupportedModel, match="support_grid"):
+        energy_J(model, W)
 
 
 @pytest.mark.parametrize("centers", [[S3.point(0.6)], [S3.point(0.8), S3.point(1.4)]],
