@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import DimensionalConstants
-from .radial import gauss_panels, surface_area
+from .radial import InterpolatingSpline, gauss_panels, surface_area
 
 
 class UnsupportedModel(TypeError):
@@ -292,7 +292,8 @@ class WarpedSphere:
       lap_s = s'' + (n-1)(f'/f) s'
 
     with s', s'' expanded analytically in f and its first four derivatives,
-    all read off one interpolating spline of the profile.  The spacing of
+    all read at once off the profile's septic radial.InterpolatingSpline,
+    so t must be finite and strictly increasing.  The spacing of
     _SAMPLES balances interpolation error against roundoff in the fourth
     derivative; much finer grids make lap_s noisier, not better.
     Evaluation is refused within pole_tol = 1e-3 L of either pole, where the
@@ -324,14 +325,11 @@ class WarpedSphere:
             raise ValueError(f"warp must be positive inside (0, L), "
                              f"got f({float(t[i])!r}) = {float(vals[i])!r}")
         self.pole_tol = 1e-3 * self.L
-        from scipy.interpolate import make_interp_spline
-
-        self._f = make_interp_spline(t, vals, k=7)
-        self._df = [self._f.derivative(k) for k in range(1, 5)]
+        self._f = InterpolatingSpline(t, vals, 7)
         scale = float(np.max(np.abs(vals)))
         if (abs(vals[0]) > 1e-9 * scale or abs(vals[-1]) > 1e-9 * scale
-                or abs(float(self._df[0](0.0)) - 1.0) > 1e-6
-                or abs(float(self._df[0](self.L)) + 1.0) > 1e-6):
+                or abs(self._f.derivatives(0.0, 1)[1] - 1.0) > 1e-6
+                or abs(self._f.derivatives(self.L, 1)[1] + 1.0) > 1e-6):
             raise ValueError("warp must close: f(0)=f(L)=0, f'(0)=1, f'(L)=-1")
 
     @property
@@ -348,8 +346,7 @@ class WarpedSphere:
         if not (self.pole_tol <= t <= self.L - self.pole_tol):
             raise PoleSingularity(f"t={t!r} within {self.pole_tol!r} of a pole of the warp")
         n = self.n
-        F = float(self._f(t))
-        P, Q, C, D = (float(d(t)) for d in self._df)
+        F, P, Q, C, D = self._f.derivatives(t, 4)
         a = -Q / F
         b = (1.0 - P * P) / (F * F)
         da = -C / F + Q * P / F ** 2
@@ -397,12 +394,45 @@ class PhiScan:
     points: list = field(default_factory=list)
 
 
+# the golden ratio's conjugate, 2 / (1 + sqrt 5), to the eight digits of
+# Numerical Recipes' golden search
+_GOLD = 0.61803399
+
+
+def _golden_section(f, a: float, b: float, c: float, xtol: float = 1e-11) -> float:
+    """The minimizer of f within the bracket a < b < c, f(b) < f(a), f(c).
+
+    Numerical Recipes' golden-section search: it shrinks the bracket until
+    its width is at most xtol times the summed magnitudes of the two inner
+    points.  The bracket is not checked, and f(a), f(c) are never evaluated.
+    """
+    x0, x3 = a, c
+    if abs(c - b) > abs(b - a):
+        x1, x2 = b, b + (1.0 - _GOLD) * (c - b)
+    else:
+        x1, x2 = b - (1.0 - _GOLD) * (b - a), b
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = _GOLD * x1 + (1.0 - _GOLD) * x3
+            f2 = f(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = _GOLD * x2 + (1.0 - _GOLD) * x0
+            f1 = f(x1)
+    return x1 if f1 < f2 else x2
+
+
 def scan_phi(model, dc: DimensionalConstants, resolution: int = 2001) -> PhiScan:
     """Profile of phi along the model's parameter with classified extrema.
 
     The scan keeps 2% of the range away from each end.  Interior extrema
     are located by sign changes of the first differences, then refined by
-    golden-section well below 1e-8 in the parameter.
+    _golden_section on the three nodes around each, to xtol 1e-11, well
+    below 1e-8 in the parameter.
     Raises NoInteriorCritical (scan attached) when the profile is constant
     or no interior extremum exists.
     """
@@ -434,12 +464,7 @@ def scan_phi(model, dc: DimensionalConstants, resolution: int = 2001) -> PhiScan
             kind, objective = "min", func
         else:
             continue
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(objective, method="golden",
-                              bracket=(ts[i - 1], ts[i], ts[i + 1]),
-                              options={"xtol": 1e-11})
-        t_star = float(res.x)
+        t_star = _golden_section(objective, float(ts[i - 1]), float(ts[i]), float(ts[i + 1]))
         phi_star = func(t_star)
         curv = (func(t_star + h) - 2.0 * phi_star + func(t_star - h)) / h ** 2
         if abs(curv) * span ** 2 < 1e-6 * spread:

@@ -21,11 +21,16 @@ weight, completed past the grid by a TailModel; an integrand that is a
 power q of a profile takes the profile's tail raised to q
 (TailModel.powered).  It takes the integrand's values at the rule's
 points, where one locate serves the evaluate of every profile read.
+
+InterpolatingSpline is the library's one interpolating spline: not-a-knot,
+odd degree, solved on Python floats without a BLAS call, read as Taylor
+pieces.  The e2 identity check and the warped sphere's warp are built on it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -287,6 +292,145 @@ def _horner(coeffs, idx, tau, deriv: int = 0):
         out *= tau
         out += term(k)
     return out
+
+
+def _bspline_rows(t, k: int, x, j):
+    """The degree-k B-splines B_(j-k), ..., B_j at the points x, each in
+    [t[j], t[j+1]]: de Boor's BSPLVB recurrence, elementwise on arrays."""
+    rows = [np.ones_like(x)]
+    for d in range(1, k + 1):
+        saved = np.zeros_like(x)
+        new = []
+        for r in range(d):
+            right = t[j + r + 1] - x
+            left = x - t[j + r + 1 - d]
+            temp = rows[r] / (t[j + r + 1] - t[j + r + 1 - d])
+            new.append(saved + right * temp)
+            saved = left * temp
+        new.append(saved)
+        rows = new
+    return rows
+
+
+def _band_solve(rows, offsets, rhs):
+    """x with A x = rhs, where row i of A holds rows[i] in the columns
+    offsets[i], ..., offsets[i] + len(rows[i]) - 1 and is zero elsewhere.
+
+    Gaussian elimination without pivoting, on Python floats in a fixed
+    order.  The offsets must not decrease and row i must reach column i, so
+    that elimination stays inside each row's window; a B-spline collocation
+    matrix is such a band, and total positivity makes it safe to skip the
+    pivoting (de Boor, A Practical Guide to Splines, ch. XIII).
+    """
+    n, w = len(rows), len(rows[0])
+    rows = [list(row) for row in rows]
+    rhs = list(rhs)
+    for c in range(n):
+        piv_row = rows[c]
+        p = c - offsets[c]
+        pivot = piv_row[p]
+        r = c + 1
+        while r < n and offsets[r] <= c:
+            row = rows[r]
+            q = c - offsets[r]
+            m = row[q] / pivot
+            for s in range(p + 1, w):
+                row[q + s - p] -= m * piv_row[s]
+            rhs[r] -= m * rhs[c]
+            r += 1
+    x = [0.0] * n
+    for c in range(n - 1, -1, -1):
+        row, off = rows[c], offsets[c]
+        acc = rhs[c]
+        for s in range(c - off + 1, w):
+            acc -= row[s] * x[off + s]
+        x[c] = acc / row[c - off]
+    return x
+
+
+class InterpolatingSpline:
+    """The spline of odd degree k through (x, y) with not-a-knot ends.
+
+    The knots are x[(k+1)/2 : -(k+1)/2] between the ends, each end repeated
+    k + 1 times, as scipy's make_interp_spline places them.  The B-spline
+    coefficients solve the banded collocation system by _band_solve; each
+    polynomial piece is then kept as its Taylor coefficients at the left end
+    of its interval, f^(m)(b_i) / m!.  Calling the spline reads f^(nu) at an
+    array of points; derivatives(x, nu) reads f, f', ..., f^(nu) at one
+    float from one interval lookup.  Both extend the end pieces past
+    [x[0], x[-1]].  ValueError unless x is finite and strictly increasing
+    and y finite, with at least k + 1 points.
+    """
+
+    def __init__(self, x, y, k: int):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if k < 1 or k % 2 == 0:
+            raise ValueError(f"interpolating spline needs an odd degree, got k={k!r}")
+        if x.ndim != 1 or x.shape != y.shape or x.size < k + 1:
+            raise ValueError(f"spline of degree {k} needs at least {k + 1} matched (x, y) points")
+        ok = np.isfinite(x)
+        ok[1:] &= np.diff(x) > 0.0
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"spline abscissas must be finite and strictly increasing, "
+                             f"got x[{i}] = {float(x[i])!r}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("spline data must be finite")
+        n, half = x.size, (k + 1) // 2
+        t = np.concatenate([np.full(k + 1, x[0]), x[half:n - half], np.full(k + 1, x[-1])])
+        # collocation: x[i] lies in the knot interval [t[j], t[j+1]], which
+        # carries the columns j - k, ..., j
+        j = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
+        basis = np.stack(_bspline_rows(t, k, x, j), axis=1)
+        c = np.array(_band_solve(basis.tolist(), (j - k).tolist(), y.tolist()))
+
+        # Taylor coefficients at each interval's left end b: the degree-(k-d)
+        # spline of the d-th derivative's B-spline coefficients, read at b
+        jb = np.arange(k, n)
+        b = t[jb]
+        taylor = []
+        for d in range(k + 1):
+            deg = k - d
+            rows = _bspline_rows(t, deg, b, jb)
+            val = rows[0] * c[jb - deg]
+            for r in range(1, deg + 1):
+                val = val + rows[r] * c[jb - deg + r]
+            taylor.append(val / math.factorial(d))
+            if deg:
+                i = np.arange(d + 1, n)
+                nxt = np.full(n, np.nan)
+                nxt[i] = deg * (c[i] - c[i - 1]) / (t[i + deg] - t[i])
+                c = nxt
+        self.k = k
+        self.breaks = b
+        self.taylor = np.array(taylor)  # [m, i]: f^(m)(b_i) / m!
+        self._left = b.tolist()
+        self._pieces = self.taylor.T.tolist()
+
+    def __call__(self, x, nu: int = 0):
+        """f^(nu) at the points x."""
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self.breaks, x, side="right") - 1, 0, self.breaks.size - 1)
+        dx = x - self.breaks[i]
+        out = self.taylor[self.k, i] * math.perm(self.k, nu)
+        for m in range(self.k - 1, nu - 1, -1):
+            out = out * dx + self.taylor[m, i] * math.perm(m, nu)
+        return out
+
+    def derivatives(self, x: float, nu: int) -> tuple:
+        """(f, f', ..., f^(nu)) at the float x, as floats."""
+        i = min(max(bisect_right(self._left, x) - 1, 0), len(self._left) - 1)
+        a = self._pieces[i]
+        dx = x - self._left[i]
+        out = []
+        for d in range(nu + 1):
+            acc = a[self.k] * math.perm(self.k, d)
+            for m in range(self.k - 1, d - 1, -1):
+                acc = acc * dx + a[m] * math.perm(m, d)
+            out.append(acc)
+        return tuple(out)
 
 
 def gauss_panels(edges, rule):

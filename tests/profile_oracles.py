@@ -5,7 +5,9 @@ float-only DOP853 loop reproduces; shoot_profile builds the uncertified
 single-shot profile that negative controls feed to the identity checks;
 truncate cuts a certified profile short to exercise the decay-fit gate;
 inverse solves U(r) = value for tail-window radii; fd_derivative is the
-finite-difference oracle of profile derivatives.  They reuse the solver's
+finite-difference oracle of profile derivatives; scipy_e2 is the strong-form
+identity residual e2 of correction.verify_L0_identities, built on scipy's
+make_interp_spline.  They reuse the solver's
 private pieces, so a change to those pieces shows up here too.
 """
 
@@ -13,6 +15,7 @@ from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import make_interp_spline
 from scipy.optimize import brentq
 
 from multipeak.groundstate import (
@@ -127,3 +130,20 @@ def fd_derivative(x: np.ndarray, f: np.ndarray) -> np.ndarray:
         hN * (hN + hN1)
     )
     return d
+
+
+def scipy_e2(gs: GroundState) -> float:
+    """The e2 of verify_L0_identities, from scipy's not-a-knot quintic
+    through every third node of U."""
+    n, p = gs.n, gs.p
+    r_all = gs.grid.nodes[::3]
+    spline = make_interp_spline(r_all, gs.profile.values[::3], k=5)
+    rs = r_all[(r_all > 0) & (r_all < 0.75 * r_all[-1])]
+    Us = spline(rs)
+    dUs = spline.derivative(1)(rs)
+    d2Us = spline.derivative(2)(rs)
+    Upm2 = np.abs(Us) ** (p - 2.0)
+    wgt = rs ** ((n - 1.0) / 2.0)
+    strong = -(d2Us + (n - 1.0) * dUs / rs) + Us - (p - 1.0) * Upm2 * Us
+    scale = (2.0 - p) * Upm2 * Us
+    return float(np.linalg.norm((strong - scale) * wgt) / np.linalg.norm(scale * wgt))

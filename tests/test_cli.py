@@ -29,6 +29,14 @@ def warp_csv(tmp_path_factory):
     return str(path)
 
 
+# stands in parametrised argv for the path of the warp_csv fixture
+WARP_CSV = "<warp_csv>"
+
+
+def with_warp(argv, warp_csv) -> tuple:
+    return tuple(warp_csv if a == WARP_CSV else a for a in argv)
+
+
 def run_cli(*argv, expect=0, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "multipeak.cli", *argv],
@@ -161,6 +169,19 @@ def test_phi_scan_refuses_warp_with_nonpositive_sample(cache_dir, tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["error"] == "ValueError"
     assert "positive inside" in doc["detail"]
+
+
+def test_phi_scan_refuses_warp_with_unsorted_t(cache_dir, tmp_path):
+    path = tmp_path / "unsorted.csv"
+    t = np.linspace(0.0, np.pi, 161)
+    f = np.sin(t)
+    t[[80, 81]] = t[[81, 80]]
+    path.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, f)))
+    proc = run_cli("phi-scan", "--n", "3", "--m", "3", "--model", "warped",
+                   "--profile", str(path), "--cache-dir", cache_dir, expect=1)
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "ValueError"
+    assert "strictly increasing" in doc["detail"]
 
 
 def test_phi_scan_needs_profile_for_warped(cache_dir):
@@ -467,12 +488,15 @@ def loaded_scipy(*argv) -> list:
 
 @pytest.mark.parametrize("command", [
     ("constants",), ("ground-state",), ("beta-table", "--max-N", "6"),
-    ("phi-scan", "--model", "sphere"), ("energy-check",),
-], ids=lambda command: command[0])
-def test_warm_path_imports_no_scipy(cache_dir, tmp_path, command):
+    ("phi-scan", "--model", "sphere"), ("energy-check",), ("psi",),
+    ("phi-scan", "--model", "warped", "--profile", WARP_CSV),
+], ids=["constants", "ground-state", "beta-table", "phi-scan", "energy-check", "psi",
+        "phi-scan-warped"])
+def test_warm_path_imports_no_scipy(cache_dir, tmp_path, warp_csv, command):
     assert loaded_scipy() == []
     dims = () if command[0] == "beta-table" else ("--n", "3", "--m", "3")
-    argv = (*command, *dims, "--cache-dir", cache_dir, "--out", str(tmp_path / "out"))
+    argv = (*with_warp(command, warp_csv), *dims, "--cache-dir", cache_dir,
+            "--out", str(tmp_path / "out"))
     run_cli(*argv)  # warms the cache entries the command reads
     assert loaded_scipy(*argv) == []
 
@@ -504,40 +528,55 @@ def test_record_keys_are_pinned_with_the_schema(corrections, tmp_path):
     }
 
 
-# the six invocations of criterion 10
-CRITERION_10 = pytest.mark.parametrize(
+# the six invocations of criterion 10, by test id
+CRITERION_10_ARGV = {
+    "ground-state": ("ground-state", "--n", "3", "--m", "3"),
+    "psi": ("psi", "--n", "3", "--m", "3"),
+    "constants": ("constants", "--n", "3", "--m", "3", "--seed", "5"),
+    "beta-table": ("beta-table", "--max-N", "6"),
+    "phi-scan": ("phi-scan", "--n", "3", "--m", "3"),
+    "energy": ("energy-check", "--n", "3", "--m", "3", "--eps", "0.1,0.07"),
+}
+CRITERION_10 = pytest.mark.parametrize("argv", list(CRITERION_10_ARGV.values()),
+                                       ids=list(CRITERION_10_ARGV))
+# criterion 10's invocations and the warped phi-scan, whose spline and
+# golden section are the library's own as well
+DETERMINISM = pytest.mark.parametrize(
     "argv",
-    [
-        ("ground-state", "--n", "3", "--m", "3"),
-        ("psi", "--n", "3", "--m", "3"),
-        ("constants", "--n", "3", "--m", "3", "--seed", "5"),
-        ("beta-table", "--max-N", "6"),
-        ("phi-scan", "--n", "3", "--m", "3"),
-        ("energy-check", "--n", "3", "--m", "3", "--eps", "0.1,0.07"),
-    ],
-    ids=["ground-state", "psi", "constants", "beta-table", "phi-scan", "energy"],
+    [*CRITERION_10_ARGV.values(),
+     ("phi-scan", "--n", "3", "--m", "3", "--model", "warped", "--profile", WARP_CSV)],
+    ids=[*CRITERION_10_ARGV, "phi-scan-warped"],
 )
 
 
-@CRITERION_10
-def test_reruns_are_byte_identical(cache_dir, tmp_path, argv):
+def written(out: Path) -> bytes:
+    """The bytes of out and, for phi-scan, of the points file beside it."""
+    side = out.with_suffix(".points.json")
+    return out.read_bytes() + (side.read_bytes() if side.exists() else b"")
+
+
+@DETERMINISM
+def test_reruns_are_byte_identical(cache_dir, tmp_path, warp_csv, argv):
+    argv = with_warp(argv, warp_csv)
     a, b = tmp_path / "a.out", tmp_path / "b.out"
     run_cli(*argv, "--cache-dir", cache_dir, "--out", str(a))
     run_cli(*argv, "--cache-dir", cache_dir, "--out", str(b))
-    same = a.read_bytes() == b.read_bytes()
+    same = written(a) == written(b)
     assert same
 
 
-@CRITERION_10
-def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
-    # every radial integral is a fixed-order sum, so a cold run, solve
-    # included, prints the same bytes at one BLAS thread and at two
+@DETERMINISM
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, warp_csv, argv):
+    # every radial integral and the spline solve are fixed-order sums, so a
+    # cold run, solve included, prints the same bytes at one BLAS thread and
+    # at two
+    argv = with_warp(argv, warp_csv)
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"{threads}.out"
         run_cli(*argv, "--cache-dir", str(tmp_path / f"cache-{threads}"), "--out", str(out),
                 env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
-        outs.append(out.read_bytes())
+        outs.append(written(out))
     same = outs[0] == outs[1]
     assert same
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multipeak.constants import product_exponent
+from multipeak.constants import product_exponent, table_pairs
 from multipeak.correction import (
     CorrectionProfiles,
     SingularSystem,
@@ -15,7 +15,7 @@ from multipeak.correction import (
 )
 from multipeak.groundstate import GroundState, solve_ground_state
 
-from profile_oracles import fd_derivative, inverse
+from profile_oracles import fd_derivative, inverse, scipy_e2
 
 # pinned against an independent uniform-grid solve (agreement 7e-8)
 PSI0_33 = -2.248598116732135
@@ -130,6 +130,13 @@ def test_operator_identities(n, p):
     ids = verify_L0_identities(solve_ground_state(n, p))
     assert ids["e1"] < 1e-6
     assert ids["e2"] < 1e-6
+
+
+@pytest.mark.parametrize("n,m", table_pairs(7))
+def test_e2_agrees_with_the_scipy_spline_oracle(n, m):
+    gs = solve_ground_state(n, product_exponent(n, m))
+    e2, ref = verify_L0_identities(gs)["e2"], scipy_e2(gs)
+    assert abs(e2 - ref) <= 0.01 * ref, (e2, ref)
 
 
 @pytest.mark.parametrize("n,p", [(3, 3.0), (4, product_exponent(4, 4))])

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from scipy.interpolate import make_interp_spline
+from scipy.optimize import minimize_scalar
 
 from multipeak.geometry import (
     CurvaturePoint,
@@ -18,6 +19,7 @@ from multipeak.geometry import (
     PoleSingularity,
     RoundSphere,
     WarpedSphere,
+    _golden_section,
     phi,
     scan_phi,
 )
@@ -152,11 +154,21 @@ def test_warp_closure_validation():
         WarpedSphere(3, lambda t: 0.5 * np.sin(t))  # f'(0) != 1
 
 
-@pytest.mark.parametrize("bad", [-0.5, 0.0, np.nan], ids=["negative", "zero", "nan"])
+@pytest.mark.parametrize("bad", [-0.5, 0.0, np.nan, "t-unsorted", "t-repeated", "t-nan"],
+                         ids=["negative", "zero", "nan", "t-unsorted", "t-repeated", "t-nan"])
 def test_warp_must_be_positive_inside(bad):
-    # f <= 0 at one interior sample is not a metric, in either constructor form
+    # f <= 0 at one interior sample is not a metric, in either constructor
+    # form; nor are samples whose t is not finite and strictly increasing
     t = np.linspace(0.0, np.pi, 161)
     f_vals = np.sin(t)
+    if isinstance(bad, str):
+        if bad == "t-unsorted":
+            t[[80, 81]] = t[[81, 80]]
+        else:
+            t[81] = t[80] if bad == "t-repeated" else np.nan
+        with pytest.raises(ValueError, match=r"finite and strictly increasing, got x\[81\]"):
+            WarpedSphere(3, t=t, f_vals=f_vals)
+        return
     f_vals[80] = bad
     with pytest.raises(ValueError, match=r"positive inside \(0, L\), got f\(1\.5707"):
         WarpedSphere(3, t=t, f_vals=f_vals)
@@ -264,6 +276,28 @@ def test_scan_finds_symmetric_extrema(dimensional_constants):
     assert abs(t2 - np.pi / 2) < 1e-6
     assert abs(t1 + t3 - np.pi) < 1e-6
     assert scan.points[1].phi < scan.points[0].phi
+
+
+def test_golden_section_takes_scipys_steps(dimensional_constants):
+    # the scan's own objective around each extremum, and two plain minima
+    dc = dimensional_constants(3, 3)
+    M = WarpedSphere(3, lambda t: np.sin(t) * (1.0 + 0.15 * np.sin(t) ** 2))
+    func = lambda t: phi(M.curvature_at(t), dc)
+    cases = [(lambda t: -func(t), 1.085), (func, np.pi / 2), (lambda t: -func(t), 2.0565),
+             (lambda t: (t - 1.3) ** 2 + 0.1 * np.cos(5 * t), 1.22),
+             (lambda t: np.exp(t) - 3.0 * t, 1.1)]
+    for objective, b in cases:
+        ts = np.linspace(0.02 * np.pi, 0.98 * np.pi, 2001)
+        i = int(np.argmin(np.abs(ts - b)))
+        # the node triple of the scan's bracket: its least value in the middle
+        while objective(ts[i + 1]) < objective(ts[i]):
+            i += 1
+        while objective(ts[i - 1]) < objective(ts[i]):
+            i -= 1
+        bracket = (float(ts[i - 1]), float(ts[i]), float(ts[i + 1]))
+        want = minimize_scalar(objective, method="golden", bracket=bracket,
+                               options={"xtol": 1e-11}).x
+        assert abs(_golden_section(objective, *bracket) - want) < 1e-10
 
 
 def test_scan_stable_under_refinement(dimensional_constants):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import make_interp_spline
 from scipy.special import gammaincc, gammaln
 
 from multipeak.constants import compute_constants
@@ -8,6 +9,7 @@ from multipeak.correction import correction_profiles, equation_residual, verify_
 from multipeak.groundstate import _energy_ledger, ode_residual, solve_ground_state
 from multipeak.radial import (
     GridError,
+    InterpolatingSpline,
     Quadrature,
     RadialFunction,
     RadialGrid,
@@ -268,3 +270,80 @@ def test_moment_reduce_pure_tail_matches_closed_form():
     kappa = 1.0 / 3.0
     ref = kappa * surface_area(3) * upper_gamma_tail(2.0, 3.0 + 4.0, 1.5, 4.0)
     assert got == pytest.approx(ref, rel=1e-8)
+
+
+def warp_derivative(a: float, b: float, t, nu: int):
+    """The nu-th derivative of criterion 09's warp sin t (1 + a sin t +
+    b sin^2 t), written as the trigonometric polynomial (1 + 3b/4) sin t +
+    a/2 - (a/2) cos 2t - (b/4) sin 3t."""
+    out = np.full_like(t, 0.5 * a if nu == 0 else 0.0)
+    for amp, w, phase in ((1.0 + 0.75 * b, 1.0, 0.0), (-0.5 * a, 2.0, 0.5 * np.pi),
+                          (-0.25 * b, 3.0, 0.0)):
+        out += amp * w ** nu * np.sin(w * t + phase + 0.5 * nu * np.pi)
+    return out
+
+
+def scipy_derivative(spline, nu: int):
+    return spline.derivative(nu) if nu else spline
+
+
+def test_spline_matches_scipy_on_the_e2_grid():
+    # the quintic of the e2 check, through every third node of (3, 3)'s U
+    gs = solve_ground_state(3, 3.0)
+    x, y = gs.grid.nodes[::3], gs.profile.values[::3]
+    ours, ref = InterpolatingSpline(x, y, 5), make_interp_spline(x, y, k=5)
+    assert np.max(np.abs(ours(x) - y)) <= 4 * np.finfo(float).eps * np.max(np.abs(y))
+    r = np.linspace(0.0, x[-1], 4001)
+    for nu in range(3):
+        want = scipy_derivative(ref, nu)(r)
+        gap = np.max(np.abs(ours(r, nu) - want))
+        # rounding in the data, amplified 1/h per derivative
+        assert gap <= 10.0 ** (3 * nu - 14) * np.max(np.abs(want)), (nu, gap)
+
+
+def test_septic_spline_error_is_at_most_twice_scipy():
+    # criterion 09's warps and sin (a = b = 0), sampled as WarpedSphere samples a callable
+    rng = np.random.default_rng(2026)
+    warps = [tuple(rng.uniform(-0.15, 0.15, 2)) for _ in range(50)] + [(0.0, 0.0)]
+    t = np.linspace(0.0, np.pi, 161)
+    r = np.linspace(1e-3 * np.pi, np.pi - 1e-3 * np.pi, 2001)
+    for a, b in warps:
+        f = warp_derivative(a, b, t, 0)
+        ours, ref = InterpolatingSpline(t, f, 7), make_interp_spline(t, f, k=7)
+        assert np.max(np.abs(ours(t) - f)) <= 4 * np.finfo(float).eps
+        for nu in range(5):
+            exact = warp_derivative(a, b, r, nu)
+            err = np.max(np.abs(ours(r, nu) - exact))
+            ref_err = np.max(np.abs(scipy_derivative(ref, nu)(r) - exact))
+            # f itself is exact to rounding in both, where 2x is noise
+            assert err <= 2.0 * ref_err + 1e-15, (a, b, nu, err, ref_err)
+
+
+def test_spline_scalar_reader_equals_array_reader():
+    t = np.linspace(0.0, np.pi, 161)
+    s = InterpolatingSpline(t, warp_derivative(0.1, -0.05, t, 0), 7)
+    for x in (0.0, 0.3, float(t[40]), 2.9, np.pi, np.pi + 0.01):
+        got = s.derivatives(x, 4)
+        assert all(type(v) is float for v in got)
+        assert np.allclose(got, [float(s(x, nu)) for nu in range(5)], rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("case", ["even-degree", "too-few", "unsorted", "repeated", "x-nan",
+                                  "y-inf"])
+def test_spline_refuses_what_it_cannot_interpolate(case):
+    x, y, k = np.linspace(0.0, 1.0, 12), np.linspace(0.0, 1.0, 12) ** 2, 5
+    match = "finite and strictly increasing"
+    if case == "even-degree":
+        k, match = 4, "odd degree"
+    elif case == "too-few":
+        x, y, match = x[:5], y[:5], "at least 6"
+    elif case == "unsorted":
+        x[[5, 6]] = x[[6, 5]]
+    elif case == "repeated":
+        x[6] = x[5]
+    elif case == "x-nan":
+        x[5] = np.nan
+    else:
+        y[5], match = np.inf, "data must be finite"
+    with pytest.raises(ValueError, match=match):
+        InterpolatingSpline(x, y, k)
