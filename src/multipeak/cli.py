@@ -180,9 +180,7 @@ def cached_ground_state(n: int, p: float, cache: Path) -> GroundState:
 
 def cached_profiles(gs: GroundState, cache: Path) -> CorrectionProfiles:
     """gs's correction profiles from the disk cache, or solved and stored
-    beside gs's entry.  A hit imports no scipy: only the solve needs its
-    banded solver and spline.
-    """
+    beside gs's entry."""
     return _cached(_entry(cache, "cp", gs.n, gs.p), lambda path: CorrectionProfiles.load(gs, path),
                    lambda: correction_profiles(gs))
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groundstate import GroundState, _dg
-from .radial import InterpolatingSpline, Quadrature, RadialFunction, TailModel
+from .radial import InterpolatingSpline, Quadrature, RadialFunction, TailModel, _band_solve
 
 
 class SingularSystem(RuntimeError):
@@ -129,26 +129,6 @@ class CorrectionProfiles:
         return cp
 
 
-def _tridiag_solve(lower, diag, upper, rhs):
-    """Banded tridiagonal solve; raises SingularSystem on failure."""
-    from scipy.linalg import solve_banded
-
-    m = diag.size
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    try:
-        x = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare path
-        raise SingularSystem(str(exc)) from exc
-    except ValueError as exc:
-        raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem("tridiagonal solve produced non-finite values")
-    return x
-
-
 def _assemble_and_solve(r, pot, rhs, n, ell):
     """Tridiagonal FD solve of the degree-ell radial equation on nodes r,
 
@@ -187,7 +167,17 @@ def _assemble_and_solve(r, pot, rhs, n, ell):
     lower[-1] = 0.0
     rhs[-1] = 0.0
 
-    vals = _tridiag_solve(lower, diag, upper, rhs)
+    # row i holds columns i-1, i, i+1; the first and last rows are shifted
+    # to stay inside the matrix, as _band_solve's windows must
+    rows = np.column_stack((np.r_[0.0, lower], diag, np.r_[upper, 0.0])).tolist()
+    rows[0] = rows[0][1:] + [0.0]
+    rows[-1] = [0.0] + rows[-1][:2]
+    try:
+        vals = np.array(_band_solve(rows, [0, *range(m - 2), m - 3], rhs.tolist()))
+    except ZeroDivisionError as exc:
+        raise SingularSystem("tridiagonal elimination met a zero pivot") from exc
+    if not np.all(np.isfinite(vals)):
+        raise SingularSystem("tridiagonal solve produced non-finite values")
 
     res = diag * vals
     res[:-1] += upper * vals[1:]
@@ -223,11 +213,10 @@ def _solve_radial(gs: GroundState, name: str):
     Second-order centered differences (three-point nonuniform stencils), a
     regularized even-symmetry row at r = 0 and a Dirichlet zero at r_max,
     solved on the grid and on its midpoint refinement, then Richardson-
-    extrapolated at the nodes.  The first derivative is a quintic spline's
+    extrapolated at the nodes.  The first derivative is that of the
+    not-a-knot quintic radial.InterpolatingSpline through the node values
     (FD jitter in d1 would put C2 kinks in the interpolant).
     """
-    from scipy.interpolate import make_interp_spline
-
     ell, source, _ = _EQUATIONS[name]
     n, p = gs.n, gs.p
     r = gs.grid.nodes
@@ -251,7 +240,7 @@ def _solve_radial(gs: GroundState, name: str):
         vals[1 + i] * np.prod([x[j] / (x[j] - x[i]) for j in range(3) if j != i])
         for i in range(3)
     )
-    d1 = make_interp_spline(r, vals, k=5).derivative(1)(r)
+    d1 = InterpolatingSpline(r, vals, 5)(r, 1)
     d1[0] = 0.0
     return vals, d1, max(res_c, res_f)
 

@@ -23,9 +23,10 @@ The unique positive decreasing solution is found in three stages:
    SOLVER["certify_delta"]) must turn back and cross zero.  Those two shots
    are the certified bracket, of width 2 * certify_delta * a.
 
-Every shot and pass is scipy's DOP853 run as a step loop on Python floats
+Every shot and pass is DOP853 run as a step loop on Python floats
 (solve_ivp here), which steps as scipy's solve_ivp does at a fraction of its
-per-step cost; scipy is read only for the method's tableau.
+per-step cost; the method's tableau is module data, so no solve imports
+scipy.
 
 The far field obeys U(r) ~ c r^(-(n-1)/2) e^(-r); the constant c is fitted
 twice (from U and from U') with 1/r intercept extrapolation and the two fits
@@ -65,7 +66,7 @@ class TailTooShort(RuntimeError):
 # the cached records (GroundState.to_dict and CorrectionProfiles.save), bumped
 # when the records or the solve that writes them change
 SOLVER = {"bracket_rtol": 1e-6, "certify_delta": 1e-12, "n_nodes": 4000, "r_cap": 60.0}
-SCHEMA = 7
+SCHEMA = 8
 
 
 def critical_exponent(n: int) -> float:
@@ -137,23 +138,45 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
 
 
-@cache
-def _dop853_tableau():
-    """scipy's DOP853 tableau as float tuples (C, A, B, E5, E3), C and A
-    without the first stage's row.
-
-    Read at the first pass, not at import: the warm CLI path imports no scipy.
-    """
-    from scipy.integrate._ivp import dop853_coefficients as dc
-
-    s = dc.N_STAGES
-    return (
-        tuple(map(float, dc.C[1:s])),
-        tuple(tuple(map(float, dc.A[i, :i])) for i in range(1, s)),
-        tuple(map(float, dc.B)),
-        tuple(map(float, dc.E5)),
-        tuple(map(float, dc.E3)),
-    )
+# DOP853's tableau (Hairer, Norsett and Wanner, Solving ODEs I, II.10) as
+# (C, A, B, E5, E3), C and A without the first stage's row: the floats of
+# scipy's dop853_coefficients, written out with repr
+_DOP853_TABLEAU = (
+    (0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+     0.6512820512820513, 0.6, 0.8571428571428571, 1.0),
+    (
+        (0.05260015195876773,),
+        (0.0197250569845379, 0.0591751709536137),
+        (0.02958758547680685, 0.0, 0.08876275643042054),
+        (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+        (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+        (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+         -0.017578125),
+        (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+         -0.015319437748624402, 0.008273789163814023),
+        (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+         27.59209969944671, 20.154067550477894, -43.48988418106996),
+        (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+         21.230051448181193, 15.279233632882423, -33.28821096898486,
+         -0.020331201708508627),
+        (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+         -8.149787010746927, -18.52006565999696, 22.739487099350505,
+         2.4936055526796523, -3.0467644718982196),
+        (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+         -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+         -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+    ),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
+    (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+     -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+     0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0),
+    (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+     -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0),
+)
 
 
 def _rms(x: float, y: float) -> float:
@@ -192,7 +215,7 @@ def solve_ivp(fun, r0: float, y, r_end: float, rtol: float, atol: float) -> _Pas
     Raises ValueError for a non-finite start, and NoBracket when the step
     falls below 10 spacings of r (scipy's status -1).
     """
-    C, A, B, E5, E3 = _dop853_tableau()
+    C, A, B, E5, E3 = _DOP853_TABLEAU
     sign, r = math.copysign(1.0, r_end - r0), r0
     u, du = y
     if not (math.isfinite(u) and math.isfinite(du)):

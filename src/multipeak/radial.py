@@ -318,9 +318,14 @@ def _band_solve(rows, offsets, rhs):
 
     Gaussian elimination without pivoting, on Python floats in a fixed
     order.  The offsets must not decrease and row i must reach column i, so
-    that elimination stays inside each row's window; a B-spline collocation
+    that elimination stays inside each row's window.  A B-spline collocation
     matrix is such a band, and total positivity makes it safe to skip the
-    pivoting (de Boor, A Practical Guide to Splines, ch. XIII).
+    pivoting (de Boor, A Practical Guide to Splines, ch. XIII).  The
+    tridiagonal finite-difference systems of correction are bands too but
+    not totally positive, and chi's degree-0 one is indefinite; there the
+    safety rests on measurement, agreement with LAPACK's pivoted solve to
+    rounding, and on the discrete-residual certificate of every solve.  A
+    zero pivot raises ZeroDivisionError.
     """
     n, w = len(rows), len(rows[0])
     rows = [list(row) for row in rows]

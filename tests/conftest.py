@@ -11,6 +11,8 @@ from multipeak.groundstate import solve_ground_state
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+GS_COLD = [(3, 3), (4, 3), (6, 3), (3, 6)]  # the benchmark's cold-solve pairs
+
 
 def checkout_env() -> dict:
     """Environment for a `python -m multipeak.cli` child process that imports

@@ -7,7 +7,10 @@ truncate cuts a certified profile short to exercise the decay-fit gate;
 inverse solves U(r) = value for tail-window radii; fd_derivative is the
 finite-difference oracle of profile derivatives; scipy_e2 is the strong-form
 identity residual e2 of correction.verify_L0_identities, built on scipy's
-make_interp_spline.  They reuse the solver's
+make_interp_spline.  scipy_dop853_tableau, scipy_band_solve and scipy_d1 are
+scipy's DOP853 tableau, tridiagonal solve and quintic-spline derivative,
+which groundstate's module tableau, correction's band elimination and its
+d1 spline reproduce.  They reuse the solver's
 private pieces, so a change to those pieces shows up here too.
 """
 
@@ -15,7 +18,9 @@ from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.interpolate import make_interp_spline
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from multipeak.groundstate import (
@@ -147,3 +152,36 @@ def scipy_e2(gs: GroundState) -> float:
     strong = -(d2Us + (n - 1.0) * dUs / rs) + Us - (p - 1.0) * Upm2 * Us
     scale = (2.0 - p) * Upm2 * Us
     return float(np.linalg.norm((strong - scale) * wgt) / np.linalg.norm(scale * wgt))
+
+
+def scipy_dop853_tableau() -> tuple:
+    """scipy's DOP853 tableau as float tuples (C, A, B, E5, E3), C and A
+    without the first stage's row."""
+    dc, s = dop853_coefficients, dop853_coefficients.N_STAGES
+    return (
+        tuple(map(float, dc.C[1:s])),
+        tuple(tuple(map(float, dc.A[i, :i])) for i in range(1, s)),
+        tuple(map(float, dc.B)),
+        tuple(map(float, dc.E5)),
+        tuple(map(float, dc.E3)),
+    )
+
+
+def scipy_band_solve(rows, offsets, rhs) -> list:
+    """radial._band_solve's system, which must be tridiagonal, solved by
+    scipy's solve_banded (LAPACK, with partial pivoting)."""
+    m = len(rows)
+    ab = np.zeros((3, m))
+    for i, (row, off) in enumerate(zip(rows, offsets)):
+        for col, a in enumerate(row, start=off):
+            if abs(col - i) > 1:
+                assert a == 0.0, (i, col)
+            else:
+                ab[1 + i - col, col] = a
+    return solve_banded((1, 1), ab, rhs).tolist()
+
+
+def scipy_d1(r, vals):
+    """The first derivative at r of scipy's not-a-knot quintic through
+    (r, vals)."""
+    return make_interp_spline(r, vals, k=5).derivative(1)(r)

@@ -470,13 +470,12 @@ def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def loaded_scipy(*argv) -> list:
-    """scipy modules in sys.modules of a child that imports multipeak.cli
-    and, given argv, runs that command."""
+def scipy_after(code: str, *argv) -> list:
+    """scipy modules in sys.modules of a child that runs code, which sets its
+    exit status rc, with sys.argv[1:] = argv."""
     code = (
         "import sys\n"
-        "import multipeak.cli as cli\n"
-        "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        f"{code}"
         "sys.stderr.write(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "sys.exit(rc)\n"
     )
@@ -486,19 +485,40 @@ def loaded_scipy(*argv) -> list:
     return proc.stderr.split()
 
 
+def loaded_scipy(*argv) -> list:
+    """scipy modules in sys.modules of a child that imports multipeak.cli
+    and, given argv, runs that command."""
+    return scipy_after("import multipeak.cli as cli\n"
+                       "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n", *argv)
+
+
 @pytest.mark.parametrize("command", [
     ("constants",), ("ground-state",), ("beta-table", "--max-N", "6"),
     ("phi-scan", "--model", "sphere"), ("energy-check",), ("psi",),
     ("phi-scan", "--model", "warped", "--profile", WARP_CSV),
 ], ids=["constants", "ground-state", "beta-table", "phi-scan", "energy-check", "psi",
         "phi-scan-warped"])
-def test_warm_path_imports_no_scipy(cache_dir, tmp_path, warp_csv, command):
+def test_warm_path_imports_no_scipy(tmp_path, warp_csv, command):
     assert loaded_scipy() == []
     dims = () if command[0] == "beta-table" else ("--n", "3", "--m", "3")
-    argv = (*with_warp(command, warp_csv), *dims, "--cache-dir", cache_dir,
+    argv = (*with_warp(command, warp_csv), *dims, "--cache-dir", str(tmp_path / "cache"),
             "--out", str(tmp_path / "out"))
-    run_cli(*argv)  # warms the cache entries the command reads
-    assert loaded_scipy(*argv) == []
+    assert loaded_scipy(*argv) == []  # cold: solves into the empty cache
+    assert loaded_scipy(*argv) == []  # warm: reads the entries just stored
+
+
+def test_library_solves_import_no_scipy():
+    assert scipy_after(
+        "import numpy as np\n"
+        "from multipeak.constants import compute_constants, gamma\n"
+        "from multipeak.correction import correction_profiles\n"
+        "from multipeak.groundstate import solve_ground_state\n"
+        "gs = solve_ground_state(3, 3.0)\n"
+        "cp = correction_profiles(gs)\n"
+        "compute_constants(gs, cp, 3)\n"
+        "gamma(gs, np.eye(3)[0])\n"
+        "rc = 0\n"
+    ) == []
 
 
 def test_cache_is_content_addressed(cache_dir, tmp_path):
@@ -516,7 +536,7 @@ def test_record_keys_are_pinned_with_the_schema(corrections, tmp_path):
     # so no entry of the old layout is read under the new one
     cp = corrections(3, 3.0)
     cp.save(tmp_path / "cp.json")
-    assert cli.SCHEMA == 7
+    assert cli.SCHEMA == 8
     assert set(cp.gs.to_dict()) == {
         "n", "p", "u0", "decay_c", "grid", "values", "values_d1", "I1", "I2", "Ip",
         "certified", "bracket_width", "bracket_shots", "certify_shots", "newton_steps",

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from multipeak import correction
 from multipeak.constants import product_exponent, table_pairs
 from multipeak.correction import (
+    _EQUATIONS,
     CorrectionProfiles,
     SingularSystem,
+    _assemble_and_solve,
     _certify,
     build_v2base,
     correction_profiles,
@@ -13,9 +16,10 @@ from multipeak.correction import (
     v2base_identity_residual,
     verify_L0_identities,
 )
-from multipeak.groundstate import GroundState, solve_ground_state
+from multipeak.groundstate import GroundState, _dg, solve_ground_state
 
-from profile_oracles import fd_derivative, inverse, scipy_e2
+from conftest import GS_COLD
+from profile_oracles import fd_derivative, inverse, scipy_band_solve, scipy_d1, scipy_e2
 
 # pinned against an independent uniform-grid solve (agreement 7e-8)
 PSI0_33 = -2.248598116732135
@@ -32,6 +36,41 @@ def test_certify_refuses_a_residual_it_cannot_bound():
     for bad in (1.0, float("nan")):
         with pytest.raises(SingularSystem):
             _certify("psi", bad)
+
+
+def test_zero_pivot_is_a_singular_system():
+    # the elimination does not pivot, so a zero pivot ends the solve; here
+    # the r = 0 row's diagonal cancels exactly
+    r = np.linspace(0.0, 1.0, 6)
+    pot = np.zeros(6)
+    pot[0] = -(2.0 * 3 / r[1] ** 2)
+    with pytest.raises(SingularSystem, match="zero pivot"):
+        _assemble_and_solve(r, pot, np.ones(6), 3, 0)
+
+
+@pytest.mark.parametrize("name", ["psi", "chi"])
+@pytest.mark.parametrize("n,m", GS_COLD)
+def test_band_elimination_agrees_with_solve_banded(n, m, name, monkeypatch):
+    # chi's degree-0 system is indefinite, where LAPACK pivots and the
+    # elimination does not, so the two agree to rounding, not bit for bit
+    gs = solve_ground_state(n, product_exponent(n, m))
+    ell, source, _ = _EQUATIONS[name]
+    r, U, dU, p = gs.grid.nodes, gs.profile.values, gs.profile.d1, gs.p
+    args = (r, _dg(U, p), source(r, U, dU, p, n), n, ell)
+    vals, _ = _assemble_and_solve(*args)
+    monkeypatch.setattr(correction, "_band_solve", scipy_band_solve)
+    ref, _ = _assemble_and_solve(*args)
+    assert np.max(np.abs(vals - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n,m", GS_COLD)
+def test_d1_agrees_with_scipys_quintic(n, m, corrections):
+    cp = corrections(n, product_exponent(n, m))
+    for name in ("psi", "chi"):
+        f = getattr(cp, name)
+        ref = scipy_d1(cp.gs.grid.nodes, f.values)
+        ref[0] = 0.0
+        assert np.max(np.abs(f.d1 - ref)) <= 1e-11 * np.max(np.abs(ref)), name
 
 
 def test_psi_center_values_pinned(corrections):

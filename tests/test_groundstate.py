@@ -20,7 +20,15 @@ from multipeak.groundstate import (
     solve_ground_state,
 )
 
-from profile_oracles import inverse, scipy_classify, scipy_shoot, shoot_profile, truncate
+from conftest import GS_COLD
+from profile_oracles import (
+    inverse,
+    scipy_classify,
+    scipy_dop853_tableau,
+    scipy_shoot,
+    shoot_profile,
+    truncate,
+)
 
 # pinned by an independent uniform-grid damped-Newton solve (h = 5e-4,
 # agreement 3.3e-7, consistent with that solver's own h^2 error)
@@ -29,7 +37,6 @@ U0_44 = 7.881469905845131
 
 MATRIX = [(n, m) for n in range(3, 8) for m in range(3, 7) if n + m <= 9]
 SPOT = [(7, 3), (7, 6)]  # N = 10 and N = 13
-GS_COLD = [(3, 3), (4, 3), (6, 3), (3, 6)]  # the benchmark's cold-solve pairs
 
 
 def test_solve_is_memoised():
@@ -115,6 +122,11 @@ def test_shots_match_scipy_dop853(n, m, monkeypatch):
     half = SOLVER["certify_delta"] * gs.u0
     for a in (gs.u0 - half, gs.u0 + half):
         assert shoot(a, n, p) == scipy_shoot(a, n, p)
+
+
+def test_tableau_is_scipys_dop853():
+    # the module's floats against scipy's dop853_coefficients, entry by entry
+    assert groundstate._DOP853_TABLEAU == scipy_dop853_tableau()
 
 
 @pytest.mark.parametrize("a", [np.nan, np.inf])
