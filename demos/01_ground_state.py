@@ -12,7 +12,7 @@ below is the distance between them.
 import numpy as np
 
 from multipeak import identity_report, solve_ground_state
-from multipeak.groundstate import GroundState, decay_constant, ode_residual
+from multipeak.groundstate import GroundState
 
 n, p = 3, 3.0
 gs = solve_ground_state(n, p)
@@ -32,7 +32,7 @@ print(f"  alpha = (1/2 - 1/p) Ip    -> {rep['e_alpha']:.3e}")
 print(f"  alpha = {rep['alpha']:.12f}")
 
 # pointwise equation defect measured between the grid nodes
-print(f"\nODE defect at panel midpoints = {ode_residual(gs):.3e}")
+print(f"\nODE defect at panel midpoints = {rep['ode_residual']:.3e}")
 
 # U ~ c r^(-(n-1)/2) e^(-r): the fitted tail, which the profile uses past
 # its grid, should match the profile inside it
@@ -46,4 +46,3 @@ clone = GroundState.from_dict(gs.to_dict())
 rs = np.linspace(0.0, 20.0, 7)
 print(f"\nround trip max |U - U'| on samples = "
       f"{np.abs(clone.profile(rs) - gs.profile(rs)).max():.1e}")
-print(f"refit decay constant = {decay_constant(gs):.12f}")

@@ -10,7 +10,6 @@ scalings on model geometries.
 
 from .constants import (
     DimensionalConstants,
-    base_interaction,
     beta_table,
     compute_constants,
     conformal_constant,
@@ -70,7 +69,6 @@ __all__ = [
     "TailTooShort",
     "WarpedSphere",
     "admissible",
-    "base_interaction",
     "beta_table",
     "build_W",
     "build_Y",

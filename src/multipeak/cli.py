@@ -223,6 +223,7 @@ def cmd_psi(args) -> int:
         "p": p,
         "m": m,
         "correction": cp.to_dict(),
+        "tail_exponent": cp.tail_exponent,
         "identity_report": verify_L0_identities(gs),
     }
     _emit(_dump(payload), args.out)
@@ -234,9 +235,10 @@ def cmd_constants(args) -> int:
         raise ValueError("constants needs --n and --m")
     n, m = args.n, args.m
     gs, _, dc = _constants(n, m, _cache_dir(args))
-    # gamma's radial-angular quadrature reads the direction only to check
-    # that it is a unit vector, so one seeded direction gives the value
-    # (criterion 06 checks the invariance over many directions)
+    # gamma's radial-angular reduction reads the direction only to check
+    # that it is a unit vector, so one seeded direction gives the value and
+    # the spread is 0 by construction; the reduction itself is checked
+    # against a direct integral over the sphere of directions in the tests
     b = np.random.default_rng(args.seed).standard_normal(n)
     value = gamma(gs, b / np.linalg.norm(b)).value
     payload = {

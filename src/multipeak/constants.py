@@ -175,8 +175,8 @@ def _angular_factor(r: np.ndarray, n: int) -> np.ndarray:
 
 
 def _interaction_quad(gs: GroundState) -> Quadrature:
-    """The 448-cell radial rule on [0, r_max] that gamma and base_interaction
-    share."""
+    """The 448-cell radial rule on [0, r_max] of gamma, which the tests'
+    b = 0 oracle base_interaction shares."""
     return Quadrature(RadialGrid(np.linspace(0.0, gs.r_max, 448 + 1)))
 
 
@@ -206,13 +206,6 @@ def gamma(gs: GroundState, b) -> GammaValue:
     tail = TailModel(c_ang * t.c, t.a - nu, t.b - 1.0).integral(gs.r_max, k=n - 1)
     value = surface_area(n - 1) * (core + tail)
     return GammaValue(b=b, value=value)
-
-
-def base_interaction(gs: GroundState) -> float:
-    """int U^(p-1) dz by the same radial quadrature gamma uses (b = 0)."""
-    p, quad = gs.p, _interaction_quad(gs)
-    return moment_reduce(np.abs(gs.profile(quad.points)) ** (p - 1.0), "1", gs.n, quad,
-                         tail=gs.profile.tail.powered(p - 1.0))
 
 
 def table_pairs(max_N: int = 9) -> list:

@@ -20,10 +20,10 @@ feed the curvature corrections of a concentrating bump:
 * v2base(r) = U'(r) r / 2 - U(r) / (2 - p), the explicit radial profile with
   L0 v2base = -U.
 
-The module also provides independent verification helpers: operator
-identities recomputed from node data through separate code paths,
-midpoint residuals of the psi and chi equations, and a full-dimension
-finite-difference check of the psi equation.
+The module also certifies them: verify_L0_identities recomputes three
+operator identities of U and v2base from node data through code paths of
+their own, and equation_residual gives the psi and chi equations' residuals
+between the nodes the solve used.
 """
 
 from __future__ import annotations
@@ -59,23 +59,11 @@ class CorrectionProfiles:
         self.tail_exponent = _tail_slope(self.gs, self.psi.values)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.gs.n,
-            "p": self.gs.p,
-            "grid": self.psi.grid.nodes.tolist(),
-            "psi_values": self.psi.values.tolist(),
-            "chi_values": self.chi.values.tolist(),
-            "v2base_values": self.v2base.values.tolist(),
-            "discrete_residual": self.discrete_residual,
-            "chi_discrete_residual": self.chi_discrete_residual,
-            "tail_exponent": self.tail_exponent,
-        }
-
-    def save(self, path) -> None:
-        """Store what only the solve can produce: node values, their spline
-        first derivatives and the solve's residuals, with the midpoint
-        equation residuals of psi and chi that `load` must reproduce.
-        `load` rebuilds the rest from the ground state."""
+        """The record that `save` writes and `load` reads: what only the
+        solve can produce, node values, their spline first derivatives and
+        the solve's residuals, with the midpoint equation residuals of psi
+        and chi that `load` must reproduce.  `load` rebuilds the rest from
+        the ground state."""
         record = {
             "n": self.gs.n,
             "p": self.gs.p,
@@ -89,8 +77,11 @@ class CorrectionProfiles:
         for name in ("psi", "chi"):
             record[f"{name}_equation_residual"] = equation_residual(
                 self.gs, getattr(self, name), name)
+        return record
+
+    def save(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(json.dumps(record))
+            fh.write(json.dumps(self.to_dict()))
 
     @staticmethod
     def load(gs: GroundState, path) -> "CorrectionProfiles":
@@ -333,18 +324,20 @@ def build_v2base(gs: GroundState) -> RadialFunction:
 _TEST_WIDTHS = (0.8, 1.5, 3.0)
 
 
-def _weak_residuals(gs: GroundState):
-    """Weak-form relative residuals of the two first-order identities.
+def verify_L0_identities(gs: GroundState) -> dict:
+    """Relative residuals of three exact operator identities.
 
-    Third-order differentiation of tabulated values amplifies the solver's
-    ~1e-10 value noise past 1e-4, so identities involving U''' are paired
-    against analytic Gaussian test profiles instead: L0 and Lap are
+    e1 checks L0(U' r) = -2 Lap U and e3 checks L0(v2base) = -U, both in weak
+    form: third-order differentiation of tabulated values amplifies the
+    solver's ~1e-10 value noise past 1e-4, so the identities are paired
+    against analytic Gaussian test profiles instead.  L0 and Lap are
     self-adjoint in the radial volume measure and boundary terms decay, so
     every derivative lands on the test function and only (U, U') node data
-    enter.  Returns (e1, e3) maximized over test widths, where
-
-      e1: L0(U' r) = -2 Lap U
-      e3: L0(v2base) = -U
+    enter; each is maximized over the test widths.
+    e2 checks L0(U) = (2-p) U^(p-1) in strong form, with U' and U'' taken
+    from a fresh quintic radial.InterpolatingSpline through the stored node
+    values only, and is reported as a weighted-L2 relative residual over the
+    grid interior.
     """
     n, p = gs.n, gs.p
     quad = Quadrature(gs.grid)
@@ -367,19 +360,7 @@ def _weak_residuals(gs: GroundState):
         rhs3 = quad.integrate(-U * phi * vol)
         lhs3 = quad.integrate((0.5 * dU * r - q * U) * L0phi * vol)
         e3 = max(e3, abs(lhs3 - rhs3) / abs(rhs3))
-    return e1, e3
 
-
-def verify_L0_identities(gs: GroundState) -> dict:
-    """Relative residuals of two exact operator identities.
-
-    e1 checks L0(U' r) = -2 Lap U in weak form (see _weak_residuals).
-    e2 checks L0(U) = (2-p) U^(p-1) in strong form, with U' and U'' taken
-    from a fresh quintic radial.InterpolatingSpline through the stored node
-    values only, and is reported as a weighted-L2 relative residual over the
-    grid interior.
-    """
-    n, p = gs.n, gs.p
     # every 3rd node: differentiation amplifies value noise by 1/h^2, and the
     # wider spacing buys a 9x noise cut at negligible truncation cost
     r_all = gs.grid.nodes[::3]
@@ -392,13 +373,7 @@ def verify_L0_identities(gs: GroundState) -> dict:
     strong = -(d2Us + (n - 1.0) * dUs / rs) + Us - (p - 1.0) * Upm2 * Us
     scale = (2.0 - p) * Upm2 * Us
     e2 = float(np.linalg.norm((strong - scale) * wgt) / np.linalg.norm(scale * wgt))
-    e1, _ = _weak_residuals(gs)
-    return {"e1": e1, "e2": e2}
-
-
-def v2base_identity_residual(gs: GroundState) -> float:
-    """Relative residual of L0(v2base) = -U, in the same weak form as e1."""
-    return _weak_residuals(gs)[1]
+    return {"e1": e1, "e2": e2, "e3": e3}
 
 
 def equation_residual(gs: GroundState, f: RadialFunction, name: str) -> float:
@@ -414,38 +389,3 @@ def equation_residual(gs: GroundState, f: RadialFunction, name: str) -> float:
     res = (-d2vals - (n - 1.0 + 2.0 * ell) * dvals / r + _dg(U, p) * vals
            - source(r, U, dU, p, n))
     return float(np.max(np.abs(res)))
-
-
-def operator_identity_check(gs: GroundState, psi: RadialFunction) -> float:
-    """Full-dimension check of L0(psi(|z|) z1 z2) = (U'/|z|) z1 z2.
-
-    Applies a (2n+1)-point second-order finite-difference Laplacian of step
-    0.005 in all n coordinates at 4000 seeded sample points with 0.4 <= |z|
-    <= 4 (no radial reduction anywhere), and returns the maximum relative
-    deviation over samples where the target is not vanishingly small.
-    """
-    n, p = gs.n, gs.p
-    n_samples, h = 4000, 0.005
-    rng = np.random.default_rng(7)
-    pts = rng.normal(size=(n_samples, n))
-    radii = rng.uniform(0.4, 4.0, size=n_samples)
-    pts *= (radii / np.linalg.norm(pts, axis=1))[:, None]
-
-    def field(z):
-        rr = np.linalg.norm(z, axis=-1)
-        return psi(rr) * z[..., 0] * z[..., 1]
-
-    lap = -2.0 * n * field(pts) / h ** 2
-    for k in range(n):
-        shift = np.zeros(n)
-        shift[k] = h
-        lap += (field(pts + shift) + field(pts - shift)) / h ** 2
-
-    r = np.linalg.norm(pts, axis=1)
-    U, dU, _ = gs.profile.evaluate(gs.grid.locate(r))
-    F = field(pts)
-    lhs = -lap + F - (p - 1.0) * np.abs(U) ** (p - 2.0) * F
-    target = dU / r * pts[:, 0] * pts[:, 1]
-    floor = 1e-2 * np.max(np.abs(target))
-    mask = np.abs(target) > floor
-    return float(np.max(np.abs(lhs[mask] - target[mask]) / np.abs(target[mask])))

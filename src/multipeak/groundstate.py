@@ -63,7 +63,7 @@ class TailTooShort(RuntimeError):
 
 # solver settings (relative width of the bisection bracket, relative offset of
 # the two certification shots, grid nodes, largest r_max) and the version of
-# the cached records (GroundState.to_dict and CorrectionProfiles.save), bumped
+# the cached records (GroundState.to_dict and CorrectionProfiles.to_dict), bumped
 # when the records or the solve that writes them change
 SOLVER = {"bracket_rtol": 1e-6, "certify_delta": 1e-12, "n_nodes": 4000, "r_cap": 60.0}
 SCHEMA = 8
@@ -684,21 +684,16 @@ def solve_ground_state(n: int, p: float) -> GroundState:
     )
 
 
-def decay_constant(gs: GroundState) -> float:
-    """Refit the decay constant from stored profile data.
-
-    Returns the U-side fit; raises TailTooShort when the asymptotic window
-    is missing or the U and U' fits disagree beyond 1%.
-    """
-    return _fit_decay(gs.grid.nodes, gs.profile.values, gs.profile.d1, gs.n, gs.u0)
-
-
 def identity_report(gs: GroundState) -> dict:
-    """Exact-identity defects of the energy ledger.
+    """Exact-identity defects of the energy ledger,
 
     energy:    I1 + I2 = Ip
     pohozaev:  (n-2)/2 I1 + n/2 I2 = n/p Ip
     alpha:     I1/2 + I2/2 - Ip/p = (1/2 - 1/p) Ip
+
+    and the ODE's max absolute residual at the cell midpoints: at the nodes
+    U'' is defined through the ODE, so the interpolant is checked between
+    them.
     """
     n, p = gs.n, gs.p
     I1, I2, Ip = gs.I1, gs.I2, gs.Ip
@@ -706,6 +701,9 @@ def identity_report(gs: GroundState) -> dict:
     e_energy = abs(I1 + I2 - Ip) / Ip
     e_pohozaev = abs(0.5 * (n - 2) * I1 + 0.5 * n * I2 - n / p * Ip) / Ip
     e_alpha = abs(alpha - (0.5 - 1.0 / p) * Ip) / abs(alpha)
+    nodes = gs.grid.nodes
+    r = 0.5 * (nodes[1:] + nodes[:-1])
+    u, du, d2 = gs.profile.evaluate(gs.grid.locate(r))
     return {
         "I1": I1,
         "I2": I2,
@@ -714,17 +712,5 @@ def identity_report(gs: GroundState) -> dict:
         "e_energy": e_energy,
         "e_pohozaev": e_pohozaev,
         "e_alpha": e_alpha,
+        "ode_residual": float(np.max(np.abs(d2 + (n - 1.0) * du / r - _g(u, p)))),
     }
-
-
-def ode_residual(gs: GroundState) -> float:
-    """Max absolute ODE residual of the stored interpolant at cell midpoints.
-
-    At nodes the second derivative is defined through the ODE, so the honest
-    consistency measure is taken between them.
-    """
-    nodes = gs.grid.nodes
-    r = 0.5 * (nodes[1:] + nodes[:-1])
-    u, du, d2 = gs.profile.evaluate(gs.grid.locate(r))
-    res = d2 + (gs.n - 1.0) * du / r - _g(u, gs.p)
-    return float(np.max(np.abs(res)))

@@ -10,7 +10,9 @@ identity residual e2 of correction.verify_L0_identities, built on scipy's
 make_interp_spline.  scipy_dop853_tableau, scipy_band_solve and scipy_d1 are
 scipy's DOP853 tableau, tridiagonal solve and quintic-spline derivative,
 which groundstate's module tableau, correction's band elimination and its
-d1 spline reproduce.  They reuse the solver's
+d1 spline reproduce.  operator_identity_check applies the psi equation in
+all n coordinates, with no radial reduction; base_interaction is gamma's
+integral at b = 0, its convexity lower bound.  They reuse the solver's
 private pieces, so a change to those pieces shows up here too.
 """
 
@@ -23,6 +25,7 @@ from scipy.interpolate import make_interp_spline
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
+from multipeak.constants import _interaction_quad
 from multipeak.groundstate import (
     _R0,
     _R_END,
@@ -34,7 +37,7 @@ from multipeak.groundstate import (
     _radial_ode,
     _series_start,
 )
-from multipeak.radial import RadialGrid
+from multipeak.radial import RadialFunction, RadialGrid, moment_reduce
 
 
 def scipy_classify(fun, y, rtol: float) -> str:
@@ -185,3 +188,45 @@ def scipy_d1(r, vals):
     """The first derivative at r of scipy's not-a-knot quintic through
     (r, vals)."""
     return make_interp_spline(r, vals, k=5).derivative(1)(r)
+
+
+def operator_identity_check(gs: GroundState, psi: RadialFunction) -> float:
+    """Full-dimension check of L0(psi(|z|) z1 z2) = (U'/|z|) z1 z2.
+
+    Applies a (2n+1)-point second-order finite-difference Laplacian of step
+    0.005 in all n coordinates at 4000 seeded sample points with 0.4 <= |z|
+    <= 4 (no radial reduction anywhere), and returns the maximum relative
+    deviation over samples where the target is not vanishingly small.
+    """
+    n, p = gs.n, gs.p
+    n_samples, h = 4000, 0.005
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=(n_samples, n))
+    radii = rng.uniform(0.4, 4.0, size=n_samples)
+    pts *= (radii / np.linalg.norm(pts, axis=1))[:, None]
+
+    def field(z):
+        rr = np.linalg.norm(z, axis=-1)
+        return psi(rr) * z[..., 0] * z[..., 1]
+
+    lap = -2.0 * n * field(pts) / h ** 2
+    for k in range(n):
+        shift = np.zeros(n)
+        shift[k] = h
+        lap += (field(pts + shift) + field(pts - shift)) / h ** 2
+
+    r = np.linalg.norm(pts, axis=1)
+    U, dU, _ = gs.profile.evaluate(gs.grid.locate(r))
+    F = field(pts)
+    lhs = -lap + F - (p - 1.0) * np.abs(U) ** (p - 2.0) * F
+    target = dU / r * pts[:, 0] * pts[:, 1]
+    floor = 1e-2 * np.max(np.abs(target))
+    mask = np.abs(target) > floor
+    return float(np.max(np.abs(lhs[mask] - target[mask]) / np.abs(target[mask])))
+
+
+def base_interaction(gs: GroundState) -> float:
+    """int U^(p-1) dz by the same radial quadrature gamma uses (b = 0)."""
+    p, quad = gs.p, _interaction_quad(gs)
+    return moment_reduce(np.abs(gs.profile(quad.points)) ** (p - 1.0), "1", gs.n, quad,
+                         tail=gs.profile.tail.powered(p - 1.0))

@@ -16,8 +16,8 @@ import pytest
 
 from conftest import checkout_env
 from curvature_fd import curvature_reference, laplacian_s_reference
-from multipeak.constants import base_interaction, beta_table, gamma, product_exponent
-from multipeak.correction import operator_identity_check, verify_L0_identities
+from multipeak.constants import beta_table, gamma, product_exponent
+from multipeak.correction import verify_L0_identities
 from multipeak.energy import (
     SLOPE_LADDER,
     PeakConfig,
@@ -29,6 +29,7 @@ from multipeak.energy import (
 )
 from multipeak.geometry import RoundSphere, WarpedSphere, phi, scan_phi
 from multipeak.groundstate import identity_report, solve_ground_state
+from profile_oracles import base_interaction, operator_identity_check
 
 PAIRS = [(n, m) for n in range(3, 7) for m in range(3, 7) if n + m <= 9]
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from conftest import checkout_env
 
+import multipeak
 from multipeak import energy
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -104,3 +105,23 @@ def test_energy_names_no_model_class():
     banned = {"RoundSphere", "FlatSpace", "WarpedSphere", "isinstance",
               "radius", "arccos", "tan"}
     assert names & banned == set()
+
+
+def test_every_public_function_has_a_library_caller():
+    # a public module-level function in src/multipeak is named somewhere in
+    # src/ besides its own definition, or it is exported; code only the
+    # tests call lives with the tests
+    defined, named = {}, set()
+    for path in sorted(Path(multipeak.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    orphans = {name: module for name, module in defined.items()
+               if name not in named and name not in multipeak.__all__}
+    assert orphans == {}

@@ -84,8 +84,17 @@ def test_psi_record(cache_dir, tmp_path):
             "--cache-dir", cache_dir, "--out", str(out))
     doc = json.loads(out.read_text())
     assert doc["correction"]["discrete_residual"] < 1e-8
-    assert -1.2 < doc["correction"]["tail_exponent"] < -0.8
+    assert -1.2 < doc["tail_exponent"] < -0.8
     assert max(abs(v) for v in doc["identity_report"].values()) < 1e-6
+
+
+def test_psi_prints_the_cached_record(tmp_path):
+    # the correction block is the cp entry the command stored, key for key
+    # and value for value
+    cache = tmp_path / "cache"
+    doc = json.loads(run_cli("psi", "--n", "3", "--m", "3", "--cache-dir", str(cache)).stdout)
+    (entry,) = cache.glob("cp-*.json")
+    assert doc["correction"] == json.loads(entry.read_text())
 
 
 def test_constants_record(cache_dir, tmp_path):

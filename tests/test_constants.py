@@ -11,7 +11,6 @@ from multipeak.constants import (
     ExponentMismatch,
     NotUnit,
     _angular_factor,
-    base_interaction,
     beta_table,
     compute_constants,
     conformal_constant,
@@ -21,6 +20,8 @@ from multipeak.constants import (
 )
 from multipeak.correction import correction_profiles
 from multipeak.groundstate import solve_ground_state
+from multipeak.radial import gauss_panels, surface_area
+from profile_oracles import base_interaction
 
 PAIRS = [(3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4), (4, 5), (5, 3), (5, 4), (6, 3)]
 
@@ -144,6 +145,23 @@ def test_gamma_rotational_invariance():
         vals.append(gamma(gs, b).value)
     vals = np.array(vals)
     assert (vals.max() - vals.min()) / vals.min() < 1e-8
+
+
+@pytest.mark.parametrize("r", [0.3, 4.7, 25.0, 40.0])
+def test_angular_reduction_of_an_off_axis_direction(r):
+    # gamma reads b only to check its length, so the direction enters no
+    # value it computes; here it enters the integrand: e^(r <b, omega>) over
+    # S^2 by a (theta, phi) product rule about e3, 64 x 10 Gauss nodes in
+    # theta and 256 trapezoid nodes in phi, against the reduced form
+    b = np.array([0.48, -0.6, 0.64])
+    t, wt = gauss_panels(np.linspace(0.0, np.pi, 65), np.polynomial.legendre.leggauss(10))
+    ph = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    omega = np.stack([np.outer(np.sin(t), np.cos(ph)), np.outer(np.sin(t), np.sin(ph)),
+                      np.outer(np.cos(t), np.ones_like(ph))])
+    direct = (2.0 * np.pi / ph.size) * np.sum(
+        (wt * np.sin(t)) @ np.exp(r * np.tensordot(b, omega, axes=1)))
+    reduced = surface_area(2) * _angular_factor(np.array([r]), 3)[0]
+    assert direct == pytest.approx(reduced, rel=1e-12)
 
 
 def test_gamma_jensen_lower_bound():

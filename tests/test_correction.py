@@ -12,14 +12,19 @@ from multipeak.correction import (
     build_v2base,
     correction_profiles,
     equation_residual,
-    operator_identity_check,
-    v2base_identity_residual,
     verify_L0_identities,
 )
 from multipeak.groundstate import GroundState, _dg, solve_ground_state
 
 from conftest import GS_COLD
-from profile_oracles import fd_derivative, inverse, scipy_band_solve, scipy_d1, scipy_e2
+from profile_oracles import (
+    fd_derivative,
+    inverse,
+    operator_identity_check,
+    scipy_band_solve,
+    scipy_d1,
+    scipy_e2,
+)
 
 # pinned against an independent uniform-grid solve (agreement 7e-8)
 PSI0_33 = -2.248598116732135
@@ -180,7 +185,7 @@ def test_e2_agrees_with_the_scipy_spline_oracle(n, m):
 
 @pytest.mark.parametrize("n,p", [(3, 3.0), (4, product_exponent(4, 4))])
 def test_v2base_operator_identity(n, p):
-    assert v2base_identity_residual(solve_ground_state(n, p)) < 1e-6
+    assert verify_L0_identities(solve_ground_state(n, p))["e3"] < 1e-6
 
 
 def test_corrupted_profile_negative_control():
@@ -200,7 +205,7 @@ def test_profiles_serialize(corrections):
     cp = corrections(3, 3.0)
     d = cp.to_dict()
     assert d["n"] == 3
-    assert len(d["psi_values"]) == len(d["grid"])
+    assert len(d["psi_values"]) == len(cp.gs.grid.nodes)
     assert d["discrete_residual"] < 1e-8
 
 

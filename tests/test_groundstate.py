@@ -13,10 +13,9 @@ from multipeak.groundstate import (
     NoBracket,
     SubcriticalViolation,
     TailTooShort,
+    _fit_decay,
     critical_exponent,
-    decay_constant,
     identity_report,
-    ode_residual,
     solve_ground_state,
 )
 
@@ -243,8 +242,15 @@ def test_profile_shape_and_residual():
     U = gs.profile
     at_nodes = U.deriv2(r) + (gs.n - 1.0) * U.deriv1(r) / r - groundstate._g(U(r), gs.p)
     assert np.max(np.abs(at_nodes)) < 1e-12
-    assert ode_residual(gs) < 1e-6
+    assert identity_report(gs)["ode_residual"] < 1e-6
     assert gs.profile(0.0) == pytest.approx(gs.u0, rel=1e-14)
+
+
+@pytest.mark.parametrize("n,m", GS_COLD)
+def test_ode_residual_between_nodes(n, m):
+    # the report's midpoint ODE defect, where U'' is not the ODE's own value
+    rep = identity_report(solve_ground_state(n, product_exponent(n, m)))
+    assert rep["ode_residual"] < 1e-6
 
 
 def test_eval_origin_regularity():
@@ -266,20 +272,25 @@ def test_eval_tail_continuity_and_form():
     assert gs.profile(r2) == pytest.approx(expect, rel=1e-13)
 
 
+def refit_decay(gs):
+    """The two-sided decay fit of gs's stored node data."""
+    return _fit_decay(gs.grid.nodes, gs.profile.values, gs.profile.d1, gs.n, gs.u0)
+
+
 def test_decay_constant_two_sided_agreement():
     gs = solve_ground_state(3, 3.0)
-    c = decay_constant(gs)
+    c = refit_decay(gs)
     assert c > 0
     assert c == pytest.approx(gs.decay_c, rel=1e-12)
     gs5 = solve_ground_state(5, 2.5)
-    assert decay_constant(gs5) > 0
+    assert refit_decay(gs5) > 0
 
 
 def test_decay_constant_requires_long_tail():
     gs = solve_ground_state(3, 3.0)
     short = shoot_profile(3, 3.0, gs.u0, r_max=5.0)
     with pytest.raises(TailTooShort):
-        decay_constant(short)
+        refit_decay(short)
     with pytest.raises(TailTooShort):
         truncate(gs, 5.0)
 

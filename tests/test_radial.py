@@ -6,7 +6,7 @@ from scipy.special import gammaincc, gammaln
 
 from multipeak.constants import compute_constants
 from multipeak.correction import correction_profiles, equation_residual, verify_L0_identities
-from multipeak.groundstate import _energy_ledger, ode_residual, solve_ground_state
+from multipeak.groundstate import _energy_ledger, identity_report, solve_ground_state
 from multipeak.radial import (
     GridError,
     InterpolatingSpline,
@@ -200,7 +200,7 @@ def test_each_node_set_is_located_once(monkeypatch, corrections):
 
     assert lookups(compute_constants, gs, cp, 3) == 1
     assert lookups(_energy_ledger, gs.profile, gs.n, gs.p) == 1
-    assert lookups(ode_residual, gs) == 1
+    assert lookups(identity_report, gs) == 1
     assert lookups(verify_L0_identities, gs) == 1
     for name in ("psi", "chi"):
         assert lookups(equation_residual, gs, getattr(cp, name), name) == 1
